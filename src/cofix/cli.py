@@ -22,9 +22,7 @@ from .contraction import (
     EXHAUSTIVE,
     Arity,
     SampledPairs,
-    check_condition_four,
-    check_condition_three,
-    check_condition_two,
+    check_condition,
     check_range_inclusions,
 )
 from .errors import CofixError, DomainError, SchemaError
@@ -64,15 +62,6 @@ def _parse_x0(problem: Problem, raw: Optional[str]):
         raise SchemaError(f"cannot parse start point {raw!r}: {exc}") from exc
 
 
-def _condition_report(problem: Problem, tol: Optional[float]):
-    space, maps, c = problem.space, problem.maps, problem.coefficients
-    if maps.arity == Arity.TWO:
-        return check_condition_two(space, maps.S, maps.T, c, problem.pair_source, tol)
-    if maps.arity == Arity.THREE:
-        return check_condition_three(space, maps.S, maps.T, maps.f, c, problem.pair_source, tol)
-    return check_condition_four(space, maps.S, maps.T, maps.f, maps.g, c, problem.pair_source, tol)
-
-
 def _cmd_check(args) -> int:
     problem = load_problem(args.problem)
     tol = args.tol
@@ -86,7 +75,7 @@ def _cmd_check(args) -> int:
         )
     else:
         axioms = verify_metric_axioms(problem.space)
-    condition = _condition_report(problem, tol)
+    condition = check_condition(problem.space, problem.maps, problem.coefficients, source, tol)
     inclusions = check_range_inclusions(
         problem.space,
         problem.maps,

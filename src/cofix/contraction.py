@@ -9,9 +9,18 @@ The two-mapping condition bounds d(Sx, Ty) by
 with alpha, beta, gamma, delta in [0, 1), alpha + beta + gamma + 2*delta < 1
 and L >= 0.  The three-mapping variant replaces x and y inside the distance
 terms on the right-hand side by f(x) and f(y); the four-mapping variant uses
-f(x) on the x side and g(y) on the y side.  All three checks share one
-evaluator, so substituting the identity for f (or f for g) reproduces the
-lower-arity report exactly.
+f(x) on the x side and g(y) on the y side.  ``MappingSet.rhs_maps`` names
+that substitution once: ``(None, None)`` (the identity) for two mappings,
+``(f, f)`` for three, ``(f, g)`` for four.
+
+Every check runs the four-mapping form through one vectorized evaluator,
+``_term_arrays``, over a batch of pairs: index arrays looked up in the
+distance table on finite spaces, coordinate arrays compared by norm on
+Euclidean ones.  The exhaustive grid is the same call with the index
+column and row broadcast against each other, so substituting the identity
+for f (or f for g) reproduces the lower-arity report exactly.
+``check_condition`` picks the named check that matches a mapping set's
+arity.
 """
 
 from __future__ import annotations
@@ -112,6 +121,10 @@ class TableMapping:
     def n(self) -> int:
         return int(self.table.shape[0])
 
+    def apply_many(self, xs: np.ndarray) -> np.ndarray:
+        """Apply to an index array of any shape."""
+        return self.table[xs]
+
     def image(self) -> np.ndarray:
         return np.unique(self.table)
 
@@ -179,9 +192,6 @@ class AffineMapping:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, np.eye(self.dimension)) and not self.offset.any())
 
-    def is_invertible(self, tol: float = 0.0) -> bool:
-        return bool(np.linalg.matrix_rank(self.matrix) == self.dimension)
-
     def inverse(self) -> "AffineMapping":
         try:
             inv = np.linalg.inv(self.matrix)
@@ -232,6 +242,13 @@ class MappingSet:
             except DomainError as exc:
                 raise DomainError(f"mapping {label}: {exc}") from exc
         return self
+
+    @property
+    def rhs_maps(self) -> tuple[Optional[Mapping], Optional[Mapping]]:
+        """The (f, g) put in place of (x, y) on the right-hand side; None is the identity."""
+        if self.arity == Arity.THREE:
+            return self.f, self.f
+        return self.f, self.g
 
     def items(self):
         out = [("S", self.S), ("T", self.T)]
@@ -385,111 +402,83 @@ def rhs_four(c: Coefficients, space: MetricSpace, S, T, f, g, x: Point, y: Point
     return _rhs(c, _scalar_terms(space, S, T, f, g, x, y))
 
 
-def _finite_term_arrays(space: MetricSpace, S, T, f, g, xs=None, ys=None):
-    """Vectorized condition terms on a finite space.
+def _pair_batch(space: MetricSpace, pair_source) -> tuple[np.ndarray, np.ndarray]:
+    """Points (xs, ys) of the pairs a source names; they broadcast to the batch shape.
 
-    With ``xs``/``ys`` omitted, evaluates the full n x n pair grid and
-    returns matrices; otherwise evaluates the sampled index pairs and
-    returns vectors.  Output order matches :func:`_scalar_terms`.
+    The exhaustive grid is the index column against the index row, so its
+    flat order is the lexicographic pair order.
     """
-    D = space.table
-    n = space.n
-    s = S.table
-    t = T.table
-    fi = f.table if f is not None else np.arange(n)
-    gj = g.table if g is not None else fi
-
-    if xs is None:
-        lhs = D[np.ix_(s, t)]
-        a1 = D[fi, s]
-        a2 = D[gj, t]
-        a3 = D[np.ix_(fi, gj)]
-        b1 = D[np.ix_(s, gj)]
-        b2 = D[np.ix_(fi, t)]
-        t4 = b1 + b2
-        t5 = np.minimum(np.minimum(a1[:, None], a2[None, :]), np.minimum(b1, b2))
-        return lhs, a1[:, None] + np.zeros_like(lhs), a2[None, :] + np.zeros_like(lhs), a3, t4, t5
-
-    sx, ty = s[xs], t[ys]
-    fx, gy = fi[xs], gj[ys]
-    lhs = D[sx, ty]
-    t1 = D[fx, sx]
-    t2 = D[gy, ty]
-    t3 = D[fx, gy]
-    u1 = D[gy, sx]
-    u2 = D[fx, ty]
-    return lhs, t1, t2, t3, u1 + u2, np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
-
-
-def _euclidean_term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray):
-    Sx = S.apply_many(xs)
-    Ty = T.apply_many(ys)
-    fx = f.apply_many(xs) if f is not None else xs
-    gy = g.apply_many(ys) if g is not None else (f.apply_many(ys) if f is not None else ys)
-
-    def norms(u, v):
-        return np.linalg.norm(u - v, axis=1)
-
-    lhs = norms(Sx, Ty)
-    t1 = norms(fx, Sx)
-    t2 = norms(gy, Ty)
-    t3 = norms(fx, gy)
-    u1 = norms(gy, Sx)
-    u2 = norms(fx, Ty)
-    return lhs, t1, t2, t3, u1 + u2, np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
-
-
-def _condition_data(space, S, T, f, g, pair_source):
-    """Gather (lhs, terms, pair lookup, mode, seed, box, count) for a source."""
     if pair_source == EXHAUSTIVE or pair_source is None:
         if not space.is_finite:
             raise ExhaustiveOnInfinite("exhaustive pair enumeration needs a finite space; supply a sampler")
-        lhs, t1, t2, t3, t4, t5 = _finite_term_arrays(space, S, T, f, g)
-        n = space.n
-
-        def pair_at(flat: int):
-            i, j = np.unravel_index(flat, (n, n))
-            return (int(i), int(j))
-
-        return lhs, (t1, t2, t3, t4, t5), pair_at, "exhaustive", None, None, n * n
-
+        idx = np.arange(space.n)
+        return idx[:, None], idx[None, :]
     if not isinstance(pair_source, SampledPairs):
         raise DomainError(f"unknown pair source {pair_source!r}")
-    xs, ys = pair_source.draw_pairs(space)
-    if space.is_finite:
-        lhs, t1, t2, t3, t4, t5 = _finite_term_arrays(space, S, T, f, g, xs, ys)
+    return pair_source.draw_pairs(space)
 
-        def pair_at(flat: int):
-            return (int(xs[flat]), int(ys[flat]))
+
+def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray):
+    """Vectorized condition terms at a batch of pairs, in :func:`_scalar_terms` order.
+
+    Finite points are index arrays and distances are table lookups;
+    Euclidean points carry coordinates on the last axis and distances are
+    norms.  ``f`` or ``g`` None stands for the identity.  Terms that depend
+    on one side only keep that side's shape and broadcast against the rest.
+    """
+    if space.is_finite:
+        D = space.table
+
+        def dist(u, v):
+            return D[u, v]
 
     else:
-        lhs, t1, t2, t3, t4, t5 = _euclidean_term_arrays(space, S, T, f, g, xs, ys)
 
-        def pair_at(flat: int):
-            return (tuple(float(v) for v in xs[flat]), tuple(float(v) for v in ys[flat]))
+        def dist(u, v):
+            return np.linalg.norm(u - v, axis=-1)
 
-    return lhs, (t1, t2, t3, t4, t5), pair_at, "sampled", pair_source.seed, pair_source.box, pair_source.samples
+    Sx = S.apply_many(xs)
+    Ty = T.apply_many(ys)
+    fx = f.apply_many(xs) if f is not None else xs
+    gy = g.apply_many(ys) if g is not None else ys
+    t1 = dist(fx, Sx)
+    t2 = dist(gy, Ty)
+    u1 = dist(gy, Sx)
+    u2 = dist(fx, Ty)
+    t5 = np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
+    return dist(Sx, Ty), t1, t2, dist(fx, gy), u1 + u2, t5
+
+
+def _pair_at(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, shape: tuple, flat: int) -> tuple:
+    """Canonical form of the pair at flat index ``flat`` of a batch of ``shape``."""
+    idx = np.unravel_index(flat, shape)
+
+    def point(pts):
+        return space.canonicalize(np.broadcast_to(pts, shape + pts.shape[len(shape):])[idx])
+
+    return point(xs), point(ys)
 
 
 def _evaluate_condition(space, S, T, f, g, c, pair_source, tolerance, label) -> ViolationReport:
     c = validate_coefficients(c)
     if tolerance is None:
         tolerance = space.default_tolerance
-    lhs, (t1, t2, t3, t4, t5), pair_at, mode, seed, box, count = _condition_data(space, S, T, f, g, pair_source)
-    rhs = c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5
-    margin = lhs - rhs
+    xs, ys = _pair_batch(space, pair_source)
+    lhs, t1, t2, t3, t4, t5 = _term_arrays(space, S, T, f, g, xs, ys)
+    margin = lhs - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5)
     flat = int(np.argmax(margin))
-    worst = float(margin.reshape(-1)[flat]) if margin.ndim > 1 else float(margin[flat])
+    worst = float(margin.flat[flat])
+    sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
         condition=label,
         satisfied=bool(worst <= tolerance),
-        worst_pair=pair_at(flat),
+        worst_pair=_pair_at(space, xs, ys, margin.shape, flat),
         worst_margin=worst,
-        pairs_checked=count,
-        mode=mode,
+        pairs_checked=margin.size,
+        mode="sampled" if sampled else "exhaustive",
         tolerance=float(tolerance),
-        seed=seed,
-        box=box,
+        seed=pair_source.seed if sampled else None,
+        box=pair_source.box if sampled else None,
     )
 
 
@@ -534,6 +523,21 @@ def check_condition_four(
 ) -> ViolationReport:
     """Check the four-mapping condition: f(x) on the x side, g(y) on the y side."""
     return _evaluate_condition(space, S, T, f, g, c, pair_source, tolerance, "four")
+
+
+def check_condition(
+    space: MetricSpace,
+    maps: MappingSet,
+    c: Coefficients,
+    pair_source: PairSource = EXHAUSTIVE,
+    tolerance: Optional[float] = None,
+) -> ViolationReport:
+    """Check the condition matching ``maps.arity`` through its named check."""
+    if maps.arity == Arity.TWO:
+        return check_condition_two(space, maps.S, maps.T, c, pair_source, tolerance)
+    if maps.arity == Arity.THREE:
+        return check_condition_three(space, maps.S, maps.T, maps.f, c, pair_source, tolerance)
+    return check_condition_four(space, maps.S, maps.T, maps.f, maps.g, c, pair_source, tolerance)
 
 
 @dataclass(frozen=True)
@@ -644,14 +648,6 @@ def check_range_inclusions(
     return InclusionReport(checks=tuple(checks), mode="sampled")
 
 
-def _condition_fn_for(maps: MappingSet):
-    if maps.arity == Arity.TWO:
-        return lambda space, c, src, tol: check_condition_two(space, maps.S, maps.T, c, src, tol)
-    if maps.arity == Arity.THREE:
-        return lambda space, c, src, tol: check_condition_three(space, maps.S, maps.T, maps.f, c, src, tol)
-    return lambda space, c, src, tol: check_condition_four(space, maps.S, maps.T, maps.f, maps.g, c, src, tol)
-
-
 def synthesize_coefficients(
     space: MetricSpace,
     maps: MappingSet,
@@ -685,20 +681,19 @@ def synthesize_coefficients(
     if tolerance is None:
         tolerance = space.default_tolerance
 
-    f = maps.f if maps.arity >= Arity.THREE else None
-    g = maps.g if maps.arity == Arity.FOUR else (f if maps.arity == Arity.THREE else None)
-    lhs, terms, pair_at, mode, _, _, count = _condition_data(space, maps.S, maps.T, f, g, pair_source)
-    lhs = np.asarray(lhs, dtype=float).reshape(-1)
-    cols = [np.asarray(t, dtype=float).reshape(-1) for t in terms]
+    f, g = maps.rhs_maps
+    xs, ys = _pair_batch(space, pair_source)
+    lhs, *terms = _term_arrays(space, maps.S, maps.T, f, g, xs, ys)
+    count = lhs.size
+    cols = [np.broadcast_to(t, lhs.shape).reshape(-1) for t in terms]
     A = np.column_stack(cols)  # (pairs, 5): multipliers of alpha..delta, L
-    need = (1.0 + slack) * lhs
+    need = (1.0 + slack) * lhs.reshape(-1)
 
     budget_row = np.array([1.0, 1.0, 1.0, 2.0, 0.0])
-    check = _condition_fn_for(maps)
 
     def most_binding(coefs: np.ndarray):
         residual = need - A @ coefs
-        return pair_at(int(np.argmax(residual))), float(np.max(residual))
+        return _pair_at(space, xs, ys, lhs.shape, int(np.argmax(residual))), float(np.max(residual))
 
     # phase 1: minimize the elastic excess s with  need - A@coefs <= s
     A_ub = np.hstack([-A, -np.ones((A.shape[0], 1))])
@@ -728,7 +723,7 @@ def synthesize_coefficients(
             if budget_row @ coefs >= 1.0 - margin / 2.0:
                 continue
         candidate = validate_coefficients(Coefficients(*[float(v) for v in coefs]))
-        report = check(space, candidate, pair_source, tolerance)
+        report = check_condition(space, maps, candidate, pair_source, tolerance)
         if report.satisfied:
             return candidate
     pair, excess = most_binding(np.maximum(np.asarray(attempt, dtype=float), 0.0))

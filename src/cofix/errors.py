@@ -46,10 +46,6 @@ class RangeInclusionFailure(CofixError):
         self.witness = witness
 
 
-class ImageMismatch(CofixError):
-    """The images of the two outer mappings differ where equality is required."""
-
-
 class ConditionViolated(CofixError):
     """A contractive-condition check failed; carries the violation report."""
 
@@ -81,14 +77,6 @@ class LiftMismatch(CofixError):
 
 class LiftDisagreement(CofixError):
     """The two lifted points of a four-mapping run differ."""
-
-
-class IterationFailed(CofixError):
-    """The inner alternating iteration did not converge; carries its report."""
-
-    def __init__(self, message: str, *, report=None, stage: str | None = None):
-        super().__init__(message, stage=stage)
-        self.report = report
 
 
 class RepairFailure(CofixError):

@@ -26,12 +26,10 @@ from .contraction import (
     Coefficients,
     MappingSet,
     TableMapping,
-    check_condition_four,
-    check_condition_three,
-    check_condition_two,
+    check_condition,
     check_range_inclusions,
 )
-from .errors import DomainError, ExhaustiveOnInfinite, RepairFailure
+from .errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
 from .metric_core import MetricSpace, verify_metric_axioms
 from .reduction import coincidence_points, is_weakly_compatible
 
@@ -313,12 +311,7 @@ def _verified_oracle(space: MetricSpace, maps: MappingSet, c: Coefficients, anch
     """Re-check every claim an anchor instance makes before emitting it."""
     axioms = verify_metric_axioms(space, tolerance=0.0)
     assert axioms.passed, f"generated table broke axiom {next(ch.name for ch in axioms.checks if not ch.passed)}"
-    if maps.arity == Arity.TWO:
-        report = check_condition_two(space, maps.S, maps.T, c)
-    elif maps.arity == Arity.THREE:
-        report = check_condition_three(space, maps.S, maps.T, maps.f, c)
-    else:
-        report = check_condition_four(space, maps.S, maps.T, maps.f, maps.g, c)
+    report = check_condition(space, maps, c)
     assert report.satisfied, f"generated instance violates its own condition at {report.worst_pair}"
     inclusions = check_range_inclusions(space, maps)
     assert inclusions.holds, "generated instance breaks a range inclusion"
@@ -327,8 +320,8 @@ def _verified_oracle(space: MetricSpace, maps: MappingSet, c: Coefficients, anch
         f"anchor {anchor} is not the unique common fixed point: {oracle.common_fixed_points}"
     )
     if maps.arity >= Arity.THREE:
-        g = maps.g if maps.arity == Arity.FOUR else maps.f
-        for a, b, names in ((maps.S, maps.f, ("S", "f")), (maps.T, g, ("T", "g" if maps.arity == Arity.FOUR else "f"))):
+        f, g = maps.rhs_maps
+        for a, b, names in ((maps.S, f, ("S", "f")), (maps.T, g, ("T", "g" if maps.arity == Arity.FOUR else "f"))):
             wc = is_weakly_compatible(space, a, b, names=names)
             assert wc.compatible, f"generated mappings {names} fail weak compatibility at {wc.witness}"
         for klass in oracle.coincidence_classes:
@@ -474,12 +467,7 @@ def run_fuzz(
         tallies["generated"] += 1
         space, maps, c = inst.space, inst.maps, inst.coefficients
 
-        if arity == Arity.TWO:
-            report = check_condition_two(space, maps.S, maps.T, c)
-        elif arity == Arity.THREE:
-            report = check_condition_three(space, maps.S, maps.T, maps.f, c)
-        else:
-            report = check_condition_four(space, maps.S, maps.T, maps.f, maps.g, c)
+        report = check_condition(space, maps, c)
         tallies["condition_satisfied" if report.satisfied else "condition_violated"] += 1
 
         if arity == Arity.TWO:
@@ -499,7 +487,7 @@ def run_fuzz(
             args = (maps.S, maps.T, maps.f) if arity == Arity.THREE else (maps.S, maps.T, maps.f, maps.g)
             try:
                 pipe = runner(space, *args, c, None, options)
-            except Exception:
+            except CofixError:
                 tallies["pipeline_errors"] += 1
                 if inst.anchor is not None:
                     mismatches.append(recipe.seed)

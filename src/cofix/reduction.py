@@ -34,8 +34,7 @@ from .contraction import (
     PairSource,
     TableMapping,
     ViolationReport,
-    check_condition_four,
-    check_condition_three,
+    check_condition,
     check_range_inclusions,
 )
 from .errors import (
@@ -45,6 +44,7 @@ from .errors import (
     ExhaustiveOnInfinite,
     LiftDisagreement,
     LiftMismatch,
+    NonInvertibleMapping,
     NonUniqueCoincidence,
     RangeInclusionFailure,
 )
@@ -119,7 +119,7 @@ def injective_restriction(space: MetricSpace, f: TableMapping) -> TableSection:
 def _affine_section(f: AffineMapping) -> AffineSection:
     try:
         return AffineSection(f.inverse())
-    except Exception:
+    except NonInvertibleMapping:
         pinv = np.linalg.pinv(f.matrix)
         return AffineSection(AffineMapping(pinv, -pinv @ f.offset))
 
@@ -501,7 +501,7 @@ def _run_pipeline(
     stages: list[str] = []
     tol = options.tol if options.tol is not None else space.default_tolerance
     three = maps.arity == Arity.THREE
-    g = maps.f if three else maps.g
+    _, g = maps.rhs_maps
 
     with _stage("validate", stages):
         maps.validate(space)
@@ -519,12 +519,7 @@ def _run_pipeline(
     condition_report = None
     if options.verify_hypotheses:
         with _stage("condition", stages):
-            if three:
-                condition_report = check_condition_three(space, maps.S, maps.T, maps.f, c, options.pair_source, tol)
-            else:
-                condition_report = check_condition_four(
-                    space, maps.S, maps.T, maps.f, maps.g, c, options.pair_source, tol
-                )
+            condition_report = check_condition(space, maps, c, options.pair_source, tol)
             if not condition_report.satisfied:
                 raise ConditionViolated(
                     f"contractive condition fails at pair {condition_report.worst_pair} "

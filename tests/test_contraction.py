@@ -17,6 +17,7 @@ from cofix import (
     SampledPairs,
     TableMapping,
     ViolationReport,
+    check_condition,
     check_condition_four,
     check_condition_three,
     check_condition_two,
@@ -138,6 +139,12 @@ class TestTableMapping:
         with pytest.raises(DomainError):
             halving_map.validate(MetricSpace.euclidean(2))
 
+    def test_apply_many_keeps_the_index_shape(self, halving_map):
+        xs = np.array([[3], [2], [0]])
+        out = halving_map.apply_many(xs)
+        assert out.shape == xs.shape
+        assert [int(v) for v in out.ravel()] == [halving_map(int(x)) for x in xs.ravel()]
+
     def test_rejects_two_dimensional_table(self):
         with pytest.raises(DomainError):
             TableMapping(np.zeros((2, 2), dtype=int))
@@ -195,6 +202,12 @@ class TestMappingSet:
     def test_int_arity_promoted(self, halving_map):
         ms = MappingSet(S=halving_map, T=halving_map, arity=2)
         assert ms.arity is Arity.TWO
+
+    def test_rhs_maps_follow_the_arity(self, halving_map):
+        f, g = TableMapping([0, 0, 2, 2]), TableMapping([0, 1, 1, 2])
+        assert MappingSet(S=halving_map, T=halving_map).rhs_maps == (None, None)
+        assert MappingSet(S=halving_map, T=halving_map, f=f, arity=3).rhs_maps == (f, f)
+        assert MappingSet(S=halving_map, T=halving_map, f=f, g=g, arity=4).rhs_maps == (f, g)
 
     def test_items_labels(self, halving_map):
         ident = identity_mapping(4)
@@ -280,24 +293,79 @@ class TestConditionChecks:
         assert rep.worst_pair == (0, 3)
         assert rep.worst_margin == pytest.approx(3.5)
 
-    def test_vectorized_matches_scalar_on_random_instance(self):
+    @pytest.mark.parametrize("source", ["finite_exhaustive", "finite_sampled", "euclidean_sampled"])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_vectorized_matches_scalar_on_random_instance(self, arity, source):
         rng = np.random.default_rng(42)
-        pts = rng.uniform(-3.0, 3.0, size=(6, 2))
-        tab = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        space = MetricSpace.finite(tab)
-        S = TableMapping(rng.integers(0, 6, size=6))
-        T = TableMapping(rng.integers(0, 6, size=6))
+        if source == "euclidean_sampled":
+            space = MetricSpace.euclidean(2)
+            src = SampledPairs(200, seed=7, box=(-2.0, 2.0))
+
+            def draw():
+                return AffineMapping(rng.normal(size=(2, 2)), rng.normal(size=2))
+
+        else:
+            pts = rng.uniform(-3.0, 3.0, size=(6, 2))
+            space = MetricSpace.finite(np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
+            src = EXHAUSTIVE if source == "finite_exhaustive" else SampledPairs(50, seed=7)
+
+            def draw():
+                return TableMapping(rng.integers(0, 6, size=6))
+
+        S, T = draw(), draw()
+        f = draw() if arity >= 3 else None
+        g = draw() if arity == 4 else None
         c = Coefficients(0.2, 0.1, 0.2, 0.05, 0.3)
-        rep = check_condition_two(space, S, T, c)
+        if arity == 2:
+            rep = check_condition_two(space, S, T, c, src)
+            rhs = lambda x, y: rhs_two(c, space, S, T, x, y)
+        elif arity == 3:
+            rep = check_condition_three(space, S, T, f, c, src)
+            rhs = lambda x, y: rhs_three(c, space, S, T, f, x, y)
+        else:
+            rep = check_condition_four(space, S, T, f, g, c, src)
+            rhs = lambda x, y: rhs_four(c, space, S, T, f, g, x, y)
+        pairs = [(x, y) for x in range(6) for y in range(6)] if src == EXHAUSTIVE else zip(*src.draw_pairs(space))
         margins = {
-            (x, y): space.distance(S(x), T(y)) - rhs_two(c, space, S, T, x, y)
-            for x in range(6)
-            for y in range(6)
+            (space.canonicalize(x), space.canonicalize(y)): space.distance(S(x), T(y)) - rhs(x, y) for x, y in pairs
         }
         worst = max(margins.values())
         assert rep.worst_margin == pytest.approx(worst, abs=1e-12)
         assert margins[rep.worst_pair] == pytest.approx(worst, abs=1e-12)
-        assert rep.satisfied == (worst <= 1e-12)
+        assert rep.satisfied == (worst <= rep.tolerance)
+        assert rep.pairs_checked == (36 if src == EXHAUSTIVE else src.samples)
+
+    def test_exhaustive_grid_reads_the_table_like_the_scalar_terms(self):
+        # an asymmetric table tells d(g(y), S(x)) from d(S(x), g(y))
+        rng = np.random.default_rng(11)
+        tab = rng.uniform(0.1, 3.0, size=(6, 6))
+        np.fill_diagonal(tab, 0.0)
+        space = MetricSpace.finite(tab)
+        S, T, f = (TableMapping(rng.integers(0, 6, size=6)) for _ in range(3))
+        c = Coefficients(0.1, 0.1, 0.2, 0.1, 0.3)
+        rep = check_condition_three(space, S, T, f, c)
+        margins = {
+            (x, y): space.distance(S(x), T(y)) - rhs_three(c, space, S, T, f, x, y) for x in range(6) for y in range(6)
+        }
+        worst = max(margins.values())
+        assert rep.worst_margin == worst
+        assert rep.worst_pair == min(p for p, m in margins.items() if m == worst)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_check_condition_dispatches_to_the_named_check(self, halving_space, halving_map, arity):
+        c = Coefficients(0.1, 0.1, 0.2, 0.1, 0.4)
+        f, g = TableMapping([0, 0, 2, 2]), TableMapping([0, 1, 1, 2])
+        src = SampledPairs(20, seed=3)
+        if arity == 2:
+            maps = MappingSet(S=halving_map, T=halving_map, arity=arity)
+            named = check_condition_two(halving_space, halving_map, halving_map, c, src)
+        elif arity == 3:
+            maps = MappingSet(S=halving_map, T=halving_map, f=f, arity=arity)
+            named = check_condition_three(halving_space, halving_map, halving_map, f, c, src)
+        else:
+            maps = MappingSet(S=halving_map, T=halving_map, f=f, g=g, arity=arity)
+            named = check_condition_four(halving_space, halving_map, halving_map, f, g, c, src)
+        assert check_condition(halving_space, maps, c, src).to_dict() == named.to_dict()
 
     def test_three_with_identity_equals_two(self, halving_space, halving_map):
         c = Coefficients(0.1, 0.1, 0.2, 0.1, 0.4)

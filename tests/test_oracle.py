@@ -265,6 +265,16 @@ class TestRunFuzz:
         total = sum(v for k, v in summary.tallies.items() if k.startswith("pipeline_"))
         assert total == 15
 
+    def test_pipeline_bugs_propagate_instead_of_being_tallied(self, monkeypatch):
+        import cofix.reduction
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the pipeline")
+
+        monkeypatch.setattr(cofix.reduction, "solve_three", broken)
+        with pytest.raises(TypeError, match="bug inside the pipeline"):
+            run_fuzz(3, seed=200, arity=Arity.THREE, n_max=6)
+
     def test_input_guards(self):
         with pytest.raises(DomainError):
             run_fuzz(0)
