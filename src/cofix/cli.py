@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .contraction import (
-    EXHAUSTIVE,
     Arity,
+    MappingSet,
     SampledPairs,
     check_condition,
     check_range_inclusions,
@@ -208,9 +208,6 @@ def _cmd_reduce(args) -> int:
     else:
         induced = induce_four(problem.space, maps.S, maps.T, maps.f, maps.g)
 
-    from .contraction import MappingSet
-    from .problem import _mapping_to_dict
-
     reduced = Problem(
         space=problem.space,
         maps=MappingSet(S=induced.S, T=induced.T, arity=Arity.TWO),
@@ -224,8 +221,8 @@ def _cmd_reduce(args) -> int:
     if induced.image is not None:
         doc["metadata"]["image"] = list(induced.image)
     if args.format == "human":
-        print(f"induced S: {_mapping_to_dict(induced.S)}")
-        print(f"induced T: {_mapping_to_dict(induced.T)}")
+        print(f"induced S: {doc['mappings']['S']}")
+        print(f"induced T: {doc['mappings']['T']}")
         if induced.image is not None:
             print(f"image: {list(induced.image)}")
     else:

@@ -38,13 +38,14 @@ from .errors import (
     Infeasible,
     NonInvertibleMapping,
 )
-from .metric_core import Flavor, MetricSpace, Point
+from .metric_core import MetricSpace, Point
+from .records import Record
 
 EXHAUSTIVE = "exhaustive"
 
 
 @dataclass(frozen=True)
-class Coefficients:
+class Coefficients(Record):
     """A tuple (alpha, beta, gamma, delta, L) for the contractive conditions."""
 
     alpha: float
@@ -60,13 +61,6 @@ class Coefficients:
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.L)
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma, "delta": self.delta, "L": self.L}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Coefficients":
-        return cls(float(d["alpha"]), float(d["beta"]), float(d["gamma"]), float(d["delta"]), float(d.get("L", 0.0)))
 
 
 def validate_coefficients(c: Coefficients) -> Coefficients:
@@ -102,9 +96,12 @@ class TableMapping:
     table: np.ndarray
 
     def __post_init__(self):
-        tab = np.array(self.table, dtype=np.int64, copy=True)
+        raw = np.asarray(self.table)
+        tab = np.array(raw, dtype=np.int64, copy=True)
         if tab.ndim != 1:
             raise DomainError(f"index table must be one-dimensional, got shape {tab.shape}")
+        if not np.array_equal(tab, raw):
+            raise DomainError("index table entries must be integers")
         tab.setflags(write=False)
         object.__setattr__(self, "table", tab)
 
@@ -260,7 +257,7 @@ class MappingSet:
 
 
 @dataclass(frozen=True)
-class SampledPairs:
+class SampledPairs(Record):
     """A seeded uniform pair sampler.
 
     On Euclidean spaces points are drawn uniformly from the box
@@ -305,20 +302,12 @@ class SampledPairs:
         lo, hi = self.box
         return rng.uniform(lo, hi, size=(self.samples, space.dimension))
 
-    def to_dict(self) -> dict:
-        return {"samples": self.samples, "seed": self.seed, "box": list(self.box) if self.box else None}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SampledPairs":
-        box = d.get("box")
-        return cls(samples=int(d["samples"]), seed=int(d["seed"]), box=tuple(box) if box else None)
-
 
 PairSource = Union[str, SampledPairs]
 
 
 @dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Record):
     """Outcome of a condition check over a pair source.
 
     ``worst_pair`` maximizes lhs - rhs; ties resolve to the first pair in
@@ -336,34 +325,6 @@ class ViolationReport:
     tolerance: float
     seed: Optional[int] = None
     box: Optional[tuple[float, float]] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "satisfied": self.satisfied,
-            "worst_pair": [list(p) if isinstance(p, tuple) else p for p in self.worst_pair],
-            "worst_margin": self.worst_margin,
-            "pairs_checked": self.pairs_checked,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "box": list(self.box) if self.box is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ViolationReport":
-        pair = tuple(tuple(p) if isinstance(p, list) else p for p in d["worst_pair"])
-        return cls(
-            condition=d["condition"],
-            satisfied=d["satisfied"],
-            worst_pair=pair,
-            worst_margin=d["worst_margin"],
-            pairs_checked=d["pairs_checked"],
-            mode=d["mode"],
-            tolerance=d["tolerance"],
-            seed=d.get("seed"),
-            box=tuple(d["box"]) if d.get("box") is not None else None,
-        )
 
 
 def _scalar_terms(space: MetricSpace, S, T, f, g, x: Point, y: Point):
@@ -541,27 +502,14 @@ def check_condition(
 
 
 @dataclass(frozen=True)
-class InclusionCheck:
+class InclusionCheck(Record):
     description: str
     holds: bool
     witness: Optional[object]
 
-    def to_dict(self) -> dict:
-        wit = self.witness
-        if isinstance(wit, tuple):
-            wit = list(wit)
-        return {"description": self.description, "holds": self.holds, "witness": wit}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InclusionCheck":
-        wit = d.get("witness")
-        if isinstance(wit, list):
-            wit = tuple(wit)
-        return cls(description=d["description"], holds=d["holds"], witness=wit)
-
 
 @dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(Record):
     checks: tuple[InclusionCheck, ...]
     mode: str
 
@@ -570,11 +518,7 @@ class InclusionReport:
         return all(c.holds for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"checks": [c.to_dict() for c in self.checks], "mode": self.mode, "holds": self.holds}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InclusionReport":
-        return cls(checks=tuple(InclusionCheck.from_dict(c) for c in d["checks"]), mode=d["mode"])
+        return {**super().to_dict(), "holds": self.holds}
 
 
 def _finite_inclusion(space, inner: TableMapping, outer: TableMapping, desc: str) -> InclusionCheck:

@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
+from .records import Record
 
 Point = Union[int, np.ndarray]
 
@@ -140,35 +141,21 @@ class MetricSpace:
     def materialize(self, p) -> Point:
         """Inverse of :meth:`canonicalize`: rebuild the computational form."""
         if self.is_finite:
+            if isinstance(p, float) and not p.is_integer():
+                raise DomainError(f"point {p!r} is not an index of this finite space")
             return self._check_point(int(p))
         return self._check_point(np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     name: str
     passed: bool
     witness: Optional[tuple]
     magnitude: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "magnitude": self.magnitude,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AxiomCheck":
-        wit = d["witness"]
-        if wit is not None:
-            wit = tuple(tuple(w) if isinstance(w, list) else w for w in wit)
-        return cls(name=d["name"], passed=d["passed"], witness=wit, magnitude=d["magnitude"])
-
-
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of the four metric-axiom checks.
 
     ``mode`` is ``"exhaustive"`` for finite spaces and ``"sampled"`` for
@@ -194,26 +181,7 @@ class AxiomReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "box": list(self.box) if self.box is not None else None,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AxiomReport":
-        return cls(
-            checks=tuple(AxiomCheck.from_dict(c) for c in d["checks"]),
-            mode=d["mode"],
-            tolerance=d["tolerance"],
-            seed=d.get("seed"),
-            box=tuple(d["box"]) if d.get("box") is not None else None,
-            samples=d.get("samples"),
-        )
+        return {**super().to_dict(), "passed": self.passed}
 
 
 def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:

@@ -31,6 +31,7 @@ from .contraction import (
 )
 from .errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
 from .metric_core import MetricSpace, verify_metric_axioms
+from .records import Record
 from .reduction import coincidence_points, is_weakly_compatible
 
 
@@ -118,18 +119,15 @@ def enumerate_common_fixed_points(space: MetricSpace, S: TableMapping, T: TableM
 
 
 @dataclass(frozen=True)
-class CoincidenceClass:
+class CoincidenceClass(Record):
     """Coincidence points grouped by the value they share."""
 
     value: int
     points: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "points": list(self.points)}
-
 
 @dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Ground truth for a finite instance, by exhaustive enumeration."""
 
     common_fixed_points: tuple[int, ...]
@@ -139,13 +137,6 @@ class OracleResult:
     @property
     def unique_common_fixed_point(self) -> Optional[int]:
         return self.common_fixed_points[0] if len(self.common_fixed_points) == 1 else None
-
-    def to_dict(self) -> dict:
-        return {
-            "common_fixed_points": list(self.common_fixed_points),
-            "fixed_points": {k: list(v) for k, v in self.fixed_points.items()},
-            "coincidence_classes": [c.to_dict() for c in self.coincidence_classes],
-        }
 
 
 def oracle_summary(space: MetricSpace, maps: MappingSet) -> OracleResult:
@@ -170,7 +161,7 @@ def oracle_summary(space: MetricSpace, maps: MappingSet) -> OracleResult:
 
 
 @dataclass(frozen=True)
-class InstanceRecipe:
+class InstanceRecipe(Record):
     """Reproducible parameters for one generated instance."""
 
     seed: int
@@ -185,25 +176,6 @@ class InstanceRecipe:
         object.__setattr__(self, "arity", Arity(self.arity))
         object.__setattr__(self, "metric_mode", MetricMode(self.metric_mode))
         object.__setattr__(self, "mapping_mode", MappingMode(self.mapping_mode))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "arity": int(self.arity),
-            "metric_mode": self.metric_mode.value,
-            "mapping_mode": self.mapping_mode.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InstanceRecipe":
-        return cls(
-            seed=int(d["seed"]),
-            n=int(d["n"]),
-            arity=Arity(int(d.get("arity", 2))),
-            metric_mode=MetricMode(d.get("metric_mode", "uniform")),
-            mapping_mode=MappingMode(d.get("mapping_mode", "contraction_anchor")),
-        )
 
 
 @dataclass(frozen=True)
@@ -381,7 +353,7 @@ def generate_instance(recipe: InstanceRecipe) -> GeneratedInstance:
 
 
 @dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(Record):
     """Aggregate outcome of a batch of generated instances."""
 
     count: int
@@ -397,19 +369,6 @@ class FuzzSummary:
     @property
     def clean(self) -> bool:
         return not self.mismatch_seeds
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "seed": self.seed,
-            "arity": int(self.arity),
-            "metric_mode": self.metric_mode.value,
-            "mapping_mode": self.mapping_mode.value,
-            "n_range": list(self.n_range),
-            "tallies": dict(self.tallies),
-            "mismatch_seeds": list(self.mismatch_seeds),
-            "elapsed": self.elapsed,
-        }
 
 
 def run_fuzz(
@@ -438,7 +397,7 @@ def run_fuzz(
         raise DomainError(f"need a positive instance count, got {count}")
     if not 2 <= n_min <= n_max:
         raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    arity = Arity(arity)
+    arity, metric_mode, mapping_mode = Arity(arity), MetricMode(metric_mode), MappingMode(mapping_mode)
     size_rng = np.random.default_rng(seed)
     tallies: dict = {
         "generated": 0,

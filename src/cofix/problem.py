@@ -101,7 +101,7 @@ def _space_to_dict(space: MetricSpace) -> dict:
 def _mapping_from_dict(doc: dict, label: str):
     kind = _require(doc, "type", f"mapping {label}")
     if kind == "table":
-        return TableMapping(np.array(_require(doc, "table", f"mapping {label}"), dtype=np.int64))
+        return TableMapping(np.array(_require(doc, "table", f"mapping {label}")))
     if kind == "affine":
         return AffineMapping(
             np.array(_require(doc, "matrix", f"mapping {label}"), dtype=float),
@@ -175,9 +175,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
             raise SchemaError("solver block must be an object")
         x0 = solver.get("x0")
         if x0 is not None:
-            pt = space.materialize(tuple(x0) if isinstance(x0, list) else x0)
-            space._check_point(pt)
-            x0 = space.canonicalize(pt)
+            x0 = space.canonicalize(space.materialize(x0))
         problem = Problem(
             space=space,
             maps=maps,

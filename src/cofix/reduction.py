@@ -49,6 +49,7 @@ from .errors import (
     RangeInclusionFailure,
 )
 from .metric_core import MetricSpace, Point
+from .records import Record
 from .solver import SolveReport, SolveStatus, picard_solve
 
 
@@ -197,7 +198,7 @@ def induce_four(space: MetricSpace, S: Mapping, T: Mapping, f: Mapping, g: Mappi
 
 
 @dataclass(frozen=True)
-class CoincidenceSolutions:
+class CoincidenceSolutions(Record):
     """Exhaustive scan of coincidence points and the values they share.
 
     For three mappings, ``points`` holds every x with S(x) = T(x) = f(x)
@@ -210,13 +211,6 @@ class CoincidenceSolutions:
     points: tuple
     values: tuple
     consistent: bool
-
-    def to_dict(self) -> dict:
-        return {"points": list(self.points), "values": list(self.values), "consistent": self.consistent}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoincidenceSolutions":
-        return cls(points=tuple(d["points"]), values=tuple(d["values"]), consistent=d["consistent"])
 
 
 def pair_coincidence_points(space: MetricSpace, A: TableMapping, B: TableMapping) -> tuple[int, ...]:
@@ -250,7 +244,7 @@ def coincidence_points(space: MetricSpace, maps: MappingSet) -> CoincidenceSolut
 
 
 @dataclass(frozen=True)
-class WeakCompatibility:
+class WeakCompatibility(Record):
     """Whether two mappings commute at their coincidence points.
 
     ``vacuous`` flags an empty coincidence set, which is compatible by
@@ -262,31 +256,6 @@ class WeakCompatibility:
     vacuous: bool
     witness: Optional[object] = None
     checked: int = 0
-
-    def to_dict(self) -> dict:
-        wit = self.witness
-        if isinstance(wit, tuple):
-            wit = list(wit)
-        return {
-            "pair": list(self.pair),
-            "compatible": self.compatible,
-            "vacuous": self.vacuous,
-            "witness": wit,
-            "checked": self.checked,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeakCompatibility":
-        wit = d.get("witness")
-        if isinstance(wit, list):
-            wit = tuple(wit)
-        return cls(
-            pair=tuple(d["pair"]),
-            compatible=d["compatible"],
-            vacuous=d["vacuous"],
-            witness=wit,
-            checked=int(d.get("checked", 0)),
-        )
 
 
 def _affine_coincidence_basis(A: AffineMapping, B: AffineMapping, tol: float):
@@ -420,7 +389,7 @@ class PipelineOptions:
 
 
 @dataclass(frozen=True)
-class CoincidenceReport:
+class CoincidenceReport(Record):
     """Outcome of a reduction pipeline.
 
     ``point_of_coincidence`` is the shared value w = S(u) = T(u) = f(u);
@@ -447,42 +416,6 @@ class CoincidenceReport:
     @property
     def succeeded(self) -> bool:
         return self.status == PipelineStatus.COMMON_FIXED_POINT
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "arity": int(self.arity),
-            "tolerance": self.tolerance,
-            "stages": list(self.stages),
-            "common_fixed_point": self.common_fixed_point,
-            "point_of_coincidence": self.point_of_coincidence,
-            "coincidence_points": list(self.coincidence_points),
-            "solve_report": self.solve_report.to_dict() if self.solve_report else None,
-            "condition_report": self.condition_report.to_dict() if self.condition_report else None,
-            "inclusion_report": self.inclusion_report.to_dict() if self.inclusion_report else None,
-            "weak_compatibility": [w.to_dict() for w in self.weak_compatibility],
-            "scan": self.scan.to_dict() if self.scan else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoincidenceReport":
-        def pt(v):
-            return tuple(v) if isinstance(v, list) else v
-
-        return cls(
-            status=PipelineStatus(d["status"]),
-            arity=Arity(d["arity"]),
-            tolerance=float(d["tolerance"]),
-            stages=tuple(d["stages"]),
-            common_fixed_point=pt(d.get("common_fixed_point")),
-            point_of_coincidence=pt(d.get("point_of_coincidence")),
-            coincidence_points=tuple(pt(p) for p in d.get("coincidence_points", [])),
-            solve_report=SolveReport.from_dict(d["solve_report"]) if d.get("solve_report") else None,
-            condition_report=ViolationReport.from_dict(d["condition_report"]) if d.get("condition_report") else None,
-            inclusion_report=InclusionReport.from_dict(d["inclusion_report"]) if d.get("inclusion_report") else None,
-            weak_compatibility=tuple(WeakCompatibility.from_dict(w) for w in d.get("weak_compatibility", [])),
-            scan=CoincidenceSolutions.from_dict(d["scan"]) if d.get("scan") else None,
-        )
 
 
 def _default_start(space: MetricSpace):

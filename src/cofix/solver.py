@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from .errors import DomainError, PreconditionError
 from .metric_core import MetricSpace, Point
 from .contraction import Coefficients, validate_coefficients
+from .records import Record
 
 
 class SolveStatus(Enum):
@@ -57,7 +58,7 @@ def apriori_error_bound(k: float, d0: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(Record):
     """An orbit: points visited and consecutive gaps.
 
     ``points[0]`` is the start; ``points[i]`` for i >= 1 came from S on odd
@@ -82,17 +83,9 @@ class IterationTrace:
             return "start"
         return "S" if i % 2 == 1 else "T"
 
-    def to_dict(self) -> dict:
-        return {"points": list(self.points), "steps": list(self.steps)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationTrace":
-        pts = tuple(tuple(p) if isinstance(p, list) else p for p in d["points"])
-        return cls(points=pts, steps=tuple(float(s) for s in d["steps"]))
-
 
 @dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Outcome of a Picard run.
 
     ``point`` is the final iterate, canonicalized for serialization; it is
@@ -119,36 +112,6 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status == SolveStatus.CONVERGED
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "point": self.point,
-            "residuals": list(self.residuals),
-            "iterations": self.iterations,
-            "rate": self.rate,
-            "tolerance": self.tolerance,
-            "trace": self.trace.to_dict() if self.trace is not None else None,
-            "apriori_bounds": list(self.apriori_bounds),
-            "violation_index": self.violation_index,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolveReport":
-        pt = d["point"]
-        if isinstance(pt, list):
-            pt = tuple(pt)
-        return cls(
-            status=SolveStatus(d["status"]),
-            point=pt,
-            residuals=tuple(d["residuals"]),
-            iterations=int(d["iterations"]),
-            rate=float(d["rate"]),
-            tolerance=float(d["tolerance"]),
-            trace=IterationTrace.from_dict(d["trace"]) if d.get("trace") is not None else None,
-            apriori_bounds=tuple(d.get("apriori_bounds", ())),
-            violation_index=d.get("violation_index"),
-        )
 
 
 def picard_solve(

@@ -139,6 +139,22 @@ class TestCheck:
         assert capsys.readouterr().err.startswith("schema error:")
 
 
+class TestFractionalInput:
+    @pytest.mark.parametrize(
+        "command, S, solver",
+        [("solve", [0, 0, 1, 2], {"x0": 1.5}), ("solve", [0.5, 0, 1, 2], {}), ("check", [0.5, 0, 1, 2], {})],
+    )
+    def test_exits_schema(self, tmp_path, capsys, command, S, solver):
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": HALVING_TABLE},
+            "mappings": table_maps(2, S=S, T=[0, 0, 1, 2]),
+            "coefficients": GAMMA_HALF,
+            "solver": solver,
+        }
+        assert cli.main([command, write_doc(tmp_path, "fractional.json", doc)]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("schema error:")
+
+
 class TestSolve:
     def test_converging_problem_exits_zero(self, halving_file, capsys):
         assert cli.main(["solve", halving_file]) == cli.EXIT_OK

@@ -149,6 +149,11 @@ class TestTableMapping:
         with pytest.raises(DomainError):
             TableMapping(np.zeros((2, 2), dtype=int))
 
+    def test_rejects_fractional_entries(self):
+        with pytest.raises(DomainError, match="entries must be integers"):
+            TableMapping([0.5, 0])
+        assert TableMapping(np.array([1.0, 0.0])).table.tolist() == [1, 0]
+
 
 class TestAffineMapping:
     def test_call_matches_matrix_form(self):

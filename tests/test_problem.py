@@ -212,6 +212,17 @@ class TestSchemaRejections:
         with pytest.raises(SchemaError, match="invalid problem document"):
             load_problem(doc)
 
+    def test_fractional_finite_start_point_is_rejected(self):
+        with pytest.raises(SchemaError, match="not an index"):
+            load_problem(finite_doc(solver={"x0": 1.5}))
+        assert load_problem(finite_doc(solver={"x0": 1.0})).x0 == 1
+
+    def test_fractional_table_entries_are_rejected(self):
+        doc = finite_doc()
+        doc["mappings"]["S"] = {"type": "table", "table": [0.5, 0, 1, 2]}
+        with pytest.raises(SchemaError, match="entries must be integers"):
+            load_problem(doc)
+
 
 class TestRoundTrip:
     def test_finite_document_survives_roundtrip(self):
