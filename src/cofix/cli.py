@@ -32,8 +32,7 @@ from .problem import Problem, load_problem, problem_to_dict
 from .reduction import (
     PipelineOptions,
     PipelineStatus,
-    induce_four,
-    induce_three,
+    induce,
     solve_four,
     solve_four_coincidence,
     solve_three,
@@ -76,12 +75,7 @@ def _cmd_check(args) -> int:
     else:
         axioms = verify_metric_axioms(problem.space)
     condition = check_condition(problem.space, problem.maps, problem.coefficients, source, tol)
-    inclusions = check_range_inclusions(
-        problem.space,
-        problem.maps,
-        pair_source=source if isinstance(source, SampledPairs) else None,
-        tolerance=tol,
-    )
+    inclusions = check_range_inclusions(problem.space, problem.maps, tolerance=tol)
     passed = axioms.passed and condition.satisfied and inclusions.holds
 
     if args.format == "human":
@@ -167,13 +161,9 @@ def _cmd_solve_high(args, want_arity: Arity) -> int:
         verify_hypotheses=not args.no_verify,
         pair_source=problem.pair_source,
     )
-    maps = problem.maps
-    if want_arity == Arity.THREE:
-        runner = solve_three_coincidence if args.coincidence_only else solve_three
-        report = runner(problem.space, maps.S, maps.T, maps.f, problem.coefficients, x0, options)
-    else:
-        runner = solve_four_coincidence if args.coincidence_only else solve_four
-        report = runner(problem.space, maps.S, maps.T, maps.f, maps.g, problem.coefficients, x0, options)
+    runners = {Arity.THREE: (solve_three, solve_three_coincidence), Arity.FOUR: (solve_four, solve_four_coincidence)}
+    mappings = [m for _, m in problem.maps.items()]
+    report = runners[want_arity][args.coincidence_only](problem.space, *mappings, problem.coefficients, x0, options)
 
     if args.format == "human":
         print(f"status: {report.status}")
@@ -200,13 +190,9 @@ def _cmd_solve_high(args, want_arity: Arity) -> int:
 
 def _cmd_reduce(args) -> int:
     problem = load_problem(args.problem)
-    maps = problem.maps
-    if maps.arity == Arity.TWO:
+    if problem.maps.arity == Arity.TWO:
         raise SchemaError("reduce needs a three- or four-mapping problem")
-    if maps.arity == Arity.THREE:
-        induced = induce_three(problem.space, maps.S, maps.T, maps.f)
-    else:
-        induced = induce_four(problem.space, maps.S, maps.T, maps.f, maps.g)
+    induced = induce(problem.space, problem.maps)
 
     reduced = Problem(
         space=problem.space,
@@ -215,7 +201,7 @@ def _cmd_reduce(args) -> int:
         pair_source=problem.pair_source,
         tol=problem.tol,
         max_iters=problem.max_iters,
-        metadata={**problem.metadata, "reduced_from_arity": int(maps.arity)},
+        metadata={**problem.metadata, "reduced_from_arity": int(problem.maps.arity)},
     )
     doc = problem_to_dict(reduced)
     if induced.image is not None:

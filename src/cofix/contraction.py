@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -241,19 +242,25 @@ class MappingSet:
         return self
 
     @property
+    def sides(self) -> tuple[tuple[str, Mapping, Optional[str], Optional[Mapping]], ...]:
+        """Both sides of the reduction as (label, mapping, companion label, companion).
+
+        S pairs with f and T with g, or with f again for three mappings.  Two
+        mappings have no companions: both are None, standing for the identity.
+        """
+        f = ("f", self.f) if self.f is not None else (None, None)
+        g = ("g", self.g) if self.g is not None else f
+        return ("S", self.S, *f), ("T", self.T, *g)
+
+    @property
     def rhs_maps(self) -> tuple[Optional[Mapping], Optional[Mapping]]:
         """The (f, g) put in place of (x, y) on the right-hand side; None is the identity."""
-        if self.arity == Arity.THREE:
-            return self.f, self.f
-        return self.f, self.g
+        (*_, f), (*_, g) = self.sides
+        return f, g
 
     def items(self):
-        out = [("S", self.S), ("T", self.T)]
-        if self.f is not None:
-            out.append(("f", self.f))
-        if self.g is not None:
-            out.append(("g", self.g))
-        return out
+        """(label, mapping) for S, T and whichever of f, g are present."""
+        return [(label, m) for label, m in zip("STfg", (self.S, self.T, self.f, self.g)) if m is not None]
 
 
 @dataclass(frozen=True)
@@ -279,11 +286,8 @@ class SampledPairs(Record):
                 raise DomainError(f"sampling box must have lo < hi, got {self.box}")
             object.__setattr__(self, "box", (lo, hi))
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
     def draw_pairs(self, space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
-        rng = self.rng()
+        rng = np.random.default_rng(self.seed)
         if space.is_finite:
             pairs = rng.integers(0, space.n, size=(self.samples, 2))
             return pairs[:, 0], pairs[:, 1]
@@ -292,15 +296,6 @@ class SampledPairs(Record):
         lo, hi = self.box
         pts = rng.uniform(lo, hi, size=(self.samples, 2, space.dimension))
         return pts[:, 0, :], pts[:, 1, :]
-
-    def draw_points(self, space: MetricSpace) -> np.ndarray:
-        rng = self.rng()
-        if space.is_finite:
-            return rng.integers(0, space.n, size=self.samples)
-        if self.box is None:
-            raise DomainError("sampling a Euclidean space needs a bounding box")
-        lo, hi = self.box
-        return rng.uniform(lo, hi, size=(self.samples, space.dimension))
 
 
 PairSource = Union[str, SampledPairs]
@@ -521,75 +516,62 @@ class InclusionReport(Record):
         return {**super().to_dict(), "holds": self.holds}
 
 
-def _finite_inclusion(space, inner: TableMapping, outer: TableMapping, desc: str) -> InclusionCheck:
-    """Does inner(X) lie inside outer(X)?  Witness: first x whose image escapes."""
-    target = set(int(v) for v in outer.image())
-    for x in space.points():
-        if inner(x) not in target:
-            return InclusionCheck(desc, False, int(x))
-    return InclusionCheck(desc, True, None)
+def _finite_inclusion(inner: TableMapping, outer: TableMapping, desc: str) -> InclusionCheck:
+    """Does inner(X) lie inside outer(X)?  Witness: the first x whose image escapes."""
+    escaped = np.flatnonzero(~np.isin(inner.table, outer.table))
+    return InclusionCheck(desc, not escaped.size, int(escaped[0]) if escaped.size else None)
 
 
-def _affine_inclusion(space, inner: AffineMapping, outer: AffineMapping, pts, tol, desc) -> InclusionCheck:
-    """Sampled check that inner(x) is always reachable as outer(y)."""
-    targets = inner.apply_many(pts) - outer.offset
-    sol, *_ = np.linalg.lstsq(outer.matrix, targets.T, rcond=None)
-    resid = np.linalg.norm(outer.matrix @ sol - targets.T, axis=0)
-    bad = int(np.argmax(resid))
-    if resid[bad] > tol:
-        return InclusionCheck(desc, False, tuple(float(v) for v in pts[bad]))
-    return InclusionCheck(desc, True, None)
+def _affine_inclusion(inner: AffineMapping, outer: AffineMapping, desc: str, *, tol: float) -> InclusionCheck:
+    """Exact test of inner(X) within outer(X): the offset gap and every column
+    of inner's matrix must lie in the column space of outer's.
+
+    A vector counts as inside when the part the SVD projection misses is at
+    most ``tol`` times the size of its operands, which absorbs rounding at
+    any coordinate scale.  Witness: the origin if the offset escapes, else
+    the unit vector of the first escaping column.
+    """
+    u, s, _ = np.linalg.svd(outer.matrix)
+    basis = u[:, s > s[0] * s.size * np.finfo(float).eps]
+    vectors = np.column_stack([inner.offset - outer.offset, inner.matrix])
+    missed = np.linalg.norm(vectors - basis @ (basis.T @ vectors), axis=0)
+    scale = np.linalg.norm(vectors, axis=0)
+    scale[0] = np.linalg.norm(inner.offset) + np.linalg.norm(outer.offset)
+    escaped = np.flatnonzero(missed > tol * scale)
+    if not escaped.size:
+        return InclusionCheck(desc, True, None)
+    witness = np.zeros(inner.dimension)
+    if escaped[0]:
+        witness[escaped[0] - 1] = 1.0
+    return InclusionCheck(desc, False, tuple(float(v) for v in witness))
 
 
 def check_range_inclusions(
     space: MetricSpace,
     maps: MappingSet,
-    pair_source: Optional[PairSource] = None,
     tolerance: Optional[float] = None,
 ) -> InclusionReport:
     """Verify the image inclusions the reduction pipelines rely on.
 
-    Three mappings: S(X) and T(X) must lie inside f(X).  Four mappings:
-    S(X) inside f(X), T(X) inside g(X), and f(X) = g(X).  Finite spaces are
-    checked exactly on computed images; Euclidean spaces are checked on
-    sampled points via least-squares membership in the affine image.
+    Each mapping's image must lie inside its companion's (``maps.sides``),
+    and with four mappings f(X) must equal g(X).  Both flavors are decided
+    exactly: finite images as index sets, affine ones by
+    :func:`_affine_inclusion` with ``tolerance`` as its relative slack.
     """
     maps.validate(space)
-    if maps.arity == Arity.TWO:
-        return InclusionReport(checks=(), mode="exhaustive" if space.is_finite else "sampled")
     if tolerance is None:
         tolerance = space.default_tolerance
-
-    if space.is_finite:
-        checks = []
-        if maps.arity == Arity.THREE:
-            checks.append(_finite_inclusion(space, maps.S, maps.f, "S(X) within f(X)"))
-            checks.append(_finite_inclusion(space, maps.T, maps.f, "T(X) within f(X)"))
+    within = _finite_inclusion if space.is_finite else partial(_affine_inclusion, tol=tolerance)
+    checks = [within(m, comp, f"{label}(X) within {tag}(X)") for label, m, tag, comp in maps.sides if comp is not None]
+    (*_, f_tag, f), (*_, g_tag, g) = maps.sides
+    if f_tag != g_tag:
+        # distinct companions: the induced pair needs their images to match
+        if space.is_finite:
+            diff = np.setxor1d(f.table, g.table)
+            checks.append(InclusionCheck("f(X) equals g(X)", not diff.size, int(diff[0]) if diff.size else None))
         else:
-            checks.append(_finite_inclusion(space, maps.S, maps.f, "S(X) within f(X)"))
-            checks.append(_finite_inclusion(space, maps.T, maps.g, "T(X) within g(X)"))
-            f_img = set(int(v) for v in maps.f.image())
-            g_img = set(int(v) for v in maps.g.image())
-            if f_img == g_img:
-                checks.append(InclusionCheck("f(X) equals g(X)", True, None))
-            else:
-                wit = sorted(f_img.symmetric_difference(g_img))[0]
-                checks.append(InclusionCheck("f(X) equals g(X)", False, int(wit)))
-        return InclusionReport(checks=tuple(checks), mode="exhaustive")
-
-    if not isinstance(pair_source, SampledPairs):
-        raise DomainError("Euclidean inclusion checks need a SampledPairs source")
-    pts = pair_source.draw_points(space)
-    checks = []
-    if maps.arity == Arity.THREE:
-        checks.append(_affine_inclusion(space, maps.S, maps.f, pts, tolerance, "S(X) within f(X)"))
-        checks.append(_affine_inclusion(space, maps.T, maps.f, pts, tolerance, "T(X) within f(X)"))
-    else:
-        checks.append(_affine_inclusion(space, maps.S, maps.f, pts, tolerance, "S(X) within f(X)"))
-        checks.append(_affine_inclusion(space, maps.T, maps.g, pts, tolerance, "T(X) within g(X)"))
-        checks.append(_affine_inclusion(space, maps.f, maps.g, pts, tolerance, "f(X) within g(X)"))
-        checks.append(_affine_inclusion(space, maps.g, maps.f, pts, tolerance, "g(X) within f(X)"))
-    return InclusionReport(checks=tuple(checks), mode="sampled")
+            checks += [within(f, g, "f(X) within g(X)"), within(g, f, "g(X) within f(X)")]
+    return InclusionReport(checks=tuple(checks), mode="exhaustive" if space.is_finite else "exact")
 
 
 def synthesize_coefficients(

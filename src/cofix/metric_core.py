@@ -101,6 +101,10 @@ class MetricSpace:
         """Flavor default used by condition checks and the solver stop rule."""
         return 1e-12 if self.is_finite else 1e-9
 
+    def default_point(self) -> Point:
+        """The start point used when none is given: index 0, or the origin of R^m."""
+        return 0 if self.is_finite else np.zeros(self.dimension)
+
     def points(self) -> Iterable[int]:
         """Iterate the finite universe (indices in ascending order)."""
         return range(self.n)

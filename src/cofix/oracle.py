@@ -291,13 +291,12 @@ def _verified_oracle(space: MetricSpace, maps: MappingSet, c: Coefficients, anch
     assert oracle.common_fixed_points == (anchor,), (
         f"anchor {anchor} is not the unique common fixed point: {oracle.common_fixed_points}"
     )
-    if maps.arity >= Arity.THREE:
-        f, g = maps.rhs_maps
-        for a, b, names in ((maps.S, f, ("S", "f")), (maps.T, g, ("T", "g" if maps.arity == Arity.FOUR else "f"))):
-            wc = is_weakly_compatible(space, a, b, names=names)
-            assert wc.compatible, f"generated mappings {names} fail weak compatibility at {wc.witness}"
-        for klass in oracle.coincidence_classes:
-            assert klass.value == anchor, f"coincidence value {klass.value} differs from the anchor"
+    for label, m, tag, companion in maps.sides:
+        if companion is not None:
+            wc = is_weakly_compatible(space, m, companion, names=(label, tag))
+            assert wc.compatible, f"generated mappings {(label, tag)} fail weak compatibility at {wc.witness}"
+    for klass in oracle.coincidence_classes:
+        assert klass.value == anchor, f"coincidence value {klass.value} differs from the anchor"
     return oracle
 
 
@@ -443,9 +442,8 @@ def run_fuzz(
         else:
             options = PipelineOptions(verify_hypotheses=False, keep_trace=False)
             runner = solve_three if arity == Arity.THREE else solve_four
-            args = (maps.S, maps.T, maps.f) if arity == Arity.THREE else (maps.S, maps.T, maps.f, maps.g)
             try:
-                pipe = runner(space, *args, c, None, options)
+                pipe = runner(space, *(m for _, m in maps.items()), c, None, options)
             except CofixError:
                 tallies["pipeline_errors"] += 1
                 if inst.anchor is not None:

@@ -17,7 +17,8 @@ Euclidean spaces use {"flavor": "euclidean_affine", "dimension": m} and
 affine mappings {"type": "affine", "matrix": [[...]], "offset": [...]};
 their pair_source must be an object {"samples", "seed", "box"}.  The
 "solver" and "metadata" blocks are optional.  Anything structurally wrong
-raises SchemaError, which the command line reports as exit code 2.
+raises SchemaError, which the command line reports as exit code 2, and so
+does a fractional integer such as ``2.5`` (``2.0`` reads as 2).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .contraction import (
 )
 from .errors import CofixError, SchemaError
 from .metric_core import Flavor, MetricSpace
+from .records import as_int
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,7 @@ class Problem:
     metadata: dict = field(default_factory=dict)
 
     def start_point(self):
-        if self.x0 is None:
-            return 0 if self.space.is_finite else np.zeros(self.space.dimension)
-        return self.space.materialize(self.x0)
+        return self.space.default_point() if self.x0 is None else self.space.materialize(self.x0)
 
 
 def _require(doc: dict, key: str, context: str):
@@ -81,7 +81,7 @@ def _space_from_dict(doc: dict) -> MetricSpace:
         table = _require(doc, "table", "space")
         return MetricSpace.finite(np.array(table, dtype=float), eq_tol=float(doc.get("eq_tol", 1e-9)))
     return MetricSpace.euclidean(
-        int(_require(doc, "dimension", "space")),
+        as_int(_require(doc, "dimension", "space")),
         complete=bool(doc.get("complete", True)),
         eq_tol=float(doc.get("eq_tol", 1e-9)),
     )
@@ -117,17 +117,10 @@ def _mapping_to_dict(m) -> dict:
 
 
 def _maps_from_dict(doc: dict) -> MappingSet:
-    arity = Arity(int(_require(doc, "arity", "mappings")))
-    kwargs = {
-        "S": _mapping_from_dict(_require(doc, "S", "mappings"), "S"),
-        "T": _mapping_from_dict(_require(doc, "T", "mappings"), "T"),
-        "arity": arity,
-    }
-    if arity >= Arity.THREE:
-        kwargs["f"] = _mapping_from_dict(_require(doc, "f", "mappings"), "f")
-    if arity == Arity.FOUR:
-        kwargs["g"] = _mapping_from_dict(_require(doc, "g", "mappings"), "g")
-    return MappingSet(**kwargs)
+    arity = Arity(as_int(_require(doc, "arity", "mappings")))
+    # an arity-k problem takes the first k of S, T, f, g
+    labels = ("S", "T", "f", "g")[:arity]
+    return MappingSet(arity=arity, **{k: _mapping_from_dict(_require(doc, k, "mappings"), k) for k in labels})
 
 
 def _pair_source_from_dict(doc) -> PairSource:
@@ -183,7 +176,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
             pair_source=pair_source,
             x0=x0,
             tol=float(solver["tol"]) if solver.get("tol") is not None else None,
-            max_iters=int(solver.get("max_iters", 10000)),
+            max_iters=as_int(solver.get("max_iters", 10000)),
             metadata=doc.get("metadata") or {},
         )
     except SchemaError:

@@ -3,9 +3,10 @@
 A report inherits :class:`Record`.  ``to_dict`` emits the dataclass fields
 in declaration order: enums as their values, tuples and lists as lists,
 nested records through their own ``to_dict``.  ``from_dict`` follows the
-type hints: None for ``Optional``, ``Cls(value)`` for enums, ``int()`` and
-``float()`` coercion, typed tuples and records element by element, and lists
-to tuples for untyped values.  A missing key takes the field's default.
+type hints: None for ``Optional``, ``Cls(value)`` for enums, ``float()``
+and ``int()`` coercion (:func:`as_int` refuses a fractional float), typed
+tuples and records element by element, and lists to tuples for untyped
+values.  A missing key takes the field's default.
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ def _decode(hint, value):
             return hint.from_dict(value)
         if issubclass(hint, Enum):
             return hint(value)
-        if hint in (int, float):
-            return hint(value)
+        if hint is int:
+            return as_int(value)
+        if hint is float:
+            return float(value)
     return _plain(value)
+
+
+def as_int(value) -> int:
+    """``int(value)``, except that a float with a fractional part is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -75,13 +76,18 @@ class TableSection:
 
     domain: tuple[int, ...]
     image: tuple[int, ...]
-    _lookup: dict
 
     def pull_back(self, y: int) -> int:
         try:
-            return self._lookup[int(y)]
-        except KeyError:
+            return self.domain[self.image.index(int(y))]
+        except ValueError:
             raise DomainError(f"{y} is not in the mapping image") from None
+
+    def induced(self, m: TableMapping) -> TableMapping:
+        """m through the section on the image; points off the image stay fixed."""
+        table = np.arange(m.n)
+        table[list(self.image)] = m.table[list(self.domain)]
+        return TableMapping(table)
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,13 @@ class AffineSection:
     """Right inverse of an affine mapping: pull_back(f(x)) recovers a preimage."""
 
     mapping: AffineMapping
+    image = None  # not a field: an affine image is not enumerated
 
     def pull_back(self, y: np.ndarray) -> np.ndarray:
         return self.mapping(y)
+
+    def induced(self, m: AffineMapping) -> AffineMapping:
+        return m.compose(self.mapping)
 
 
 Section = Union[TableSection, AffineSection]
@@ -100,21 +110,14 @@ Section = Union[TableSection, AffineSection]
 def injective_restriction(space: MetricSpace, f: TableMapping) -> TableSection:
     """Restrict f to a subdomain where it is injective without shrinking its image.
 
-    Walks the universe in ascending index order and keeps the first point
-    mapping to each fresh value, so the chosen representatives are the
-    smallest preimages.  Only finite spaces can be walked exhaustively.
+    Keeps the smallest preimage of each image value, listed in ascending
+    order of the values.  Only finite spaces can be enumerated this way.
     """
     if not space.is_finite:
         raise ExhaustiveOnInfinite("cannot walk a Euclidean space; use an affine section instead")
     f.validate(space)
-    lookup: dict = {}
-    for x in space.points():
-        y = f(x)
-        if y not in lookup:
-            lookup[y] = x
-    image = tuple(sorted(lookup))
-    domain = tuple(lookup[y] for y in image)
-    return TableSection(domain=domain, image=image, _lookup=lookup)
+    image, domain = np.unique(f.table, return_index=True)
+    return TableSection(domain=tuple(domain.tolist()), image=tuple(image.tolist()))
 
 
 def _affine_section(f: AffineMapping) -> AffineSection:
@@ -149,52 +152,29 @@ class InducedPair:
         return tuple(y for y in self.image if m(y) == y)
 
     def common_fixed_points(self, space: MetricSpace) -> tuple[int, ...]:
-        if self.image is None:
-            raise ExhaustiveOnInfinite("fixed-point enumeration needs a finite image")
-        return tuple(y for y in self.image if self.S(y) == y and self.T(y) == y)
+        return tuple(y for y in self.fixed_points(space, "S") if self.T(y) == y)
 
 
-def _induce(space: MetricSpace, S: Mapping, f: Mapping, T: Mapping, g: Mapping) -> InducedPair:
-    if space.is_finite:
-        sect_f = injective_restriction(space, f)
-        sect_g = injective_restriction(space, g) if g is not f else sect_f
-        n = space.n
-        a = np.arange(n)
-        a[np.array(sect_f.image, dtype=np.int64)] = S.table[
-            np.array([sect_f.pull_back(y) for y in sect_f.image], dtype=np.int64)
-        ]
-        b = np.arange(n)
-        b[np.array(sect_g.image, dtype=np.int64)] = T.table[
-            np.array([sect_g.pull_back(y) for y in sect_g.image], dtype=np.int64)
-        ]
-        return InducedPair(
-            S=TableMapping(a),
-            T=TableMapping(b),
-            image=sect_f.image,
-            section_s=sect_f,
-            section_t=sect_g,
-        )
-    sect_f = _affine_section(f)
-    sect_g = _affine_section(g) if g is not f else sect_f
+def induce(space: MetricSpace, maps: MappingSet) -> InducedPair:
+    """Induced two-mapping problem for S over its companion and T over its own.
+
+    The companions come from ``maps.sides``: f for both with three mappings,
+    f and g with four.  A companion shared by both sides shares its section.
+    """
+    if maps.arity == Arity.TWO:
+        raise DomainError("only three- and four-mapping problems induce a two-mapping problem")
+    maps.validate(space)
+    (_, S, _, f), (_, T, _, g) = maps.sides
+    section = partial(injective_restriction, space) if space.is_finite else _affine_section
+    sect_s = section(f)
+    sect_t = sect_s if g is f else section(g)
     return InducedPair(
-        S=S.compose(sect_f.mapping),
-        T=T.compose(sect_g.mapping),
-        image=None,
-        section_s=sect_f,
-        section_t=sect_g,
+        S=sect_s.induced(S),
+        T=sect_t.induced(T),
+        image=sect_s.image,
+        section_s=sect_s,
+        section_t=sect_t,
     )
-
-
-def induce_three(space: MetricSpace, S: Mapping, T: Mapping, f: Mapping) -> InducedPair:
-    """Induced two-mapping problem for S, T over the common factor f."""
-    MappingSet(S=S, T=T, f=f, arity=Arity.THREE).validate(space)
-    return _induce(space, S, f, T, f)
-
-
-def induce_four(space: MetricSpace, S: Mapping, T: Mapping, f: Mapping, g: Mapping) -> InducedPair:
-    """Induced two-mapping problem for S over f and T over g."""
-    MappingSet(S=S, T=T, f=f, g=g, arity=Arity.FOUR).validate(space)
-    return _induce(space, S, f, T, g)
 
 
 @dataclass(frozen=True)
@@ -377,8 +357,9 @@ class PipelineOptions:
     ``verify_hypotheses`` controls whether the contractive condition is
     checked up front; switching it off trades the certificate for speed
     and leaves hypothesis failures to surface as solver statuses or lift
-    errors.  ``pair_source`` feeds both the condition check and the range
-    inclusion check; Euclidean spaces need a SampledPairs source.
+    errors.  ``pair_source`` feeds only the condition check, and Euclidean
+    spaces need a SampledPairs source for it; range inclusions are decided
+    exactly without one.
     """
 
     tol: Optional[float] = None
@@ -418,10 +399,6 @@ class CoincidenceReport(Record):
         return self.status == PipelineStatus.COMMON_FIXED_POINT
 
 
-def _default_start(space: MetricSpace):
-    return 0 if space.is_finite else np.zeros(space.dimension)
-
-
 def _run_pipeline(
     space: MetricSpace,
     maps: MappingSet,
@@ -433,18 +410,15 @@ def _run_pipeline(
 ) -> CoincidenceReport:
     stages: list[str] = []
     tol = options.tol if options.tol is not None else space.default_tolerance
-    three = maps.arity == Arity.THREE
-    _, g = maps.rhs_maps
 
     with _stage("validate", stages):
         maps.validate(space)
         if x0 is None:
-            x0 = _default_start(space)
+            x0 = space.default_point()
         space._check_point(x0)
 
     with _stage("inclusions", stages):
-        source = options.pair_source if not space.is_finite else EXHAUSTIVE
-        inclusion_report = check_range_inclusions(space, maps, pair_source=source if source != EXHAUSTIVE else None, tolerance=tol)
+        inclusion_report = check_range_inclusions(space, maps, tolerance=tol)
         if not inclusion_report.holds:
             bad = next(ch for ch in inclusion_report.checks if not ch.holds)
             raise RangeInclusionFailure(f"{bad.description} fails", witness=bad.witness)
@@ -461,7 +435,7 @@ def _run_pipeline(
                 )
 
     with _stage("induce", stages):
-        induced = _induce(space, maps.S, maps.f, maps.T, g)
+        induced = induce(space, maps)
 
     with _stage("solve", stages):
         start = maps.f(x0)
@@ -487,14 +461,15 @@ def _run_pipeline(
 
     with _stage("coincidence", stages):
         w = space.materialize(solve_report.point)
-        u1 = induced.section_s.pull_back(w)
-        u2 = induced.section_t.pull_back(w)
-        for u, m in ((u1, maps.S), (u1, maps.f), (u2, maps.T), (u2, g)):
-            moved = float(space.distance(m(u), w))
-            if moved > tol:
-                raise NonUniqueCoincidence(
-                    f"pulled-back point is not a coincidence point: image moves by {moved:.6g}"
-                )
+        # one pulled-back point per side, each a coincidence point of its pair
+        us = [section.pull_back(w) for section in (induced.section_s, induced.section_t)]
+        for u, (_, m, _, companion) in zip(us, maps.sides):
+            for h in (m, companion):
+                moved = float(space.distance(h(u), w))
+                if moved > tol:
+                    raise NonUniqueCoincidence(
+                        f"pulled-back point is not a coincidence point: image moves by {moved:.6g}"
+                    )
         scan = None
         if space.is_finite:
             scan = coincidence_points(space, maps)
@@ -504,10 +479,11 @@ def _run_pipeline(
                     f"coincidence values {sorted(set(values_off))} disagree with the solved value "
                     f"{space.canonicalize(w)}"
                 )
-        ulist = (u1,) if three else (u1, u2)
+        # sides sharing a companion share the section, so report its point once
+        by_companion = {tag: u for u, (*_, tag, _) in zip(us, maps.sides)}
         common.update(
             point_of_coincidence=space.canonicalize(w),
-            coincidence_points=tuple(space.canonicalize(u) for u in ulist),
+            coincidence_points=tuple(space.canonicalize(u) for u in by_companion.values()),
             scan=scan,
         )
 
@@ -515,19 +491,20 @@ def _run_pipeline(
         return CoincidenceReport(status=PipelineStatus.COINCIDENCE_ONLY, stages=tuple(stages), **common)
 
     with _stage("weak_compatibility", stages):
-        pairs = (
-            (maps.S, maps.f, ("S", "f"), u1),
-            (maps.T, g, ("T", "f" if three else "g"), u2),
+        compat = tuple(
+            is_weakly_compatible(space, m, companion, names=(label, tag), tol=tol)
+            for label, m, tag, companion in maps.sides
         )
-        compat = tuple(is_weakly_compatible(space, a, b, names=nm, tol=tol) for a, b, nm, _ in pairs)
         common.update(weak_compatibility=compat)
         if not all(wc.compatible for wc in compat):
             return CoincidenceReport(status=PipelineStatus.COINCIDENCE_ONLY, stages=tuple(stages), **common)
 
     with _stage("lift", stages):
-        z1 = lift_to_common_fixed_point(space, maps.S, maps.f, u1, tol=tol)
-        z2 = lift_to_common_fixed_point(space, maps.T, g, u2, tol=tol)
-        z = require_lift_agreement(space, z1, z2, tol=tol)
+        lifted = [
+            lift_to_common_fixed_point(space, m, companion, u, tol=tol)
+            for u, (_, m, _, companion) in zip(us, maps.sides)
+        ]
+        z = require_lift_agreement(space, *lifted, tol=tol)
         common.update(common_fixed_point=space.canonicalize(z))
 
     return CoincidenceReport(status=PipelineStatus.COMMON_FIXED_POINT, stages=tuple(stages), **common)

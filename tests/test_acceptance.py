@@ -33,7 +33,7 @@ from cofix import (
     check_condition_two,
     generate_instance,
     identity_mapping,
-    induce_three,
+    induce,
     injective_restriction,
     picard_solve,
     rate_constant,
@@ -151,7 +151,7 @@ def test_criterion_4_three_mapping_reduction_matches_ground_truth():
             space, maps, c = inst.space, inst.maps, inst.coefficients
             assert len(set(maps.f.table.tolist())) < n, "generator must force a non-injective f"
 
-            induced = induce_three(space, maps.S, maps.T, maps.f)
+            induced = induce(space, maps)
             truth = {klass.value for klass in inst.oracle.coincidence_classes}
             assert set(induced.common_fixed_points(space)) == truth
             assert set(induced.fixed_points(space, "S")) == truth

@@ -155,6 +155,30 @@ class TestFractionalInput:
         assert capsys.readouterr().err.startswith("schema error:")
 
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("space", "dimension", 2.5), ("solver", "max_iters", 10.5), ("pair_source", "samples", 64.7), ("pair_source", "seed", 3.9)],
+        ids=["dimension", "max_iters", "samples", "seed"],
+    )
+    def test_fractional_integers_exit_schema(self, tmp_path, capsys, block, key, value):
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 2},
+            "mappings": {
+                "arity": 2,
+                "S": {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]},
+                "T": {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]},
+            },
+            "coefficients": GAMMA_HALF,
+            "pair_source": {"samples": 64, "seed": 3, "box": [-2.0, 2.0]},
+            "solver": {"max_iters": 100},
+        }
+        path = write_doc(tmp_path, "integral.json", doc)
+        assert cli.main(["check", path]) == cli.EXIT_OK
+        doc[block][key] = value
+        assert cli.main(["check", write_doc(tmp_path, "fractional.json", doc)]) == cli.EXIT_SCHEMA
+        assert "not an integer" in capsys.readouterr().err
+
+
 class TestSolve:
     def test_converging_problem_exits_zero(self, halving_file, capsys):
         assert cli.main(["solve", halving_file]) == cli.EXIT_OK

@@ -214,6 +214,13 @@ class TestMappingSet:
         assert MappingSet(S=halving_map, T=halving_map, f=f, arity=3).rhs_maps == (f, f)
         assert MappingSet(S=halving_map, T=halving_map, f=f, g=g, arity=4).rhs_maps == (f, g)
 
+    def test_sides_pair_each_mapping_with_its_companion(self, halving_map):
+        S, T = halving_map, TableMapping([1, 1, 1, 1])
+        f, g = TableMapping([0, 0, 2, 2]), TableMapping([0, 1, 1, 2])
+        assert MappingSet(S=S, T=T).sides == (("S", S, None, None), ("T", T, None, None))
+        assert MappingSet(S=S, T=T, f=f, arity=3).sides == (("S", S, "f", f), ("T", T, "f", f))
+        assert MappingSet(S=S, T=T, f=f, g=g, arity=4).sides == (("S", S, "f", f), ("T", T, "g", g))
+
     def test_items_labels(self, halving_map):
         ident = identity_mapping(4)
         ms = MappingSet(S=halving_map, T=halving_map, f=ident, g=ident, arity=Arity.FOUR)
@@ -478,25 +485,24 @@ class TestRangeInclusions:
         assert not eq_check.holds
         assert eq_check.witness == 2
 
-    def test_euclidean_needs_sampler(self):
+    def test_euclidean_inclusions_need_no_sampler(self):
         space = MetricSpace.euclidean(1)
         half = AffineMapping([[0.5]], [0.0])
         double = AffineMapping([[2.0]], [0.0])
         ms = MappingSet(S=half, T=half, f=double, arity=Arity.THREE)
-        with pytest.raises(DomainError):
-            check_range_inclusions(space, ms)
-        rep = check_range_inclusions(space, ms, SampledPairs(64, 1, box=(-5, 5)))
+        rep = check_range_inclusions(space, ms)
         assert rep.holds
-        assert rep.mode == "sampled"
+        assert rep.mode == "exact"
 
     def test_euclidean_rank_deficient_target_fails(self):
         space = MetricSpace.euclidean(2)
         S = AffineMapping(0.5 * np.eye(2), np.zeros(2))
         squash = AffineMapping([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
         ms = MappingSet(S=S, T=S, f=squash, arity=Arity.THREE)
-        rep = check_range_inclusions(space, ms, SampledPairs(64, 1, box=(-5, 5)))
+        rep = check_range_inclusions(space, ms)
         assert not rep.holds
-        assert rep.checks[0].witness is not None
+        # the offsets agree, so the witness is the unit vector of the escaping column
+        assert rep.checks[0].witness == (0.0, 1.0)
 
 
 class TestSynthesis:

@@ -217,6 +217,27 @@ class TestSchemaRejections:
             load_problem(finite_doc(solver={"x0": 1.5}))
         assert load_problem(finite_doc(solver={"x0": 1.0})).x0 == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            euclid_doc(space={"flavor": "euclidean_affine", "dimension": 2.5}),
+            finite_doc(solver={"max_iters": 10.5}),
+            euclid_doc(pair_source={"samples": 64.7, "seed": 3}),
+            euclid_doc(pair_source={"samples": 64, "seed": 3.9}),
+            finite_doc(mappings={**finite_doc()["mappings"], "arity": 2.5}),
+        ],
+        ids=["dimension", "max_iters", "samples", "seed", "arity"],
+    )
+    def test_fractional_integers_are_rejected(self, doc):
+        with pytest.raises(SchemaError, match="not an integer"):
+            load_problem(doc)
+
+    def test_integral_floats_read_as_integers(self):
+        problem = load_problem(euclid_doc(space={"flavor": "euclidean_affine", "dimension": 2.0}, pair_source={"samples": 64.0, "seed": 3.0}))
+        assert problem.space.dimension == 2
+        assert problem.pair_source == SampledPairs(64, 3)
+        assert load_problem(finite_doc(solver={"max_iters": 10.0})).max_iters == 10
+
     def test_fractional_table_entries_are_rejected(self):
         doc = finite_doc()
         doc["mappings"]["S"] = {"type": "table", "table": [0.5, 0, 1, 2]}

@@ -19,10 +19,10 @@ from cofix import (
     SolveStatus,
     TableMapping,
     WeakCompatibility,
+    check_range_inclusions,
     coincidence_points,
     identity_mapping,
-    induce_four,
-    induce_three,
+    induce,
     injective_restriction,
     is_weakly_compatible,
     lift_to_common_fixed_point,
@@ -57,6 +57,7 @@ PATH4 = MetricSpace.finite(
 # not commute there, so the lift is blocked
 DEGRADE_S = TableMapping([1, 1, 1])
 DEGRADE_F = TableMapping([0, 0, 1])
+DEGRADE_THREE = MappingSet(S=DEGRADE_S, T=DEGRADE_S, f=DEGRADE_F, arity=Arity.THREE)
 
 
 class TestInjectiveRestriction:
@@ -95,7 +96,7 @@ class TestInjectiveRestriction:
 
 class TestInducedPairs:
     def test_finite_tables_fix_points_off_image(self):
-        pair = induce_three(PATH3, DEGRADE_S, DEGRADE_S, DEGRADE_F)
+        pair = induce(PATH3, DEGRADE_THREE)
         assert list(pair.S.table) == [1, 1, 2]
         assert pair.S == pair.T
         assert pair.image == (0, 1)
@@ -106,21 +107,25 @@ class TestInducedPairs:
         S = TableMapping([0, 0, 0])
         f = TableMapping([0, 2, 1])
         g = identity_mapping(3)
-        pair = induce_four(PATH3, S, S, f, g)
+        pair = induce(PATH3, MappingSet(S=S, T=S, f=f, g=g, arity=Arity.FOUR))
         assert pair.section_s.domain == (0, 2, 1)
         assert pair.section_t.domain == (0, 1, 2)
         assert list(pair.S.table) == [0, 0, 0]
         assert list(pair.T.table) == [0, 0, 0]
 
     def test_shared_f_shares_the_section(self):
-        pair = induce_three(PATH3, DEGRADE_S, DEGRADE_S, DEGRADE_F)
+        pair = induce(PATH3, DEGRADE_THREE)
         assert pair.section_s is pair.section_t
+
+    def test_two_mappings_have_nothing_to_induce(self):
+        with pytest.raises(DomainError, match="three- and four-mapping"):
+            induce(PATH3, MappingSet(S=DEGRADE_S, T=DEGRADE_S, arity=Arity.TWO))
 
     def test_affine_induction_composes_with_inverse(self):
         space = MetricSpace.euclidean(1)
         half = AffineMapping([[0.5]], [0.0])
         double = AffineMapping([[2.0]], [0.0])
-        pair = induce_three(space, half, half, double)
+        pair = induce(space, MappingSet(S=half, T=half, f=double, arity=Arity.THREE))
         assert pair.image is None
         assert np.array_equal(pair.S.matrix, [[0.25]])
         with pytest.raises(ExhaustiveOnInfinite):
@@ -340,9 +345,73 @@ class TestThreeMappingPipeline:
         space = MetricSpace.euclidean(1)
         half = AffineMapping([[0.5]], [0.0])
         double = AffineMapping([[2.0]], [0.0])
-        with pytest.raises(DomainError) as exc_info:
+        # inclusions are decided exactly; only the condition check needs a sampler
+        with pytest.raises(ExhaustiveOnInfinite, match="supply a sampler") as exc_info:
             solve_three(space, half, half, double, Coefficients(0, 0, 0.3, 0), np.array([1.0]))
-        assert exc_info.value.stage == "inclusions"
+        assert exc_info.value.stage == "condition"
+
+
+def _orthogonal(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    return q * np.sign(np.diag(r))
+
+
+def _about(M, z):
+    """The affine map x -> M (x - z) + z, which fixes z."""
+    return AffineMapping(M, z - M @ z)
+
+
+def _scaled_problem(seed, m, lam, arity, rank_deficient=False):
+    """S = A o f (T = A o g) about a point z of size lam; A has spectral norm 0.9.
+
+    With f and g invertible every range inclusion holds at any lam; zeroing a
+    column of f (and g) shrinks f(X) to a hyperplane that S(X) leaves.
+    """
+    rng = np.random.default_rng([seed, m, arity])
+    z = lam * rng.uniform(-1.0, 1.0, size=m)
+    s = rng.uniform(0.2, 0.9, size=m)
+    s[0] = 0.9
+    A = (_orthogonal(rng, m) * s) @ _orthogonal(rng, m).T
+    F = _orthogonal(rng, m) * rng.uniform(0.5, 1.0)
+    G = _orthogonal(rng, m) * rng.uniform(0.5, 1.0)
+    S, T = _about(A @ F, z), _about(A @ (F if arity == 3 else G), z)
+    if rank_deficient:
+        F[:, 0] = G[:, 0] = 0.0
+    f, g = _about(F, z), (_about(G, z) if arity == 4 else None)
+    return MetricSpace.euclidean(m), MappingSet(S=S, T=T, f=f, g=g, arity=arity), lam * rng.uniform(-1.0, 1.0, size=m)
+
+
+SCALES = [10.0**k for k in range(0, 13, 2)]
+
+
+class TestAffineInclusionsAtScale:
+    @pytest.mark.parametrize("arity", [3, 4])
+    @pytest.mark.parametrize("lam", SCALES)
+    def test_invertible_factors_pass_the_inclusion_stage(self, lam, arity):
+        # max_iters=1 stops the run at the solver, so only the stages up to
+        # the inclusions decide the outcome; the sampler is the condition's
+        runner = solve_three if arity == 3 else solve_four
+        for seed in range(3):
+            opts = PipelineOptions(pair_source=SampledPairs(64, seed, (-lam, lam)), verify_hypotheses=False, max_iters=1)
+            for m in (1, 2, 3):
+                space, maps, x0 = _scaled_problem(seed, m, lam, arity)
+                mappings = [mp for _, mp in maps.items()]
+                rep = runner(space, *mappings, Coefficients(0, 0, 0.9, 0), x0, opts)
+                assert rep.inclusion_report.holds
+
+    @pytest.mark.parametrize("lam", SCALES)
+    def test_rank_deficient_factor_fails_with_an_escaping_witness(self, lam):
+        for seed in range(3):
+            for m in (2, 3):
+                space, maps, _ = _scaled_problem(seed, m, lam, 3, rank_deficient=True)
+                rep = check_range_inclusions(space, maps)
+                assert not rep.holds
+                for (_, inner, _, outer), check in zip(maps.sides, rep.checks):
+                    assert not check.holds
+                    target = inner(np.array(check.witness)) - outer.offset
+                    sol, *_ = np.linalg.lstsq(outer.matrix, target, rcond=None)
+                    escape = np.linalg.norm(outer.matrix @ sol - target)
+                    assert escape > 1e-6 * np.linalg.norm(target)
 
 
 class TestFourMappingPipeline:
