@@ -18,13 +18,16 @@ Every check runs the four-mapping form through one vectorized evaluator,
 distance table on finite spaces, coordinate arrays compared by norm on
 Euclidean ones.  The exhaustive grid is the same call with the index
 column and row broadcast against each other, so substituting the identity
-for f (or f for g) reproduces the lower-arity report exactly.
+for f (or f for g) reproduces the lower-arity report exactly.  Checks feed
+the batch to the evaluator in row blocks of about ``BLOCK_PAIRS`` pairs,
+so their scratch memory stays bounded at any table size.
 ``check_condition`` picks the named check that matches a mapping set's
 arity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
@@ -43,6 +46,9 @@ from .metric_core import MetricSpace, Point
 from .records import Record
 
 EXHAUSTIVE = "exhaustive"
+
+# pairs evaluated at once by a condition check; bounds its scratch memory
+BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -415,22 +421,40 @@ def _pair_at(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, shape: tuple, f
     return point(xs), point(ys)
 
 
+def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray):
+    """Slices of a pair batch along its first axis, about ``BLOCK_PAIRS`` pairs each.
+
+    Points that span the batch's rows are sliced; the exhaustive grid's
+    index row is shared by every block.  The blocks' flat orders, one after
+    another, are the batch's flat order.
+    """
+    shape = np.broadcast_shapes(xs.shape, ys.shape)[: None if space.is_finite else -1]
+    rows = shape[0]
+    step = max(1, BLOCK_PAIRS * rows // math.prod(shape))
+    for r0 in range(0, rows, step):
+        yield tuple(p[r0 : r0 + step] if len(p) == rows else p for p in (xs, ys))
+
+
 def _evaluate_condition(space, S, T, f, g, c, pair_source, tolerance, label) -> ViolationReport:
     c = validate_coefficients(c)
     if tolerance is None:
         tolerance = space.default_tolerance
-    xs, ys = _pair_batch(space, pair_source)
-    lhs, t1, t2, t3, t4, t5 = _term_arrays(space, S, T, f, g, xs, ys)
-    margin = lhs - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5)
-    flat = int(np.argmax(margin))
-    worst = float(margin.flat[flat])
+    worst, at, count = None, None, 0
+    for xs, ys in _row_blocks(space, *_pair_batch(space, pair_source)):
+        lhs, t1, t2, t3, t4, t5 = _term_arrays(space, S, T, f, g, xs, ys)
+        margin = lhs - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5)
+        flat = int(np.argmax(margin))
+        # strict: on a tie the earlier block keeps the worst pair
+        if worst is None or margin.flat[flat] > worst:
+            worst, at = float(margin.flat[flat]), (xs, ys, margin.shape, flat)
+        count += margin.size
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
         condition=label,
         satisfied=bool(worst <= tolerance),
-        worst_pair=_pair_at(space, xs, ys, margin.shape, flat),
+        worst_pair=_pair_at(space, *at),
         worst_margin=worst,
-        pairs_checked=margin.size,
+        pairs_checked=count,
         mode="sampled" if sampled else "exhaustive",
         tolerance=float(tolerance),
         seed=pair_source.seed if sampled else None,

@@ -1,6 +1,7 @@
 """Coefficient bounds, mapping containers, condition checks, and synthesis."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from cofix import (
     synthesize_coefficients,
     validate_coefficients,
 )
+from cofix import contraction
 from cofix.errors import (
     BoundViolation,
     DomainError,
@@ -443,6 +445,79 @@ class TestConditionChecks:
         d = rep.to_dict()
         json.dumps(d)
         assert ViolationReport.from_dict(d) == rep
+
+
+def _single_batch_report(space, maps, c):
+    """Worst margin and pair of the exhaustive grid taken as one batch, the reference for row blocks."""
+    idx = np.arange(space.n)
+    lhs, t1, t2, t3, t4, t5 = contraction._term_arrays(space, maps.S, maps.T, *maps.rhs_maps, idx[:, None], idx[None, :])
+    margin = lhs - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5)
+    flat = int(np.argmax(margin))
+    return float(margin.flat[flat]), tuple(int(v) for v in divmod(flat, space.n)), margin.size
+
+
+class TestRowBlocks:
+    N = 700  # several blocks of BLOCK_PAIRS // N rows
+
+    @pytest.mark.parametrize("coefficients", [(0.2, 0.1, 0.2, 0.05, 0.3), (0.0, 0.0, 0.5, 0.0, 0.0)])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_exhaustive_matches_single_batch(self, arity, coefficients):
+        n = self.N
+        assert contraction.BLOCK_PAIRS // n < n // 3
+        rng = np.random.default_rng(arity)
+        # few distinct distances make many pairs tie for the worst margin
+        space = MetricSpace.finite(rng.integers(0, 5, size=(n, n)))
+        S, T, f, g = (TableMapping(rng.integers(0, n, size=n)) for _ in range(4))
+        maps = MappingSet(S, T, *[f, g][: arity - 2], arity=arity)
+        c = Coefficients(*coefficients)
+        rep = check_condition(space, maps, c)
+        assert (rep.worst_margin, rep.worst_pair, rep.pairs_checked) == _single_batch_report(space, maps, c)
+
+    def test_tie_between_blocks_reports_the_earlier_pair(self):
+        n = self.N
+        step = contraction.BLOCK_PAIRS // n
+        tab = np.ones((n, n))
+        np.fill_diagonal(tab, 0.0)
+        # the two worst pairs sit in row 3 (first block) and row 3 + 2*step (third block)
+        far = 3 + 2 * step
+        tab[3, far] = tab[far, 3] = 2.0
+        ident = identity_mapping(n)
+        rep = check_condition_two(MetricSpace.finite(tab), ident, ident, Coefficients(0, 0, 0, 0))
+        assert (rep.worst_pair, rep.worst_margin) == ((3, far), 2.0)
+
+    @pytest.mark.parametrize("flavor", ["finite", "euclidean"])
+    def test_sampled_report_does_not_depend_on_block_size(self, monkeypatch, flavor):
+        rng = np.random.default_rng(5)
+        if flavor == "finite":
+            space = MetricSpace.finite(rng.integers(0, 5, size=(30, 30)))
+            S, T, f, g = (TableMapping(rng.integers(0, 30, size=30)) for _ in range(4))
+            src = SampledPairs(1000, seed=2)
+        else:
+            space = MetricSpace.euclidean(3)
+            S, T, f, g = (AffineMapping(rng.normal(size=(3, 3)), rng.normal(size=3)) for _ in range(4))
+            src = SampledPairs(1000, seed=2, box=(-2.0, 2.0))
+        maps = MappingSet(S, T, f, g, arity=4)
+        c = Coefficients(0.2, 0.1, 0.2, 0.05, 0.3)
+        whole = check_condition(space, maps, c, src)
+        monkeypatch.setattr(contraction, "BLOCK_PAIRS", 7)
+        assert check_condition(space, maps, c, src) == whole
+
+    def test_exhaustive_check_memory_stays_bounded(self):
+        n = 2000
+        rho = np.random.default_rng(0).uniform(0.5, 8.0, size=n)
+        tab = np.maximum.outer(rho, rho)
+        np.fill_diagonal(tab, 0.0)
+        space = MetricSpace.finite(tab)
+        S = TableMapping(np.random.default_rng(1).integers(0, n, size=n))
+        tracemalloc.start()
+        try:
+            rep = check_condition_two(space, S, S, Coefficients(0, 0, 0.5, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_checked == n * n
+        # one n x n float array is 30.5 MiB; the whole-grid evaluator held several
+        assert peak < 32 * 2**20
 
 
 class TestRangeInclusions:

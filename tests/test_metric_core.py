@@ -153,6 +153,23 @@ class TestAxiomChecks:
         assert chk.witness == (0, 1, 2)
         assert chk.magnitude == 3.0
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 33, 70])
+    def test_tiled_triangle_check_matches_the_row_scan(self, n):
+        rng = np.random.default_rng(n)
+        # few distinct values make many triples tie for the worst violation
+        tab = rng.integers(0, 6, size=(n, n)).astype(float)
+        worst, witness = -np.inf, None
+        for i in range(n):
+            viol = tab[i][None, :] - tab[i][:, None] - tab
+            j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
+            if viol[j, k] > worst:
+                worst, witness = float(viol[j, k]), (i, int(j), int(k))
+        chk = verify_metric_axioms(MetricSpace.finite(tab)).check("triangle")
+        if worst > 0.0:
+            assert (chk.passed, chk.witness, chk.magnitude) == (False, witness, worst)
+        else:
+            assert (chk.passed, chk.witness, chk.magnitude) == (True, None, 0.0)
+
     def test_tolerance_slack_admits_near_miss(self):
         tab = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
         assert verify_metric_axioms(MetricSpace.finite(tab), tolerance=3.0).passed

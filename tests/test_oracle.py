@@ -1,6 +1,7 @@
 """Metric repair, instance generation, ground-truth enumeration, and fuzzing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,21 @@ from cofix.errors import DomainError, ExhaustiveOnInfinite
 PATH3_TABLE = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 
 
+def squaring_closure(table, min_separation=1e-6):
+    """The repair by repeated min-plus squaring with an n x n x n temporary; a reference."""
+    D = np.nan_to_num(np.abs(np.array(table, dtype=float)), nan=0.0, posinf=1024.0, neginf=0.0)
+    D = np.round(np.clip(D, 0.0, 1024.0) * 2.0**20) / 2.0**20
+    D = np.minimum(D, D.T)
+    np.fill_diagonal(D, 0.0)
+    n = D.shape[0]
+    for _ in range(max(int(np.ceil(np.log2(max(n, 2)))) + 2, 2)):
+        D = np.minimum(D, np.min(D[:, :, None] + D[None, :, :], axis=1))
+    off = ~np.eye(n, dtype=bool)
+    if n > 1 and D[off].min() < min_separation:
+        D = D + np.ceil(min_separation * 2.0**20) / 2.0**20 * off
+    return D
+
+
 class TestMetricClosureRepair:
     def test_valid_table_is_untouched(self):
         out = metric_closure_repair(PATH3_TABLE)
@@ -73,6 +89,28 @@ class TestMetricClosureRepair:
             raw = rng.uniform(0.0, 10.0, size=(n, n))
             out = metric_closure_repair(raw)
             assert verify_metric_axioms(MetricSpace.finite(out), tolerance=0.0).passed
+
+    def test_matches_the_squaring_closure(self):
+        rng = np.random.default_rng(2024)
+        for k in range(42):
+            n = int(rng.integers(1, 131))
+            raw = rng.uniform(-1.0, 1500.0 if k % 3 == 0 else 8.0, size=(n, n))
+            mask = rng.random((n, n))
+            raw[mask < 0.02] = np.nan
+            raw[(mask >= 0.02) & (mask < 0.03)] = np.inf
+            raw[(mask >= 0.03) & (mask < 0.035)] = -np.inf
+            assert np.array_equal(metric_closure_repair(raw), squaring_closure(raw)), (k, n)
+
+    def test_memory_stays_quadratic(self):
+        raw = np.random.default_rng(3).uniform(0.1, 8.0, size=(300, 300))
+        tracemalloc.start()
+        try:
+            metric_closure_repair(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 300 x 300 float array is 0.7 MiB; the squaring closure's cube was 206 MiB
+        assert peak < 16 * 2**20
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 8))
