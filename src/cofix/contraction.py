@@ -18,11 +18,13 @@ Every check runs the four-mapping form through one vectorized evaluator,
 distance table on finite spaces, coordinate arrays compared by norm on
 Euclidean ones.  The exhaustive grid is the same call with the index
 column and row broadcast against each other, so substituting the identity
-for f (or f for g) reproduces the lower-arity report exactly.  Checks feed
-the batch to the evaluator in row blocks of about ``BLOCK_PAIRS`` pairs,
-so their scratch memory stays bounded at any table size.
-``check_condition`` picks the named check that matches a mapping set's
-arity.
+for f (or f for g) reproduces the lower-arity report exactly; its lookups
+gather whole table rows, then columns.  Checks feed the batch to the
+evaluator in row blocks of about ``BLOCK_PAIRS`` pairs, so their scratch
+memory stays bounded at any table size.  ``check_condition`` picks the
+named check that matches a mapping set's arity.  ``synthesize_coefficients``
+solves its LPs by cutting planes, with a pass over the same blocks as the
+separation step.
 """
 
 from __future__ import annotations
@@ -43,12 +45,21 @@ from .errors import (
     NonInvertibleMapping,
 )
 from .metric_core import MetricSpace, Point
-from .records import Record
+from .records import Record, as_int
 
 EXHAUSTIVE = "exhaustive"
 
 # pairs evaluated at once by a condition check; bounds its scratch memory
 BLOCK_PAIRS = 1 << 16
+
+# the same for Euclidean pairs, whose points are m-vectors: blocks this small
+# keep a sampled check's coordinate arrays in cache and let the allocator
+# reuse them from block to block, where 2**16-pair blocks (4 MiB arrays at
+# m=8) were mapped in afresh, page by page, on every check
+EUCLIDEAN_BLOCK_PAIRS = 1 << 11
+
+# rows a cutting-plane pass of the coefficient LP takes from each block of pairs
+CUT_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -284,6 +295,11 @@ class SampledPairs(Record):
     box: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            try:
+                object.__setattr__(self, name, as_int(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from exc
         if self.samples < 1:
             raise DomainError(f"need at least one sample, got {self.samples}")
         if self.box is not None:
@@ -392,6 +408,13 @@ def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray)
         D = space.table
 
         def dist(u, v):
+            # an exhaustive block is an index column against an index row:
+            # gathering whole rows (or columns) and then the other axis beats
+            # scattered lookups, and the result is the same table entries
+            if u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1:
+                return D[u[:, 0]][:, v[0]]
+            if u.ndim == v.ndim == 2 and u.shape[0] == 1 and v.shape[1] == 1:
+                return D[:, v[:, 0]][u[0]].T
             return D[u, v]
 
     else:
@@ -424,30 +447,55 @@ def _pair_at(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, shape: tuple, f
 def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray):
     """Slices of a pair batch along its first axis, about ``BLOCK_PAIRS`` pairs each.
 
+    Euclidean batches take ``EUCLIDEAN_BLOCK_PAIRS`` pairs per slice instead.
+
     Points that span the batch's rows are sliced; the exhaustive grid's
     index row is shared by every block.  The blocks' flat orders, one after
     another, are the batch's flat order.
     """
     shape = np.broadcast_shapes(xs.shape, ys.shape)[: None if space.is_finite else -1]
     rows = shape[0]
-    step = max(1, BLOCK_PAIRS * rows // math.prod(shape))
+    block = BLOCK_PAIRS if space.is_finite else EUCLIDEAN_BLOCK_PAIRS
+    step = max(1, block * rows // math.prod(shape))
     for r0 in range(0, rows, step):
         yield tuple(p[r0 : r0 + step] if len(p) == rows else p for p in (xs, ys))
+
+
+def _margins(space: MetricSpace, S, T, f, g, batch, coefs, scale: float = 1.0):
+    """(xs, ys, margin, need, terms) for each row block of a pair batch.
+
+    ``need`` is ``scale * lhs`` and the margin is ``need`` minus the
+    right-hand side at ``coefs``: alpha*t1 + beta*t2 + gamma*t3 + delta*t4
+    + L*t5, with ``terms`` the five arrays t1..t5.
+    """
+    alpha, beta, gamma, delta, L = coefs
+    for xs, ys in _row_blocks(space, *batch):
+        lhs, *terms = _term_arrays(space, S, T, f, g, xs, ys)
+        t1, t2, t3, t4, t5 = terms
+        need = lhs if scale == 1.0 else scale * lhs
+        yield xs, ys, need - (alpha * t1 + beta * t2 + gamma * t3 + delta * t4 + L * t5), need, terms
+
+
+def _worst(margins):
+    """The worst margin, where it sits as ``(xs, ys, shape, flat)``, and the pair count.
+
+    Ties go to the first pair in the batch's flat order.
+    """
+    worst, at, count = None, None, 0
+    for xs, ys, margin, *_ in margins:
+        flat = int(np.argmax(margin))
+        # strict: on a tie the earlier block keeps the worst pair
+        if worst is None or margin.flat[flat] > worst:
+            worst, at = float(margin.flat[flat]), (xs, ys, margin.shape, flat)
+        count += margin.size
+    return worst, at, count
 
 
 def _evaluate_condition(space, S, T, f, g, c, pair_source, tolerance, label) -> ViolationReport:
     c = validate_coefficients(c)
     if tolerance is None:
         tolerance = space.default_tolerance
-    worst, at, count = None, None, 0
-    for xs, ys in _row_blocks(space, *_pair_batch(space, pair_source)):
-        lhs, t1, t2, t3, t4, t5 = _term_arrays(space, S, T, f, g, xs, ys)
-        margin = lhs - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5)
-        flat = int(np.argmax(margin))
-        # strict: on a tie the earlier block keeps the worst pair
-        if worst is None or margin.flat[flat] > worst:
-            worst, at = float(margin.flat[flat]), (xs, ys, margin.shape, flat)
-        count += margin.size
+    worst, at, count = _worst(_margins(space, S, T, f, g, _pair_batch(space, pair_source), c.as_tuple()))
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
         condition=label,
@@ -620,6 +668,14 @@ def synthesize_coefficients(
     matching check before being handed back; failure to re-verify raises
     :class:`Infeasible` like any other infeasibility, with the most binding
     pair attached.
+
+    Both solves are cutting-plane loops (Kelley's method): the LP is solved
+    on a small working set of pair rows, seeded with the rows of largest
+    lhs, and a pass over every pair adds each block's ``CUT_ROWS`` most
+    violated rows until no pair's shortfall exceeds the solve's optimum by
+    more than ``tolerance``.  The working-set optimum is then feasible for
+    the LP over all pairs, hence optimal for it, and no dense
+    (pairs x 5) matrix is ever built.
     """
     from scipy.optimize import linprog
 
@@ -631,40 +687,69 @@ def synthesize_coefficients(
     if tolerance is None:
         tolerance = space.default_tolerance
 
+    # shortfalls this close to the worst are ties: the solve is no more exact than that
+    ties = max(tolerance, 1e-9)
     f, g = maps.rhs_maps
-    xs, ys = _pair_batch(space, pair_source)
-    lhs, *terms = _term_arrays(space, maps.S, maps.T, f, g, xs, ys)
-    count = lhs.size
-    cols = [np.broadcast_to(t, lhs.shape).reshape(-1) for t in terms]
-    A = np.column_stack(cols)  # (pairs, 5): multipliers of alpha..delta, L
-    need = (1.0 + slack) * lhs.reshape(-1)
+    batch = _pair_batch(space, pair_source)
+
+    def margins(coefs):
+        return _margins(space, maps.S, maps.T, f, g, batch, coefs, 1.0 + slack)
+
+    def cuts(coefs, above):
+        """Each block's ``CUT_ROWS`` largest-margin rows [t1, .., t5, need] with margin above ``above``."""
+        for _, _, margin, need, terms in margins(coefs):
+            m = margin.reshape(-1)
+            top = np.argpartition(m, -CUT_ROWS)[-CUT_ROWS:] if m.size > CUT_ROWS else np.arange(m.size)
+            idx = np.unravel_index(top[m[top] > above], margin.shape)
+            yield np.column_stack([np.broadcast_to(t, margin.shape)[idx] for t in (*terms, need)])
+
+    def most_binding(coefs):
+        """The first pair whose shortfall is within ``ties`` of the worst, the worst, and the pair count."""
+        worst, _, count = _worst(margins(coefs))
+        for xs, ys, margin, *_ in margins(coefs):
+            hits = np.flatnonzero(margin.reshape(-1) >= worst - ties)
+            if hits.size:
+                return _pair_at(space, xs, ys, margin.shape, int(hits[0])), worst, count
 
     budget_row = np.array([1.0, 1.0, 1.0, 2.0, 0.0])
-
-    def most_binding(coefs: np.ndarray):
-        residual = need - A @ coefs
-        return _pair_at(space, xs, ys, lhs.shape, int(np.argmax(residual))), float(np.max(residual))
-
-    # phase 1: minimize the elastic excess s with  need - A@coefs <= s
-    A_ub = np.hstack([-A, -np.ones((A.shape[0], 1))])
-    A_ub = np.vstack([A_ub, np.append(budget_row, 0.0)])
-    b_ub = np.append(-need, 1.0 - margin)
     bounds = [(0.0, 1.0)] * 4 + [(0.0, None), (-1.0, None)]
-    res = linprog(c=np.array([0, 0, 0, 0, 0, 1.0]), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+    def phase1(rows):
+        # minimize the elastic excess s with  need - A@coefs <= s
+        A_ub = np.vstack([np.column_stack([-rows[:, :5], -np.ones(len(rows))]), np.append(budget_row, 0.0)])
+        b_ub = np.append(-rows[:, 5], 1.0 - margin)
+        return linprog(c=np.array([0, 0, 0, 0, 0, 1.0]), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+    def phase2(rows):
+        # smallest feasible tuple by coefficient sum
+        A_ub = np.vstack([-rows[:, :5], budget_row])
+        b_ub = np.append(-rows[:, 5], 1.0 - margin)
+        return linprog(c=np.ones(5), A_ub=A_ub, b_ub=b_ub, bounds=bounds[:5], method="highs")
+
+    def cutting_plane(solve, rows, bound):
+        """Solve on the working set ``rows`` ([A | need]) until a pass over all pairs adds no new row."""
+        while True:
+            res = solve(rows)
+            if not res.success:
+                return res, rows
+            grown = np.unique(np.vstack([rows, *cuts(res.x[:5], bound(res) + tolerance)]), axis=0)
+            if len(grown) == len(rows):
+                return res, rows
+            rows = grown
+
+    largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
+    res, rows = cutting_plane(phase1, largest_lhs, lambda r: r.x[-1])
     if not res.success:
         raise Infeasible("feasibility solve failed", binding_pair=None, margin=margin)
-    if res.x[-1] > max(tolerance, 1e-9):
-        pair, excess = most_binding(res.x[:5])
+    if res.x[-1] > ties:
+        pair, excess, count = most_binding(res.x[:5])
         raise Infeasible(
             f"no coefficient tuple covers all {count} pairs; most binding pair {pair} lacks {excess:.6g}",
             binding_pair=pair,
             margin=margin,
         )
 
-    # phase 2: smallest feasible tuple by coefficient sum
-    A2 = np.vstack([-A, budget_row])
-    b2 = np.append(-need, 1.0 - margin)
-    res2 = linprog(c=np.ones(5), A_ub=A2, b_ub=b2, bounds=bounds[:5], method="highs")
+    res2, _ = cutting_plane(phase2, rows, lambda r: 0.0)
     attempt = res2.x if res2.success else res.x[:5]
     for bump in (0.0, tolerance, 16.0 * tolerance):
         coefs = np.maximum(np.asarray(attempt, dtype=float), 0.0)
@@ -676,7 +761,7 @@ def synthesize_coefficients(
         report = check_condition(space, maps, candidate, pair_source, tolerance)
         if report.satisfied:
             return candidate
-    pair, excess = most_binding(np.maximum(np.asarray(attempt, dtype=float), 0.0))
+    pair, excess, _ = most_binding(np.maximum(np.asarray(attempt, dtype=float), 0.0))
     raise Infeasible(
         f"solved tuple failed re-verification; most binding pair {pair} lacks {excess:.6g}",
         binding_pair=pair,

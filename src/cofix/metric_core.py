@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .records import Record
+from .records import Record, as_int
 
 Point = Union[int, np.ndarray]
 
@@ -64,13 +64,19 @@ class MetricSpace:
             tab = self.table
             if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] < 1:
                 raise DomainError(f"distance table must be square and non-empty, got shape {tab.shape}")
-            if not np.all(np.isfinite(tab)):
+            # min and max propagate NaN and reach any infinity without an n x n mask
+            if not (np.isfinite(tab.min()) and np.isfinite(tab.max())):
                 raise DomainError("distance table contains non-finite entries")
             object.__setattr__(self, "dimension", None)
             object.__setattr__(self, "complete", True)
         elif self.flavor is Flavor.EUCLIDEAN_AFFINE:
-            if self.dimension is None or self.dimension < 1:
+            try:
+                dimension = as_int(self.dimension)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"Euclidean space needs an integer dimension, got {self.dimension!r}") from exc
+            if dimension < 1:
                 raise DomainError(f"Euclidean space needs a positive dimension, got {self.dimension}")
+            object.__setattr__(self, "dimension", dimension)
             object.__setattr__(self, "table", None)
         else:  # pragma: no cover - enum is closed
             raise DomainError(f"unknown flavor {self.flavor}")
@@ -82,7 +88,7 @@ class MetricSpace:
 
     @classmethod
     def euclidean(cls, dimension: int, complete: bool = True, eq_tol: float = 1e-9) -> "MetricSpace":
-        return cls(flavor=Flavor.EUCLIDEAN_AFFINE, dimension=int(dimension), complete=complete, eq_tol=eq_tol)
+        return cls(flavor=Flavor.EUCLIDEAN_AFFINE, dimension=dimension, complete=complete, eq_tol=eq_tol)
 
     @property
     def is_finite(self) -> bool:

@@ -1,10 +1,12 @@
 """Coefficient bounds, mapping containers, condition checks, and synthesis."""
 
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +40,7 @@ from cofix.errors import (
     Infeasible,
     NonInvertibleMapping,
 )
+from cofix.oracle import InstanceRecipe, MappingMode, MetricMode, generate_instance
 
 # labels 0, 1, 3, 7 with the absolute-difference metric; the step map
 # 7 -> 3 -> 1 -> 0 -> 0 satisfies the two-mapping condition with gamma = 1/2
@@ -256,6 +259,17 @@ class TestSampledPairs:
     def test_dict_roundtrip(self):
         src = SampledPairs(samples=7, seed=3, box=(-1.0, 4.0))
         assert SampledPairs.from_dict(src.to_dict()) == src
+
+    @pytest.mark.parametrize("samples, seed", [(64.7, 3), (5, 3.9), (5, None)])
+    def test_fractional_counts_and_seeds_are_refused(self, samples, seed):
+        # these used to construct and then raise TypeError from draw_pairs
+        with pytest.raises(DomainError):
+            SampledPairs(samples, seed)
+
+    def test_integral_floats_become_ints(self):
+        src = SampledPairs(64.0, 3.0)
+        assert (src.samples, src.seed) == (64, 3)
+        assert type(src.samples) is int and type(src.seed) is int
 
 
 class TestScalarRhs:
@@ -500,6 +514,7 @@ class TestRowBlocks:
         c = Coefficients(0.2, 0.1, 0.2, 0.05, 0.3)
         whole = check_condition(space, maps, c, src)
         monkeypatch.setattr(contraction, "BLOCK_PAIRS", 7)
+        monkeypatch.setattr(contraction, "EUCLIDEAN_BLOCK_PAIRS", 7)
         assert check_condition(space, maps, c, src) == whole
 
     def test_exhaustive_check_memory_stays_bounded(self):
@@ -518,6 +533,55 @@ class TestRowBlocks:
         assert rep.pairs_checked == n * n
         # one n x n float array is 30.5 MiB; the whole-grid evaluator held several
         assert peak < 32 * 2**20
+
+
+def _fancy_index_report(space, maps, c, pair_source=EXHAUSTIVE):
+    """Worst margin, pair and pair count from plain ``D[u, v]`` lookups over the whole batch.
+
+    The reference for the evaluator's row and column gathers.
+    """
+    D = space.table
+    xs, ys = contraction._pair_batch(space, pair_source)
+    f, g = maps.rhs_maps
+    fx = xs if f is None else f.table[xs]
+    gy = ys if g is None else g.table[ys]
+    Sx, Ty = maps.S.table[xs], maps.T.table[ys]
+    t1, t2, u1, u2 = D[fx, Sx], D[gy, Ty], D[gy, Sx], D[fx, Ty]
+    t5 = np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
+    margin = D[Sx, Ty] - (c.alpha * t1 + c.beta * t2 + c.gamma * D[fx, gy] + c.delta * (u1 + u2) + c.L * t5)
+    flat = int(np.argmax(margin))
+    return float(margin.flat[flat]), contraction._pair_at(space, xs, ys, margin.shape, flat), margin.size
+
+
+class TestGatheredGrid:
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_exhaustive_report_matches_fancy_indexing(self, monkeypatch, arity, n, one_row_blocks):
+        rng = np.random.default_rng([arity, n])
+        # asymmetric, with few distinct entries so that many pairs tie
+        space = MetricSpace.finite(rng.integers(0, 4, size=(n, n)) / 4.0)
+        S, T, f, g = (TableMapping(rng.integers(0, n, size=n)) for _ in range(4))
+        maps = MappingSet(S, T, *[f, g][: arity - 2], arity=arity)
+        c = Coefficients(0.2, 0.1, 0.15, 0.1, 0.4)
+        if one_row_blocks:
+            monkeypatch.setattr(contraction, "BLOCK_PAIRS", 1)
+        rep = check_condition(space, maps, c)
+        worst, pair, count = _fancy_index_report(space, maps, c)
+        assert (repr(rep.worst_margin), rep.worst_pair, rep.pairs_checked) == (repr(worst), pair, count)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_sampled_finite_report_matches_fancy_indexing(self, arity):
+        n = 50
+        rng = np.random.default_rng(arity)
+        space = MetricSpace.finite(rng.integers(0, 4, size=(n, n)) / 4.0)
+        S, T, f, g = (TableMapping(rng.integers(0, n, size=n)) for _ in range(4))
+        maps = MappingSet(S, T, *[f, g][: arity - 2], arity=arity)
+        c = Coefficients(0.2, 0.1, 0.15, 0.1, 0.4)
+        src = SampledPairs(3000, seed=arity)
+        rep = check_condition(space, maps, c, src)
+        worst, pair, count = _fancy_index_report(space, maps, c, src)
+        assert (repr(rep.worst_margin), rep.worst_pair, rep.pairs_checked) == (repr(worst), pair, count)
 
 
 class TestRangeInclusions:
@@ -628,6 +692,132 @@ class TestSynthesis:
         assert check_condition_two(space, double, double, c, src).satisfied
         fresh = check_condition_two(space, double, double, c, SampledPairs(50000, seed=77, box=(-2, 2)))
         assert not fresh.satisfied
+
+
+def dense_two_phase_lp(space, maps, pair_source=EXHAUSTIVE, margin=0.05):
+    """Both synthesis LPs over every pair at once, one dense row per pair.
+
+    The reference for the cutting-plane solves.  Returns the phase-1
+    coefficients and elastic excess, the phase-2 objective (None when that
+    solve fails), and the binding pair when the excess shows the LP
+    infeasible (else None).
+    """
+    batch, A, need = _dense_rows(space, maps, pair_source)
+    budget_row = np.array([1.0, 1.0, 1.0, 2.0, 0.0])
+    bounds = [(0.0, 1.0)] * 4 + [(0.0, None), (-1.0, None)]
+    A_ub = np.vstack([np.hstack([-A, -np.ones((A.shape[0], 1))]), np.append(budget_row, 0.0)])
+    b_ub = np.append(-need, 1.0 - margin)
+    res = scipy.optimize.linprog(c=np.array([0, 0, 0, 0, 0, 1.0]), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    pair = None
+    if res.x[-1] > max(space.default_tolerance, 1e-9):
+        pair = _binding_pair(space, batch, need - A @ res.x[:5])
+    A2 = np.vstack([-A, budget_row])
+    res2 = scipy.optimize.linprog(c=np.ones(5), A_ub=A2, b_ub=b_ub, bounds=bounds[:5], method="highs")
+    return res.x[:5], res.fun, res2.fun if res2.success else None, pair
+
+
+def _dense_rows(space, maps, pair_source):
+    """The batch (xs, ys, shape) with the LP's (pairs x 5) multipliers and its need vector."""
+    slack = 0.0 if pair_source == EXHAUSTIVE else 0.02
+    f, g = maps.rhs_maps
+    xs, ys = contraction._pair_batch(space, pair_source)
+    lhs, *terms = contraction._term_arrays(space, maps.S, maps.T, f, g, xs, ys)
+    A = np.column_stack([np.broadcast_to(t, lhs.shape).reshape(-1) for t in terms])
+    return (xs, ys, lhs.shape), A, (1.0 + slack) * lhs.reshape(-1)
+
+
+def _binding_pair(space, batch, shortfall):
+    """The first pair whose shortfall is within max(tolerance, 1e-9) of the worst."""
+    ties = max(space.default_tolerance, 1e-9)
+    return contraction._pair_at(space, *batch, int(np.flatnonzero(shortfall >= shortfall.max() - ties)[0]))
+
+
+def _generated_problem(arity, metric_mode, mapping_mode, seed):
+    recipe = InstanceRecipe(seed=seed, n=2 + (7 * seed + arity) % 30, arity=arity, metric_mode=metric_mode, mapping_mode=mapping_mode)
+    inst = generate_instance(recipe)
+    return inst.space, inst.maps, EXHAUSTIVE
+
+
+def _euclidean_problem(m, kind, seed):
+    rng = np.random.default_rng([m, seed])
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    scale = {"contraction": 0.6, "isometry": 1.0}[kind]
+    S = AffineMapping(scale * q, rng.uniform(-1.0, 1.0, size=m))
+    return MetricSpace.euclidean(m), MappingSet(S, S), SampledPairs(3000, seed=seed, box=(-5.0, 5.0))
+
+
+LP_PROBLEMS = [
+    (_generated_problem, arity, metric, mapping, seed)
+    for arity, metric, mapping, seed in itertools.product((2, 3, 4), MetricMode, MappingMode, range(4))
+] + [(_euclidean_problem, m, kind, seed) for m in (1, 3) for kind in ("contraction", "isometry") for seed in range(2)]
+
+
+class TestCuttingPlaneLP:
+    @pytest.mark.parametrize("problem", LP_PROBLEMS, ids=lambda p: "-".join(map(str, p[1:])))
+    def test_matches_the_dense_lp(self, monkeypatch, problem):
+        build, *args = problem
+        space, maps, src = build(*args)
+        coefs, excess, objective, pair = dense_two_phase_lp(space, maps, src)
+        solves = {5: [], 6: []}
+        linprog = scipy.optimize.linprog
+
+        def record(*a, **kw):
+            res = linprog(*a, **kw)
+            solves[len(kw["c"])].append(res)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", record)
+        try:
+            synthesize_coefficients(space, maps, src)
+            named = None
+        except Infeasible as exc:
+            named = exc.binding_pair
+        monkeypatch.undo()
+        phase1 = solves[6][-1]
+        assert abs(phase1.fun - excess) <= 1e-9
+        if pair is None:
+            assert named is None
+            assert solves[5][-1].success == (objective is not None)
+            if objective is not None:
+                assert abs(solves[5][-1].fun - objective) <= 1e-9
+        elif np.allclose(phase1.x[:5], coefs, rtol=0.0, atol=1e-9):
+            assert named == pair
+        else:
+            # a non-unique optimum: the two solves stopped at different optimal
+            # coefficients, so the tie rule is checked at the library's own
+            batch, A, need = _dense_rows(space, maps, src)
+            assert named == _binding_pair(space, batch, need - A @ phase1.x[:5])
+
+    def test_exhaustive_synthesis_memory_stays_bounded(self, monkeypatch):
+        n = 1000
+        rng = np.random.default_rng(0)
+        rho = rng.uniform(0.5, 8.0, size=n)
+        rho[0] = 0.0
+        tab = np.maximum.outer(rho, rho)
+        np.fill_diagonal(tab, 0.0)
+        # S moves each point to the one of largest rho at most half its own,
+        # so d(Sx, Sy) <= d(x, y) / 2 and the LP is feasible
+        order = np.argsort(rho)
+        S = TableMapping(order[np.searchsorted(rho[order], rho / 2.0, side="right") - 1])
+        space = MetricSpace.finite(tab)
+        rows = []
+        linprog = scipy.optimize.linprog
+
+        def record(*a, **kw):
+            rows.append(kw["A_ub"].shape[0])
+            return linprog(*a, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", record)
+        tracemalloc.start()
+        try:
+            c = synthesize_coefficients(space, MappingSet(S, S))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check_condition_two(space, S, S, c).satisfied
+        # the dense LP held a (pairs x 6) matrix: 46 MiB at a million pairs
+        assert peak < 32 * 2**20
+        assert sum(rows) < n * n // 100
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Metric space construction, point handling, and axiom verification."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ class TestFiniteSpace:
         bad = [[0.0, np.nan], [np.nan, 0.0]]
         with pytest.raises(DomainError):
             MetricSpace.finite(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raw_constructor_rejects_any_non_finite_entry(self, bad):
+        tab = np.zeros((3, 3))
+        tab[2, 1] = bad
+        with pytest.raises(DomainError):
+            MetricSpace.finite(tab)
+        with pytest.raises(DomainError):
+            MetricSpace(Flavor.FINITE_EXPLICIT, table=tab)
+
+    def test_finiteness_check_allocates_no_table_sized_mask(self):
+        n = 4000
+        tab = np.ones((n, n))  # 122 MiB; an n x n boolean mask would be 15.3 MiB
+        tracemalloc.start()
+        try:
+            MetricSpace(Flavor.FINITE_EXPLICIT, table=tab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_contains(self, path4):
         assert path4.contains(0)
@@ -114,6 +135,17 @@ class TestEuclideanSpace:
     def test_rejects_bad_dimension(self):
         with pytest.raises(DomainError):
             MetricSpace.euclidean(0)
+
+    @pytest.mark.parametrize("dimension", [2.5, None, "two"])
+    def test_rejects_non_integer_dimension(self, dimension):
+        # 2.5 used to be truncated to R^2
+        with pytest.raises(DomainError):
+            MetricSpace.euclidean(dimension)
+        with pytest.raises(DomainError):
+            MetricSpace(Flavor.EUCLIDEAN_AFFINE, dimension=dimension)
+
+    def test_integral_float_dimension_is_accepted(self):
+        assert MetricSpace.euclidean(3.0).dimension == 3
 
 
 class TestAxiomChecks:
