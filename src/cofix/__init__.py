@@ -8,6 +8,8 @@ ground truth (``oracle``), JSON problem files (``problem``), and a
 command line (``cli``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BoundViolation,
     CofixError,
@@ -83,6 +85,7 @@ from .reduction import (
     require_lift_agreement,
     solve_four,
     solve_four_coincidence,
+    solve_pipeline,
     solve_three,
     solve_three_coincidence,
 )
@@ -105,90 +108,5 @@ from .problem import Problem, as_problem, load_problem, problem_to_dict
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMapping",
-    "AffineSection",
-    "Arity",
-    "AxiomCheck",
-    "AxiomReport",
-    "BoundViolation",
-    "Coefficients",
-    "CofixError",
-    "CoincidenceClass",
-    "CoincidenceReport",
-    "CoincidenceSolutions",
-    "ConditionViolated",
-    "DomainError",
-    "EXHAUSTIVE",
-    "ExhaustiveOnInfinite",
-    "Flavor",
-    "FuzzSummary",
-    "GeneratedInstance",
-    "InclusionCheck",
-    "InclusionReport",
-    "InducedPair",
-    "Infeasible",
-    "InstanceRecipe",
-    "IterationTrace",
-    "LiftDisagreement",
-    "LiftMismatch",
-    "MappingMode",
-    "MappingSet",
-    "MetricMode",
-    "MetricSpace",
-    "NonInvertibleMapping",
-    "NonUniqueCoincidence",
-    "OracleResult",
-    "PipelineOptions",
-    "PipelineStatus",
-    "Point",
-    "PreconditionError",
-    "Problem",
-    "RangeInclusionFailure",
-    "RepairFailure",
-    "SampledPairs",
-    "SchemaError",
-    "SolveReport",
-    "SolveStatus",
-    "TableMapping",
-    "TableSection",
-    "UniquenessVerdict",
-    "ViolationReport",
-    "WeakCompatibility",
-    "apriori_error_bound",
-    "as_problem",
-    "check_condition",
-    "check_condition_four",
-    "check_condition_three",
-    "check_condition_two",
-    "check_range_inclusions",
-    "coincidence_points",
-    "enumerate_common_fixed_points",
-    "enumerate_fixed_points",
-    "generate_instance",
-    "identity_mapping",
-    "induce",
-    "injective_restriction",
-    "is_weakly_compatible",
-    "lift_to_common_fixed_point",
-    "load_problem",
-    "metric_closure_repair",
-    "oracle_summary",
-    "pair_coincidence_points",
-    "picard_solve",
-    "problem_to_dict",
-    "rate_constant",
-    "require_lift_agreement",
-    "rhs_four",
-    "rhs_three",
-    "rhs_two",
-    "run_fuzz",
-    "solve_four",
-    "solve_four_coincidence",
-    "solve_three",
-    "solve_three_coincidence",
-    "synthesize_coefficients",
-    "uniqueness_check",
-    "validate_coefficients",
-    "verify_metric_axioms",
-]
+# every public name imported above, submodules aside
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

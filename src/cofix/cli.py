@@ -29,15 +29,7 @@ from .errors import CofixError, DomainError, SchemaError
 from .metric_core import verify_metric_axioms
 from .oracle import MappingMode, MetricMode, oracle_summary, run_fuzz
 from .problem import Problem, load_problem, problem_to_dict
-from .reduction import (
-    PipelineOptions,
-    PipelineStatus,
-    induce,
-    solve_four,
-    solve_four_coincidence,
-    solve_three,
-    solve_three_coincidence,
-)
+from .reduction import PipelineOptions, PipelineStatus, induce, solve_pipeline
 from .solver import SolveStatus, picard_solve
 
 EXIT_OK = 0
@@ -147,8 +139,9 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.status == SolveStatus.CONVERGED else EXIT_FAILED
 
 
-def _cmd_solve_high(args, want_arity: Arity) -> int:
+def _cmd_solve_high(args) -> int:
     problem = load_problem(args.problem)
+    want_arity = args.want_arity
     if problem.maps.arity != want_arity:
         raise SchemaError(
             f"solve{int(want_arity)} handles {int(want_arity)} mappings; this problem has {int(problem.maps.arity)}"
@@ -160,10 +153,9 @@ def _cmd_solve_high(args, want_arity: Arity) -> int:
         keep_trace=args.trace,
         verify_hypotheses=not args.no_verify,
         pair_source=problem.pair_source,
+        stop_at_coincidence=args.coincidence_only,
     )
-    runners = {Arity.THREE: (solve_three, solve_three_coincidence), Arity.FOUR: (solve_four, solve_four_coincidence)}
-    mappings = [m for _, m in problem.maps.items()]
-    report = runners[want_arity][args.coincidence_only](problem.space, *mappings, problem.coefficients, x0, options)
+    report = solve_pipeline(problem.space, problem.maps, problem.coefficients, x0, options)
 
     if args.format == "human":
         print(f"status: {report.status}")
@@ -320,8 +312,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.fn is _cmd_solve_high:
-            return args.fn(args, args.want_arity)
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -260,7 +260,7 @@ def _verify_euclidean(space: MetricSpace, tolerance: float, samples: int, seed: 
     identity = AxiomCheck("identity", True, None, 0.0)
     ident_viol = np.array([space.distance(a[i], a[i]) for i in range(min(samples, 8))])
     if ident_viol.max(initial=0.0) > tolerance:  # pragma: no cover - analytically zero
-        identity = AxiomCheck("identity", False, (tuple(a[0]),), float(ident_viol.max()))
+        identity = AxiomCheck("identity", False, (tuple(a[0].tolist()),), float(ident_viol.max()))
 
     # negation is exact, so norms(b, a) equals dab bit for bit and stands in for it below
     symmetry = AxiomCheck("symmetry", True, None, 0.0)
@@ -269,14 +269,19 @@ def _verify_euclidean(space: MetricSpace, tolerance: float, samples: int, seed: 
     positivity = AxiomCheck("positivity", pos_ok, None, 0.0)
     if not pos_ok:  # pragma: no cover - measure-zero event
         i = int(np.argmin(dab))
-        positivity = AxiomCheck("positivity", False, (tuple(a[i]), tuple(b[i])), 0.0)
+        positivity = AxiomCheck("positivity", False, (tuple(a[i].tolist()), tuple(b[i].tolist())), 0.0)
 
-    # three rotations of the triangle inequality cover all orderings
+    # Three rotations of the triangle inequality cover all orderings.  Float
+    # rounding alone can make one positive: with u = eps / 2 each norm is off
+    # by at most (m + 4)·u / 2 relative (the difference twice through its
+    # square, the product, m - 1 additions, the sqrt) and each subtraction
+    # below by u·(d_ab + d_bc + d_ac), so a violation by (m + 8)·eps / 4 times
+    # that sum.  Past distances of about 1e7 this exceeds an absolute 1e-9.
     viols = np.stack([dac - dab - dbc, dab - dac - dbc, dbc - dab - dac])
-    r, i = np.unravel_index(int(np.argmax(viols)), viols.shape)
-    worst = float(viols[r, i])
-    ok = worst <= tolerance
-    triangle = AxiomCheck("triangle", bool(ok), None if ok else (tuple(a[i]), tuple(b[i]), tuple(c[i])), 0.0 if ok else worst)
+    excess = viols - (m + 8) * np.finfo(float).eps / 4 * (dab + dbc + dac)
+    r, i = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    ok = excess[r, i] <= tolerance
+    triangle = AxiomCheck("triangle", bool(ok), None if ok else tuple(tuple(p[i].tolist()) for p in (a, b, c)), 0.0 if ok else float(viols[r, i]))
 
     return AxiomReport(
         checks=(identity, symmetry, positivity, triangle),
@@ -311,6 +316,10 @@ def verify_metric_axioms(
         raise DomainError(f"tolerance must be non-negative, got {tolerance}")
     if space.is_finite:
         return _verify_finite(space, tolerance)
+    try:
+        samples, seed = as_int(samples), as_int(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"samples and seed must be integers, got {samples!r} and {seed!r}") from exc
     if samples < 1:
         raise DomainError("need at least one sample triple")
     return _verify_euclidean(space, tolerance, samples, seed, box)

@@ -387,7 +387,7 @@ def run_fuzz(
     some enumerated common fixed point, and condition violations are
     simply tallied.
     """
-    from .reduction import PipelineOptions, PipelineStatus, solve_four, solve_three
+    from .reduction import PipelineOptions, PipelineStatus, solve_pipeline
     from .solver import SolveStatus, picard_solve
 
     if count < 1:
@@ -439,9 +439,8 @@ def run_fuzz(
                 mismatches.append(recipe.seed)
         else:
             options = PipelineOptions(verify_hypotheses=False, keep_trace=False)
-            runner = solve_three if arity == Arity.THREE else solve_four
             try:
-                pipe = runner(space, *(m for _, m in maps.items()), c, None, options)
+                pipe = solve_pipeline(space, maps, c, None, options)
             except CofixError:
                 tallies["pipeline_errors"] += 1
                 if inst.anchor is not None:

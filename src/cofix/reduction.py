@@ -17,7 +17,7 @@ provided f(X) = g(X).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Optional, Union
@@ -352,14 +352,15 @@ class PipelineStatus(Enum):
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Knobs shared by the three- and four-mapping pipelines.
+    """Knobs of :func:`solve_pipeline`.
 
     ``verify_hypotheses`` controls whether the contractive condition is
     checked up front; switching it off trades the certificate for speed
     and leaves hypothesis failures to surface as solver statuses or lift
     errors.  ``pair_source`` feeds only the condition check, and Euclidean
     spaces need a SampledPairs source for it; range inclusions are decided
-    exactly without one.
+    exactly without one.  ``stop_at_coincidence`` ends the pipeline at the
+    coincidence point, before weak compatibility and the lift.
     """
 
     tol: Optional[float] = None
@@ -367,6 +368,7 @@ class PipelineOptions:
     keep_trace: bool = False
     verify_hypotheses: bool = True
     pair_source: PairSource = EXHAUSTIVE
+    stop_at_coincidence: bool = False
 
 
 @dataclass(frozen=True)
@@ -399,19 +401,34 @@ class CoincidenceReport(Record):
         return self.status == PipelineStatus.COMMON_FIXED_POINT
 
 
-def _run_pipeline(
+def solve_pipeline(
     space: MetricSpace,
     maps: MappingSet,
     c: Coefficients,
-    x0,
-    options: PipelineOptions,
-    *,
-    stop_at_coincidence: bool,
+    x0: Optional[Point] = None,
+    options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
+    """Common fixed point of a three- or four-mapping set via the induced pair.
+
+    Verifies the range inclusions S(X) within f(X) and T(X) within g(X)
+    (f again for three mappings, and f(X) = g(X) for four, so the induced
+    pair acts on one shared space) and, unless opted out, the contractive
+    condition.  It then solves the induced two-mapping problem from f(x0),
+    pulls the solution back to a coincidence point per side, and lifts
+    each through weak compatibility.  If a mapping fails to commute with
+    its companion at a coincidence point the report degrades to
+    COINCIDENCE_ONLY rather than erroring; ``options.stop_at_coincidence``
+    stops there on purpose, skipping the lifts.  With four mappings the two
+    lifts must agree; the guard raising LiftDisagreement is unreachable
+    when the verified hypotheses actually hold, since both lifts name the
+    unique common fixed point.
+    """
     stages: list[str] = []
     tol = options.tol if options.tol is not None else space.default_tolerance
 
     with _stage("validate", stages):
+        if maps.arity == Arity.TWO:
+            raise DomainError("the pipeline takes three or four mappings; solve two with picard_solve")
         maps.validate(space)
         if x0 is None:
             x0 = space.default_point()
@@ -487,7 +504,7 @@ def _run_pipeline(
             scan=scan,
         )
 
-    if stop_at_coincidence:
+    if options.stop_at_coincidence:
         return CoincidenceReport(status=PipelineStatus.COINCIDENCE_ONLY, stages=tuple(stages), **common)
 
     with _stage("weak_compatibility", stages):
@@ -519,16 +536,8 @@ def solve_three(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """Common fixed point of S, T, f via reduction to the induced pair.
-
-    Verifies range inclusions and (unless opted out) the three-mapping
-    condition, solves the induced two-mapping problem from f(x0), pulls
-    the solution back to a coincidence point, and lifts it through weak
-    compatibility.  If f fails to commute with S or T at a coincidence
-    point the report degrades to COINCIDENCE_ONLY rather than erroring.
-    """
-    maps = MappingSet(S=S, T=T, f=f, arity=Arity.THREE)
-    return _run_pipeline(space, maps, c, x0, options, stop_at_coincidence=False)
+    """:func:`solve_pipeline` for the three mappings S, T, f."""
+    return solve_pipeline(space, MappingSet(S=S, T=T, f=f, arity=Arity.THREE), c, x0, options)
 
 
 def solve_three_coincidence(
@@ -540,9 +549,8 @@ def solve_three_coincidence(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """Like solve_three but stops at the coincidence point, skipping the lift."""
-    maps = MappingSet(S=S, T=T, f=f, arity=Arity.THREE)
-    return _run_pipeline(space, maps, c, x0, options, stop_at_coincidence=True)
+    """:func:`solve_three` stopping at the coincidence point, skipping the lift."""
+    return solve_pipeline(space, MappingSet(S=S, T=T, f=f, arity=Arity.THREE), c, x0, replace(options, stop_at_coincidence=True))
 
 
 def solve_four(
@@ -555,16 +563,8 @@ def solve_four(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """Common fixed point of S, T, f, g with f paired to S and g paired to T.
-
-    Needs S(X) within f(X), T(X) within g(X), and matching images
-    f(X) = g(X) so the induced pair acts on one shared space.  The two
-    coincidence points are lifted independently and must agree; the guard
-    raising LiftDisagreement is unreachable when the verified hypotheses
-    actually hold, since both lifts name the unique common fixed point.
-    """
-    maps = MappingSet(S=S, T=T, f=f, g=g, arity=Arity.FOUR)
-    return _run_pipeline(space, maps, c, x0, options, stop_at_coincidence=False)
+    """:func:`solve_pipeline` for the four mappings S, T, f, g, with f paired to S and g to T."""
+    return solve_pipeline(space, MappingSet(S=S, T=T, f=f, g=g, arity=Arity.FOUR), c, x0, options)
 
 
 def solve_four_coincidence(
@@ -577,6 +577,5 @@ def solve_four_coincidence(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """Like solve_four but stops at the coincidence points, skipping the lifts."""
-    maps = MappingSet(S=S, T=T, f=f, g=g, arity=Arity.FOUR)
-    return _run_pipeline(space, maps, c, x0, options, stop_at_coincidence=True)
+    """:func:`solve_four` stopping at the coincidence points, skipping the lifts."""
+    return solve_pipeline(space, MappingSet(S=S, T=T, f=f, g=g, arity=Arity.FOUR), c, x0, replace(options, stop_at_coincidence=True))

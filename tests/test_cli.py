@@ -134,6 +134,23 @@ class TestCheck:
         assert data["condition"]["satisfied"] is True
         assert data["axioms"]["passed"] is True
 
+    def test_euclidean_problem_with_a_wide_sampling_box_passes(self, tmp_path, capsys):
+        # the axiom self-test samples the same box; at +-1e8 float rounding of
+        # the three norms exceeded an absolute 1e-9 and failed the triangle check
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 1},
+            "mappings": {
+                "arity": 2,
+                "S": {"type": "affine", "matrix": [[0.5]], "offset": [0.0]},
+                "T": {"type": "affine", "matrix": [[0.5]], "offset": [0.0]},
+            },
+            "coefficients": {"alpha": 0, "beta": 0, "gamma": 0.6, "delta": 0, "L": 0},
+            "pair_source": {"samples": 20000, "seed": 3, "box": [-1e8, 1e8]},
+        }
+        path = write_doc(tmp_path, "wide.json", doc)
+        assert cli.main(["check", path]) == cli.EXIT_OK
+        assert "axioms: pass" in capsys.readouterr().out
+
     def test_missing_file_exits_schema(self, capsys):
         assert cli.main(["check", "/no/such/file.json"]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("schema error:")
@@ -239,6 +256,26 @@ class TestSolveHigher:
     def test_four_mapping_pipeline(self, four_file, capsys):
         assert cli.main(["solve4", four_file]) == cli.EXIT_OK
         assert "common fixed point: 0" in capsys.readouterr().out
+
+    def test_four_mapping_coincidence_only(self, four_file, capsys):
+        assert cli.main(["solve4", four_file, "--coincidence-only", "--format", "structured"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "coincidence_only"
+        assert data["stages"][-1] == "coincidence"
+        assert data["point_of_coincidence"] == 0
+        assert data["common_fixed_point"] is None
+
+    def test_four_mapping_coincidence_only_accepts_degraded_instance(self, tmp_path, capsys):
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": PATH3},
+            "mappings": table_maps(4, S=[1, 1, 1], T=[1, 1, 1], f=[0, 0, 1], g=[0, 0, 1]),
+            "coefficients": ZERO_COEFS,
+        }
+        path = write_doc(tmp_path, "degrade4.json", doc)
+        assert cli.main(["solve4", path]) == cli.EXIT_FAILED
+        assert "INCOMPATIBLE" in capsys.readouterr().out
+        assert cli.main(["solve4", path, "--coincidence-only"]) == cli.EXIT_OK
+        assert "point of coincidence: 1" in capsys.readouterr().out
 
     def test_arity_mismatch_exits_schema(self, halving_file, capsys):
         assert cli.main(["solve3", halving_file]) == cli.EXIT_SCHEMA

@@ -232,6 +232,34 @@ class TestAxiomChecks:
         with pytest.raises(DomainError):
             verify_metric_axioms(sp, samples=0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("half_width", [1e8, 1e10, 1e12])
+    def test_euclidean_triangle_allows_float_rounding(self, m, half_width):
+        # seed 3, m = 1, +-1e8 failed by 2.98e-8 against the absolute 1e-9
+        for seed in range(4):
+            rep = verify_metric_axioms(MetricSpace.euclidean(m), samples=20000, seed=seed, box=(-half_width, half_width))
+            assert rep.check("triangle").to_dict() == {"name": "triangle", "passed": True, "witness": None, "magnitude": 0.0}
+
+    def test_euclidean_witness_is_plain_floats(self):
+        # squared distances overflow past ~1e154, so the check cannot confirm
+        # the inequality and names a triple
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = verify_metric_axioms(MetricSpace.euclidean(2), samples=4, seed=0, box=(-1e200, 1e200))
+        witness = rep.check("triangle").witness
+        assert len(witness) == 3
+        assert all(type(v) is float for point in witness for v in point)
+        assert "np.float64" not in repr(witness)
+
+    def test_euclidean_sample_count_and_seed_follow_the_integer_rule(self):
+        sp = MetricSpace.euclidean(2)
+        rep = verify_metric_axioms(sp, samples=3.0, seed=2.0)
+        assert (rep.samples, rep.seed) == (3, 2)
+        assert type(rep.samples) is int and type(rep.seed) is int
+        assert rep.to_dict() == verify_metric_axioms(sp, samples=3, seed=2).to_dict()
+        for kwargs in ({"samples": 2.5}, {"seed": 1.5}, {"seed": None}):
+            with pytest.raises(DomainError, match="must be integers"):
+                verify_metric_axioms(sp, **kwargs)
+
     def test_report_roundtrip(self, path4):
         rep = verify_metric_axioms(path4)
         d = rep.to_dict()

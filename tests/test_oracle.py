@@ -309,7 +309,7 @@ class TestRunFuzz:
         def broken(*args, **kwargs):
             raise TypeError("bug inside the pipeline")
 
-        monkeypatch.setattr(cofix.reduction, "solve_three", broken)
+        monkeypatch.setattr(cofix.reduction, "solve_pipeline", broken)
         with pytest.raises(TypeError, match="bug inside the pipeline"):
             run_fuzz(3, seed=200, arity=Arity.THREE, n_max=6)
 

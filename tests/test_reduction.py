@@ -1,6 +1,7 @@
 """Sections, induced pairs, weak compatibility, lifting, and the pipelines."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from cofix import (
     Coefficients,
     CoincidenceReport,
     CoincidenceSolutions,
+    InstanceRecipe,
+    MappingMode,
     MappingSet,
+    MetricMode,
     MetricSpace,
     PipelineOptions,
     PipelineStatus,
@@ -21,6 +25,7 @@ from cofix import (
     WeakCompatibility,
     check_range_inclusions,
     coincidence_points,
+    generate_instance,
     identity_mapping,
     induce,
     injective_restriction,
@@ -29,10 +34,13 @@ from cofix import (
     pair_coincidence_points,
     require_lift_agreement,
     solve_four,
+    solve_four_coincidence,
+    solve_pipeline,
     solve_three,
     solve_three_coincidence,
 )
 from cofix.errors import (
+    CofixError,
     ConditionViolated,
     DomainError,
     ExhaustiveOnInfinite,
@@ -455,3 +463,78 @@ def test_pipeline_options_defaults():
     assert not opts.keep_trace
     assert opts.verify_hypotheses
     assert opts.pair_source == "exhaustive"
+
+
+class TestFourMappingCoincidence:
+    def test_stops_before_the_lifts(self):
+        S = TableMapping([0, 0, 0])
+        f = TableMapping([0, 2, 1])
+        rep = solve_four_coincidence(PATH3, S, S, f, identity_mapping(3), Coefficients(0, 0, 0.5, 0))
+        assert rep.status == PipelineStatus.COINCIDENCE_ONLY
+        assert rep.stages == ("validate", "inclusions", "condition", "induce", "solve", "coincidence")
+        assert rep.point_of_coincidence == 0
+        assert rep.coincidence_points == (0, 0)
+        assert rep.common_fixed_point is None
+        assert rep.weak_compatibility == ()
+
+    def test_accepts_an_instance_whose_lift_is_blocked(self):
+        maps = (DEGRADE_S, DEGRADE_S, DEGRADE_F, DEGRADE_F)
+        assert solve_four(PATH3, *maps, Coefficients(0, 0, 0, 0)).status == PipelineStatus.COINCIDENCE_ONLY
+        rep = solve_four_coincidence(PATH3, *maps, Coefficients(0, 0, 0, 0))
+        assert rep.status == PipelineStatus.COINCIDENCE_ONLY
+        assert rep.point_of_coincidence == 1
+        assert rep.coincidence_points == (2, 2)
+
+
+# the arity-named shorthands, keyed by (arity, stop_at_coincidence)
+NAMED = {
+    (3, False): solve_three,
+    (3, True): solve_three_coincidence,
+    (4, False): solve_four,
+    (4, True): solve_four_coincidence,
+}
+
+
+def _outcome(call):
+    """A run's report, or the type, message and stage of the error it raised."""
+    try:
+        return call().to_dict()
+    except CofixError as exc:
+        return type(exc), str(exc), exc.stage
+
+
+def _assert_named_entry_matches(space, maps, c, x0, options):
+    """solve_pipeline and the named entry for its arity and stop flag agree."""
+    named = NAMED[int(maps.arity), options.stop_at_coincidence]
+    mappings = [m for _, m in maps.items()]
+    expected = _outcome(lambda: named(space, *mappings, c, x0, replace(options, stop_at_coincidence=False)))
+    assert _outcome(lambda: solve_pipeline(space, maps, c, x0, options)) == expected
+
+
+class TestSolvePipeline:
+    @pytest.mark.parametrize("stop", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mapping_mode", list(MappingMode))
+    @pytest.mark.parametrize("metric_mode", list(MetricMode))
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_named_entries_agree_on_generated_instances(self, arity, metric_mode, mapping_mode, seed, stop):
+        recipe = InstanceRecipe(seed=seed, n=3 + 4 * seed, arity=arity, metric_mode=metric_mode, mapping_mode=mapping_mode)
+        inst = generate_instance(recipe)
+        for verify in (True, False):
+            opts = PipelineOptions(verify_hypotheses=verify, stop_at_coincidence=stop)
+            _assert_named_entry_matches(inst.space, inst.maps, inst.coefficients, None, opts)
+
+    @pytest.mark.parametrize("stop", [False, True])
+    @pytest.mark.parametrize("lam", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_named_entries_agree_on_affine_problems(self, arity, lam, stop):
+        for seed in range(3):
+            space, maps, x0 = _scaled_problem(seed, 1 + seed, lam, arity)
+            opts = PipelineOptions(pair_source=SampledPairs(200, seed, (-lam, lam)), stop_at_coincidence=stop)
+            _assert_named_entry_matches(space, maps, Coefficients(0, 0, 0.9, 0), x0, opts)
+
+    def test_rejects_two_mappings_before_any_check(self):
+        S = TableMapping([0, 0, 0])
+        with pytest.raises(DomainError, match="three or four mappings") as info:
+            solve_pipeline(PATH3, MappingSet(S, S), Coefficients(0, 0, 0.5, 0))
+        assert info.value.stage == "validate"
