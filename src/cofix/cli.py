@@ -55,7 +55,6 @@ def _parse_x0(problem: Problem, raw: Optional[str]):
 
 def _cmd_check(args) -> int:
     problem = load_problem(args.problem)
-    tol = args.tol
     source = problem.pair_source
     if isinstance(source, SampledPairs):
         axioms = verify_metric_axioms(
@@ -66,8 +65,8 @@ def _cmd_check(args) -> int:
         )
     else:
         axioms = verify_metric_axioms(problem.space)
-    condition = check_condition(problem.space, problem.maps, problem.coefficients, source, tol)
-    inclusions = check_range_inclusions(problem.space, problem.maps, tolerance=tol)
+    condition = check_condition(problem.space, problem.maps, problem.coefficients, source, args.tol)
+    inclusions = check_range_inclusions(problem.space, problem.maps, tolerance=args.tol)
     passed = axioms.passed and condition.satisfied and inclusions.holds
 
     if args.format == "human":

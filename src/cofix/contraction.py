@@ -44,7 +44,7 @@ from .errors import (
     Infeasible,
     NonInvertibleMapping,
 )
-from .metric_core import MetricSpace, Point
+from .metric_core import MetricSpace, Point, sampling_box
 from .records import Record, as_int
 
 EXHAUSTIVE = "exhaustive"
@@ -303,10 +303,7 @@ class SampledPairs(Record):
         if self.samples < 1:
             raise DomainError(f"need at least one sample, got {self.samples}")
         if self.box is not None:
-            lo, hi = float(self.box[0]), float(self.box[1])
-            if not lo < hi:
-                raise DomainError(f"sampling box must have lo < hi, got {self.box}")
-            object.__setattr__(self, "box", (lo, hi))
+            object.__setattr__(self, "box", sampling_box(self.box))
 
     def draw_pairs(self, space: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
@@ -315,7 +312,7 @@ class SampledPairs(Record):
             return pairs[:, 0], pairs[:, 1]
         if self.box is None:
             raise DomainError("sampling a Euclidean space needs a bounding box")
-        lo, hi = self.box
+        lo, hi = sampling_box(self.box, space.dimension)
         pts = rng.uniform(lo, hi, size=(self.samples, 2, space.dimension))
         return pts[:, 0, :], pts[:, 1, :]
 
@@ -493,8 +490,7 @@ def _worst(margins):
 
 def _evaluate_condition(space, S, T, f, g, c, pair_source, tolerance, label) -> ViolationReport:
     c = validate_coefficients(c)
-    if tolerance is None:
-        tolerance = space.default_tolerance
+    tolerance = space.slack(tolerance)
     worst, at, count = _worst(_margins(space, S, T, f, g, _pair_batch(space, pair_source), c.as_tuple()))
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
@@ -518,11 +514,7 @@ def check_condition_two(
     pair_source: PairSource = EXHAUSTIVE,
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
-    """Check the two-mapping condition over the pair source.
-
-    Default tolerance follows the space flavor: 1e-12 on finite tables,
-    1e-9 on Euclidean spaces.
-    """
+    """Check the two-mapping condition over the pair source (``tolerance`` per ``space.slack``)."""
     return _evaluate_condition(space, S, T, None, None, c, pair_source, tolerance, "two")
 
 
@@ -631,8 +623,7 @@ def check_range_inclusions(
     :func:`_affine_inclusion` with ``tolerance`` as its relative slack.
     """
     maps.validate(space)
-    if tolerance is None:
-        tolerance = space.default_tolerance
+    tolerance = space.slack(tolerance)
     within = _finite_inclusion if space.is_finite else partial(_affine_inclusion, tol=tolerance)
     checks = [within(m, comp, f"{label}(X) within {tag}(X)") for label, m, tag, comp in maps.sides if comp is not None]
     (*_, f_tag, f), (*_, g_tag, g) = maps.sides
@@ -684,8 +675,7 @@ def synthesize_coefficients(
     maps.validate(space)
     if slack is None:
         slack = 0.0 if (pair_source == EXHAUSTIVE or pair_source is None) else 0.02
-    if tolerance is None:
-        tolerance = space.default_tolerance
+    tolerance = space.slack(tolerance)
 
     # shortfalls this close to the worst are ties: the solve is no more exact than that
     ties = max(tolerance, 1e-9)

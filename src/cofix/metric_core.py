@@ -18,6 +18,7 @@ pure function of its inputs, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
@@ -46,16 +47,14 @@ class MetricSpace:
     """A metric space of one of the two supported flavors.
 
     Construct through :meth:`finite` or :meth:`euclidean`; the raw
-    constructor performs only structural validation.  ``eq_tol`` is the
-    tolerance used when comparing real-coordinate points for equality;
-    finite points are compared by exact index.
+    constructor performs only structural validation.  Whether two points
+    are the same is decided by :meth:`slack`.
     """
 
     flavor: Flavor
     table: Optional[np.ndarray] = None
     dimension: Optional[int] = None
     complete: bool = True
-    eq_tol: float = 1e-9
 
     def __post_init__(self):
         if self.flavor is Flavor.FINITE_EXPLICIT:
@@ -82,13 +81,13 @@ class MetricSpace:
             raise DomainError(f"unknown flavor {self.flavor}")
 
     @classmethod
-    def finite(cls, table, eq_tol: float = 1e-9) -> "MetricSpace":
+    def finite(cls, table) -> "MetricSpace":
         """Build a finite space from a square distance table (any array-like)."""
-        return cls(flavor=Flavor.FINITE_EXPLICIT, table=_readonly(np.asarray(table, dtype=float)), eq_tol=eq_tol)
+        return cls(flavor=Flavor.FINITE_EXPLICIT, table=_readonly(np.asarray(table, dtype=float)))
 
     @classmethod
-    def euclidean(cls, dimension: int, complete: bool = True, eq_tol: float = 1e-9) -> "MetricSpace":
-        return cls(flavor=Flavor.EUCLIDEAN_AFFINE, dimension=dimension, complete=complete, eq_tol=eq_tol)
+    def euclidean(cls, dimension: int, complete: bool = True) -> "MetricSpace":
+        return cls(flavor=Flavor.EUCLIDEAN_AFFINE, dimension=dimension, complete=complete)
 
     @property
     def is_finite(self) -> bool:
@@ -101,10 +100,24 @@ class MetricSpace:
             raise DomainError("only finite spaces have a point count")
         return self.table.shape[0]
 
-    @property
-    def default_tolerance(self) -> float:
-        """Flavor default used by condition checks and the solver stop rule."""
-        return 1e-12 if self.is_finite else 1e-9
+    def slack(self, tol: Optional[float] = None, *points: Point, scale: float = 0.0) -> float:
+        """The "same point?" rule: points at most this far apart are the same point.
+
+        ``tol`` defaults to 1e-12 on finite spaces and 1e-9 on R^m; a NaN,
+        infinite or negative one raises DomainError.  Finite spaces compare
+        exactly: the slack is ``tol``.  On R^m it is tol + (m + 2)·eps·s, s the
+        sum of ``scale`` and the norms of ``points``: a coordinate of an affine
+        map is an inner product of length m + 1, off by about (m + 1)·u times
+        the magnitudes involved (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., §3.1), and a distance adds one rounding more.
+        """
+        tol = (1e-12 if self.is_finite else 1e-9) if tol is None else float(tol)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
+        if self.is_finite:
+            return tol
+        scale += sum(float(np.linalg.norm(p)) for p in points)
+        return tol + (self.dimension + 2) * np.finfo(float).eps * scale
 
     def default_point(self) -> Point:
         """The start point used when none is given: index 0, or the origin of R^m."""
@@ -132,14 +145,6 @@ class MetricSpace:
             return float(self.table[a, b])
         return float(np.linalg.norm(a - b))
 
-    def points_equal(self, a: Point, b: Point) -> bool:
-        """Exact index equality on finite spaces, ``eq_tol`` ball otherwise."""
-        a = self._check_point(a)
-        b = self._check_point(b)
-        if self.is_finite:
-            return a == b
-        return float(np.linalg.norm(a - b)) <= self.eq_tol
-
     def canonicalize(self, p: Point):
         """Plain-Python form of a point (int, or tuple of floats) for reports."""
         p = self._check_point(p)
@@ -154,6 +159,20 @@ class MetricSpace:
                 raise DomainError(f"point {p!r} is not an index of this finite space")
             return self._check_point(int(p))
         return self._check_point(np.asarray(p, dtype=float))
+
+
+def sampling_box(box: tuple[float, float], dimension: int = 1) -> tuple[float, float]:
+    """A sampling box as floats; DomainError unless lo < hi and squared distances in R^dimension stay finite.
+
+    Squares past about 1e154 overflow and margins read NaN; capping sqrt(m)
+    times the box's reach at 1e150 leaves mappings room to stretch it 1000-fold.
+    """
+    lo, hi = float(box[0]), float(box[1])
+    if not lo < hi:
+        raise DomainError(f"sampling box must have lo < hi, got {box}")
+    if max(abs(lo), abs(hi)) * math.sqrt(dimension) > 1e150:
+        raise DomainError(f"sampling box {box} is too wide: squared distances in R^{dimension} would overflow")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -244,32 +263,17 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
 
 
 def _verify_euclidean(space: MetricSpace, tolerance: float, samples: int, seed: int, box: tuple[float, float]) -> AxiomReport:
-    lo, hi = float(box[0]), float(box[1])
-    if not lo < hi:
-        raise DomainError(f"sampling box must have lo < hi, got {box}")
+    lo, hi = sampling_box(box, space.dimension)
     rng = np.random.default_rng(seed)
     m = space.dimension
     pts = rng.uniform(lo, hi, size=(samples, 3, m))
     a, b, c = pts[:, 0, :], pts[:, 1, :], pts[:, 2, :]
+    dab, dbc, dac = (np.linalg.norm(u - v, axis=1) for u, v in ((a, b), (b, c), (a, c)))
 
-    def norms(u, v):
-        return np.linalg.norm(u - v, axis=1)
-
-    dab, dbc, dac = norms(a, b), norms(b, c), norms(a, c)
-
-    identity = AxiomCheck("identity", True, None, 0.0)
-    ident_viol = np.array([space.distance(a[i], a[i]) for i in range(min(samples, 8))])
-    if ident_viol.max(initial=0.0) > tolerance:  # pragma: no cover - analytically zero
-        identity = AxiomCheck("identity", False, (tuple(a[0].tolist()),), float(ident_viol.max()))
-
-    # negation is exact, so norms(b, a) equals dab bit for bit and stands in for it below
-    symmetry = AxiomCheck("symmetry", True, None, 0.0)
-
-    pos_ok = bool(np.all((dab > 0.0) | (dab == 0.0)))
-    positivity = AxiomCheck("positivity", pos_ok, None, 0.0)
-    if not pos_ok:  # pragma: no cover - measure-zero event
-        i = int(np.argmin(dab))
-        positivity = AxiomCheck("positivity", False, (tuple(a[i].tolist()), tuple(b[i].tolist())), 0.0)
+    # x - x is exactly 0 and negation is exact, so d(b, a) equals d(a, b) bit for
+    # bit; the box cap keeps every norm finite, hence non-negative.  Identity,
+    # symmetry and positivity hold on any sample; only the triangle is sampled.
+    identity, symmetry, positivity = (AxiomCheck(name, True, None, 0.0) for name in ("identity", "symmetry", "positivity"))
 
     # Three rotations of the triangle inequality cover all orderings.  Float
     # rounding alone can make one positive: with u = eps / 2 each norm is off
@@ -310,10 +314,7 @@ def verify_metric_axioms(
     numeric self-test.  The failure report names the violating pair or
     triple and the violation magnitude.
     """
-    if tolerance is None:
-        tolerance = 0.0 if space.is_finite else 1e-9
-    if tolerance < 0:
-        raise DomainError(f"tolerance must be non-negative, got {tolerance}")
+    tolerance = space.slack(0.0 if tolerance is None and space.is_finite else tolerance)
     if space.is_finite:
         return _verify_finite(space, tolerance)
     try:

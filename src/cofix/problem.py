@@ -19,6 +19,10 @@ their pair_source must be an object {"samples", "seed", "box"}.  The
 "solver" and "metadata" blocks are optional.  Anything structurally wrong
 raises SchemaError, which the command line reports as exit code 2, and so
 does a fractional integer such as ``2.5`` (``2.0`` reads as 2).
+
+A "solver" ``tol`` follows the one tolerance rule, :meth:`MetricSpace.slack`:
+it must be finite and non-negative, and Euclidean spaces add their rounding
+to it.  The space block has no tolerance; an old ``"eq_tol"`` key is ignored.
 """
 
 from __future__ import annotations
@@ -79,23 +83,14 @@ def _space_from_dict(doc: dict) -> MetricSpace:
         raise SchemaError(f"unknown space flavor {flavor!r}") from None
     if flavor == Flavor.FINITE_EXPLICIT:
         table = _require(doc, "table", "space")
-        return MetricSpace.finite(np.array(table, dtype=float), eq_tol=float(doc.get("eq_tol", 1e-9)))
-    return MetricSpace.euclidean(
-        as_int(_require(doc, "dimension", "space")),
-        complete=bool(doc.get("complete", True)),
-        eq_tol=float(doc.get("eq_tol", 1e-9)),
-    )
+        return MetricSpace.finite(np.array(table, dtype=float))
+    return MetricSpace.euclidean(as_int(_require(doc, "dimension", "space")), complete=bool(doc.get("complete", True)))
 
 
 def _space_to_dict(space: MetricSpace) -> dict:
     if space.is_finite:
-        return {"flavor": space.flavor.value, "table": space.table.tolist(), "eq_tol": space.eq_tol}
-    return {
-        "flavor": space.flavor.value,
-        "dimension": space.dimension,
-        "complete": space.complete,
-        "eq_tol": space.eq_tol,
-    }
+        return {"flavor": space.flavor.value, "table": space.table.tolist()}
+    return {"flavor": space.flavor.value, "dimension": space.dimension, "complete": space.complete}
 
 
 def _mapping_from_dict(doc: dict, label: str):
@@ -175,7 +170,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
             coefficients=coefficients,
             pair_source=pair_source,
             x0=x0,
-            tol=float(solver["tol"]) if solver.get("tol") is not None else None,
+            tol=space.slack(solver["tol"]) if solver.get("tol") is not None else None,
             max_iters=as_int(solver.get("max_iters", 10000)),
             metadata=doc.get("metadata") or {},
         )

@@ -239,16 +239,18 @@ class WeakCompatibility(Record):
 
 
 def _affine_coincidence_basis(A: AffineMapping, B: AffineMapping, tol: float):
-    """Particular solution and nullspace basis of A(x) = B(x), or None."""
+    """Particular solution, nullspace basis and condition number of A(x) = B(x), or None."""
     M = A.matrix - B.matrix
     rhs = B.offset - A.offset
     x0, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    # one step of iterative refinement: lstsq alone left x0 up to 300·eps·|x0| off
+    x0 += np.linalg.lstsq(M, rhs - M @ x0, rcond=None)[0]
     if np.linalg.norm(M @ x0 - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
         return None
     _, s, vt = np.linalg.svd(M)
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-12)) if s.size else 0
     null = vt[rank:].T
-    return x0, null
+    return x0, null, s[0] / s[rank - 1] if rank else 1.0
 
 
 def is_weakly_compatible(
@@ -266,8 +268,7 @@ def is_weakly_compatible(
     affine identity on it, so checking one particular solution plus the
     action of the commutator on the nullspace directions settles it.
     """
-    if tol is None:
-        tol = space.default_tolerance
+    tol = space.slack(tol)
     if space.is_finite:
         pts = pair_coincidence_points(space, A, B)
         if not pts:
@@ -280,9 +281,10 @@ def is_weakly_compatible(
     basis = _affine_coincidence_basis(A, B, tol)
     if basis is None:
         return WeakCompatibility(pair=names, compatible=True, vacuous=True, checked=0)
-    x0, null = basis
-    gap = float(np.linalg.norm(A(B(x0)) - B(A(x0))))
-    if gap > tol:
+    x0, null, cond = basis
+    ab, ba = A(B(x0)), B(A(x0))
+    # x0 solves a linear system, so its rounding is amplified by the condition number
+    if space.distance(ab, ba) > space.slack(tol, ab, ba, scale=cond * float(np.linalg.norm(x0))):
         return WeakCompatibility(
             pair=names, compatible=False, vacuous=False, witness=tuple(float(v) for v in x0), checked=1
         )
@@ -312,31 +314,28 @@ def lift_to_common_fixed_point(
 
     With v = companion(u) the point of coincidence, weak compatibility
     transfers the agreement one level up: primary(v) must equal
-    companion(v), and both must land back on v.  Returns v; raises
-    LiftMismatch naming whichever of the two checks failed.
+    companion(v), and both must land back on v, up to ``space.slack``.
+    Returns v; raises LiftMismatch naming whichever check failed.
     """
-    if tol is None:
-        tol = space.default_tolerance
     space._check_point(u)
     v = companion(u)
-    w = primary(v)
-    if space.distance(w, companion(v)) > tol:
+    w, cv = primary(v), companion(v)
+    slack = space.slack(tol, v, w, cv)
+    gap = float(space.distance(w, cv))
+    if gap > slack:
         raise LiftMismatch(
-            f"mappings disagree at the lifted point (gap {float(space.distance(w, companion(v))):.6g}); "
-            "weak compatibility did not transfer"
+            f"mappings disagree at the lifted point (gap {gap:.6g}); weak compatibility did not transfer"
         )
-    worst = max(float(space.distance(w, v)), float(space.distance(companion(v), v)))
-    if worst > tol:
+    worst = max(float(space.distance(w, v)), float(space.distance(cv, v)))
+    if worst > slack:
         raise LiftMismatch(f"lifted point moves by {worst:.6g} and is not a common fixed point")
     return v
 
 
 def require_lift_agreement(space: MetricSpace, z1: Point, z2: Point, *, tol: Optional[float] = None) -> Point:
     """Guard that two independently lifted points are the same point."""
-    if tol is None:
-        tol = space.default_tolerance
     gap = float(space.distance(z1, z2))
-    if gap > tol:
+    if gap > space.slack(tol, z1, z2):
         raise LiftDisagreement(f"lifted points differ by {gap:.6g}")
     return z1
 
@@ -424,9 +423,9 @@ def solve_pipeline(
     unique common fixed point.
     """
     stages: list[str] = []
-    tol = options.tol if options.tol is not None else space.default_tolerance
 
     with _stage("validate", stages):
+        tol = space.slack(options.tol)
         if maps.arity == Arity.TWO:
             raise DomainError("the pipeline takes three or four mappings; solve two with picard_solve")
         maps.validate(space)
@@ -475,6 +474,9 @@ def solve_pipeline(
     )
     if solve_report.status != SolveStatus.CONVERGED:
         return CoincidenceReport(status=PipelineStatus.SOLVER_FAILED, stages=tuple(stages), **common)
+    # the solve's residual r leaves its point within r / (1 - k) of the limit,
+    # and each mapping a later test compares can carry a point that far again
+    solved_tol = tol + 2.0 * max(solve_report.residuals) / (1.0 - solve_report.rate)
 
     with _stage("coincidence", stages):
         w = space.materialize(solve_report.point)
@@ -482,15 +484,16 @@ def solve_pipeline(
         us = [section.pull_back(w) for section in (induced.section_s, induced.section_t)]
         for u, (_, m, _, companion) in zip(us, maps.sides):
             for h in (m, companion):
-                moved = float(space.distance(h(u), w))
-                if moved > tol:
+                hu = h(u)
+                moved = float(space.distance(hu, w))
+                if moved > space.slack(solved_tol, hu, w):
                     raise NonUniqueCoincidence(
                         f"pulled-back point is not a coincidence point: image moves by {moved:.6g}"
                     )
         scan = None
         if space.is_finite:
             scan = coincidence_points(space, maps)
-            values_off = [v for v in scan.values if float(space.distance(space.materialize(v), w)) > tol]
+            values_off = [v for v in scan.values if float(space.distance(space.materialize(v), w)) > space.slack(solved_tol)]
             if values_off:
                 raise NonUniqueCoincidence(
                     f"coincidence values {sorted(set(values_off))} disagree with the solved value "
@@ -518,10 +521,10 @@ def solve_pipeline(
 
     with _stage("lift", stages):
         lifted = [
-            lift_to_common_fixed_point(space, m, companion, u, tol=tol)
+            lift_to_common_fixed_point(space, m, companion, u, tol=solved_tol)
             for u, (_, m, _, companion) in zip(us, maps.sides)
         ]
-        z = require_lift_agreement(space, *lifted, tol=tol)
+        z = require_lift_agreement(space, *lifted, tol=solved_tol)
         common.update(common_fixed_point=space.canonicalize(z))
 
     return CoincidenceReport(status=PipelineStatus.COMMON_FIXED_POINT, stages=tuple(stages), **common)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError, PreconditionError
 from .metric_core import MetricSpace, Point
 from .contraction import Coefficients, validate_coefficients
@@ -90,11 +92,12 @@ class SolveReport(Record):
 
     ``point`` is the final iterate, canonicalized for serialization; it is
     the certified common fixed point only when ``status`` is CONVERGED, in
-    which case both ``residuals`` (d(z, Sz), d(z, Tz)) passed the
-    tolerance.  ``apriori_bounds[i]`` bounds the distance from points[i]
-    to the limit, valid whenever the contractive condition actually holds.
+    which case both ``residuals`` (d(z, Sz), d(z, Tz)) passed the slack;
+    ``tolerance`` is the ``tol`` asked for, without ``space.slack``'s
+    rounding allowance.  ``apriori_bounds[i]`` bounds the distance from
+    points[i] to the limit, valid whenever the contractive condition holds.
     ``violation_index`` on RATE_VIOLATED names the gap that broke the
-    guaranteed ratio steps[i] <= k * steps[i-1] + tol, or the largest gap
+    guaranteed ratio steps[i] <= k * steps[i-1] + slack, or the largest gap
     of a detected non-contracting cycle; it is None when the failure
     surfaced as a stalled orbit whose endpoint residuals never passed.
     """
@@ -135,22 +138,20 @@ def picard_solve(
     must shrink along with the gaps.  Every consecutive gap is checked
     against the guaranteed ratio k, and on finite spaces a revisited
     (point, parity) state exposes cycles the ratio guard is too slack to
-    see.  Hypothesis failures surface as report statuses, not exceptions.
+    see.  Each test allows ``space.slack`` at 2 / (1 - k) times the orbit's
+    a-priori radius ||x|| + 2 * d(x, next x) / (1 - k) around its current
+    point x, taken at the start and whenever the stop test fires.
+    Hypothesis failures surface as report statuses, not exceptions.
     """
     validate_coefficients(c)
     if max_iters < 1:
         raise DomainError(f"need at least one iteration, got {max_iters}")
     space._check_point(x0)
-    if tol is None:
-        tol = space.default_tolerance
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    tol = space.slack(tol)
+    if tol == 0.0:
+        raise DomainError("tolerance must be positive, got 0")
 
     k = rate_constant(c)
-    # largest gap that still pins the limit within tol: the geometric tail
-    # after a gap g contributes at most g * k / (1 - k)
-    threshold = tol * (1.0 - k) / max(k, tol)
-
     pts = [x0]
     steps: list[float] = []
     seen: dict = {(space.canonicalize(x0), 0): 0} if space.is_finite else {}
@@ -188,13 +189,24 @@ def picard_solve(
         pts.append(nxt)
         current = nxt
 
-        if len(steps) >= 2 and steps[-1] > k * steps[-2] + tol:
+        if len(steps) >= 2 and steps[-1] > k * steps[-2] + slack:
             violation = len(steps) - 1
             return finish(SolveStatus.RATE_VIOLATED)
 
+        if len(steps) == 1 or gap <= threshold:
+            # the radius bounds the orbit's magnitudes from here on; a step's
+            # rounding is damped only at rate k, so the computed orbit drifts up
+            # to 1 / (1 - k) times it from the exact one, a gap twice that
+            scale = 2.0 / (1.0 - k) * (float(np.linalg.norm(current)) + 2.0 * gap / (1.0 - k))
+            slack = space.slack(tol, scale=scale)
+            # largest gap that still pins the limit within tol, since the
+            # geometric tail after a gap g contributes at most g * k / (1 - k),
+            # or that rounding cannot tell from zero
+            threshold = space.slack(tol * (1.0 - k) / max(k, tol), scale=scale)
+
         if gap <= threshold:
             res = residuals_at(current)
-            if max(res) <= tol:
+            if max(res) <= slack:
                 return finish(SolveStatus.CONVERGED, res)
 
         if space.is_finite:
@@ -202,11 +214,11 @@ def picard_solve(
             if key in seen:
                 start = seen[key]
                 window = steps[start:]
-                if max(window, default=0.0) > tol:
+                if max(window, default=0.0) > slack:
                     violation = start + window.index(max(window))
                     return finish(SolveStatus.RATE_VIOLATED)
                 res = residuals_at(current)
-                if max(res) <= tol:
+                if max(res) <= slack:
                     return finish(SolveStatus.CONVERGED, res)
                 return finish(SolveStatus.RATE_VIOLATED, res)
             seen[key] = len(pts) - 1
@@ -236,24 +248,23 @@ def uniqueness_check(
 
     Under the two-mapping condition any two common fixed points u, v
     satisfy d(u, v) <= (gamma + 2*delta) * d(u, v), which forces d(u, v)
-    to vanish; numerically the comparison allows tol / (1 - gamma - 2*delta)
-    so that the certified residual slack cannot masquerade as a second
-    fixed point.  Both inputs must actually be near-fixed (residual within
-    tol for the mapping that certified them), otherwise the premise of the
-    comparison is void and a PreconditionError is raised.
+    to vanish; numerically the comparison allows s / (1 - gamma - 2*delta),
+    s = ``space.slack(tol, z1, z2)``, so that the certified residual slack
+    cannot masquerade as a second fixed point.  Both inputs must actually be
+    near-fixed (residual within s for the mapping that certified them),
+    otherwise the premise of the comparison is void and a PreconditionError
+    is raised.
     """
     validate_coefficients(c)
-    if tol is None:
-        tol = space.default_tolerance
     space._check_point(z1)
     space._check_point(z2)
+    slack = space.slack(tol, z1, z2)
     r1 = float(space.distance(z1, S(z1)))
     r2 = float(space.distance(z2, T(z2)))
-    if r1 > tol:
-        raise PreconditionError(f"first point is not fixed under S: residual {r1:.6g} exceeds {tol:.6g}")
-    if r2 > tol:
-        raise PreconditionError(f"second point is not fixed under T: residual {r2:.6g} exceeds {tol:.6g}")
+    if r1 > slack:
+        raise PreconditionError(f"first point is not fixed under S: residual {r1:.6g} exceeds {slack:.6g}")
+    if r2 > slack:
+        raise PreconditionError(f"second point is not fixed under T: residual {r2:.6g} exceeds {slack:.6g}")
     shrink = c.gamma + 2.0 * c.delta
-    scale = 1.0 / (1.0 - shrink)
     gap = float(space.distance(z1, z2))
-    return UniquenessVerdict.EQUAL if gap <= tol * scale else UniquenessVerdict.DISTINCT
+    return UniquenessVerdict.EQUAL if gap <= slack * (1.0 / (1.0 - shrink)) else UniquenessVerdict.DISTINCT

@@ -155,6 +155,49 @@ class TestCheck:
         assert cli.main(["check", "/no/such/file.json"]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("schema error:")
 
+    def test_sampling_box_past_float_range_exits_schema(self, tmp_path, capsys):
+        # squared distances overflowed: "magnitude": NaN, invalid JSON, exit 1
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 2},
+            "mappings": {
+                "arity": 2,
+                "S": {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]},
+                "T": {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]},
+            },
+            "coefficients": GAMMA_HALF,
+            "pair_source": {"samples": 64, "seed": 3, "box": [-1e200, 1e200]},
+        }
+        assert cli.main(["check", write_doc(tmp_path, "huge.json", doc), "--format", "structured"]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sampling box" in captured.err
+
+
+class TestBadTolerance:
+    """A NaN, infinite or negative tolerance is an input error, however it arrives."""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command, problem", [("solve", "halving_file"), ("check", "halving_file"), ("solve3", "three_file")])
+    def test_flag_exits_schema(self, request, capsys, command, problem, tol):
+        # solve printed "tolerance": NaN (exit 1) or Infinity (exit 0); check -1 printed FAIL
+        path = request.getfixturevalue(problem)
+        assert cli.main([command, path, "--tol", tol, "--format", "structured"]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and non-negative" in captured.err
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_document_tolerance_exits_schema(self, tmp_path, capsys, tol):
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": HALVING_TABLE},
+            "mappings": table_maps(2, S=[0, 0, 1, 2], T=[0, 0, 1, 2]),
+            "coefficients": GAMMA_HALF,
+            "solver": {"tol": tol},
+        }
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        assert cli.main(["solve", write_doc(tmp_path, "tol.json", doc)]) == cli.EXIT_SCHEMA
+        assert "finite and non-negative" in capsys.readouterr().err
+
 
 class TestFractionalInput:
     @pytest.mark.parametrize(

@@ -250,6 +250,19 @@ class TestSampledPairs:
         with pytest.raises(DomainError):
             src.draw_pairs(MetricSpace.euclidean(2))
 
+    def test_box_past_float_range_is_refused(self):
+        # +-1e200 overflowed the squared distances and reported a NaN margin
+        with pytest.raises(DomainError, match="sampling box"):
+            SampledPairs(samples=4, seed=0, box=(-1e200, 1e200))
+        # the cap shrinks with the dimension, so drawing checks the box again
+        src = SampledPairs(samples=4, seed=0, box=(-1e150, 1e150))
+        assert src.draw_pairs(MetricSpace.euclidean(1))[0].shape == (4, 1)
+        with pytest.raises(DomainError, match="sampling box"):
+            src.draw_pairs(MetricSpace.euclidean(4))
+        half = AffineMapping(0.5 * np.eye(4), np.zeros(4))
+        with pytest.raises(DomainError, match="sampling box"):
+            check_condition_two(MetricSpace.euclidean(4), half, half, Coefficients(0, 0, 0.5, 0), src)
+
     def test_bad_construction(self):
         with pytest.raises(DomainError):
             SampledPairs(samples=0, seed=0)
@@ -709,7 +722,7 @@ def dense_two_phase_lp(space, maps, pair_source=EXHAUSTIVE, margin=0.05):
     b_ub = np.append(-need, 1.0 - margin)
     res = scipy.optimize.linprog(c=np.array([0, 0, 0, 0, 0, 1.0]), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     pair = None
-    if res.x[-1] > max(space.default_tolerance, 1e-9):
+    if res.x[-1] > max(space.slack(), 1e-9):
         pair = _binding_pair(space, batch, need - A @ res.x[:5])
     A2 = np.vstack([-A, budget_row])
     res2 = scipy.optimize.linprog(c=np.ones(5), A_ub=A2, b_ub=b_ub, bounds=bounds[:5], method="highs")
@@ -728,7 +741,7 @@ def _dense_rows(space, maps, pair_source):
 
 def _binding_pair(space, batch, shortfall):
     """The first pair whose shortfall is within max(tolerance, 1e-9) of the worst."""
-    ties = max(space.default_tolerance, 1e-9)
+    ties = max(space.slack(), 1e-9)
     return contraction._pair_at(space, *batch, int(np.flatnonzero(shortfall >= shortfall.max() - ties)[0]))
 
 

@@ -32,7 +32,7 @@ class TestFiniteSpace:
         assert path4.n == 4
         assert path4.complete
         assert list(path4.points()) == [0, 1, 2, 3]
-        assert path4.default_tolerance == 1e-12
+        assert path4.slack() == 1e-12
 
     def test_distance_lookup(self, path4):
         assert path4.distance(0, 3) == 3.0
@@ -83,9 +83,11 @@ class TestFiniteSpace:
         with pytest.raises(DomainError):
             path4.distance(0, 7)
 
-    def test_points_equal_is_exact_index(self, path4):
-        assert path4.points_equal(2, np.int64(2))
-        assert not path4.points_equal(2, 3)
+    def test_slack_is_the_exact_tolerance(self, path4):
+        assert path4.slack() == 1e-12
+        assert path4.slack(0.0) == 0.0
+        # finite points compare exactly: magnitudes do not widen the slack
+        assert path4.slack(0.5, 2, 3, scale=1e9) == 0.5
 
     def test_canonicalize_materialize_roundtrip(self, path4):
         c = path4.canonicalize(np.int64(2))
@@ -97,12 +99,19 @@ class TestFiniteSpace:
         assert sp.complete
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_slack_refuses_non_finite_or_negative_tolerance(path4, bad):
+    for sp in (path4, MetricSpace.euclidean(2)):
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            sp.slack(bad)
+
+
 class TestEuclideanSpace:
     def test_basics(self):
         sp = MetricSpace.euclidean(3)
         assert not sp.is_finite
         assert sp.dimension == 3
-        assert sp.default_tolerance == 1e-9
+        assert sp.slack() == 1e-9
         with pytest.raises(DomainError):
             sp.n
 
@@ -110,11 +119,14 @@ class TestEuclideanSpace:
         sp = MetricSpace.euclidean(3)
         assert sp.distance([0.0, 0.0, 0.0], [3.0, 4.0, 0.0]) == 5.0
 
-    def test_points_equal_uses_eq_tol(self):
+    def test_slack_grows_with_magnitude(self):
         sp = MetricSpace.euclidean(2)
-        a = np.array([1.0, 2.0])
-        assert sp.points_equal(a, a + 1e-12)
-        assert not sp.points_equal(a, a + 1.0)
+        eps = np.finfo(float).eps
+        a, b = np.array([3.0, 4.0]), np.array([0.0, 1e6])
+        assert sp.slack() == 1e-9
+        assert sp.slack(1e-9, a, b) == 1e-9 + 4 * eps * (5.0 + 1e6)
+        assert sp.slack(0.0, scale=1e12) == 4 * eps * 1e12
+        assert sp.slack(0.0, a, scale=2.0) == 4 * eps * 7.0
 
     def test_canonicalize_materialize_roundtrip(self):
         sp = MetricSpace.euclidean(2)
@@ -240,15 +252,33 @@ class TestAxiomChecks:
             rep = verify_metric_axioms(MetricSpace.euclidean(m), samples=20000, seed=seed, box=(-half_width, half_width))
             assert rep.check("triangle").to_dict() == {"name": "triangle", "passed": True, "witness": None, "magnitude": 0.0}
 
-    def test_euclidean_witness_is_plain_floats(self):
-        # squared distances overflow past ~1e154, so the check cannot confirm
-        # the inequality and names a triple
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = verify_metric_axioms(MetricSpace.euclidean(2), samples=4, seed=0, box=(-1e200, 1e200))
+    def test_euclidean_witness_is_plain_floats(self, monkeypatch):
+        # norms that break the triangle inequality make the check name a
+        # triple: the third norm taken is d(a, c)
+        real, calls = np.linalg.norm, []
+
+        def skewed(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs) * (3.0 if len(calls) == 3 else 1.0)
+
+        monkeypatch.setattr(np.linalg, "norm", skewed)
+        rep = verify_metric_axioms(MetricSpace.euclidean(2), samples=4, seed=0, box=(-1.0, 1.0))
         witness = rep.check("triangle").witness
         assert len(witness) == 3
         assert all(type(v) is float for point in witness for v in point)
         assert "np.float64" not in repr(witness)
+
+    @pytest.mark.parametrize("box", [(-1e200, 1e200), (0.0, 1e151), (-np.inf, 0.0), (0.0, np.nan)])
+    def test_euclidean_box_past_float_range_is_refused(self, box):
+        # +-1e200 overflowed the squared distances and reported NaN magnitudes
+        with pytest.raises(DomainError, match="sampling box"):
+            verify_metric_axioms(MetricSpace.euclidean(2), samples=4, seed=0, box=box)
+
+    def test_euclidean_box_limit_shrinks_with_dimension(self):
+        assert verify_metric_axioms(MetricSpace.euclidean(1), samples=4, box=(-1e150, 1e150)).passed
+        with pytest.raises(DomainError, match="sampling box"):
+            verify_metric_axioms(MetricSpace.euclidean(4), samples=4, box=(-1e150, 1e150))
+        assert verify_metric_axioms(MetricSpace.euclidean(4), samples=4, box=(-5e149, 5e149)).passed
 
     def test_euclidean_sample_count_and_seed_follow_the_integer_rule(self):
         sp = MetricSpace.euclidean(2)

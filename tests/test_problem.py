@@ -267,6 +267,18 @@ class TestRoundTrip:
         assert restored.x0 == (1.0, 2.0)
         np.testing.assert_allclose(restored.maps.S.matrix, original.maps.S.matrix)
 
+    def test_space_block_carries_no_eq_tol(self):
+        # the space's equality knob is gone: old documents still load, new ones omit it
+        for doc in (finite_doc(), euclid_doc()):
+            old = {**doc, "space": {**doc["space"], "eq_tol": 1e-6}}
+            assert problem_to_dict(load_problem(old)) == problem_to_dict(load_problem(doc))
+            assert "eq_tol" not in problem_to_dict(load_problem(doc))["space"]
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_solver_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(SchemaError, match="finite and non-negative"):
+            load_problem(finite_doc(solver={"tol": tol}))
+
     def test_serialized_pair_source_forms(self):
         assert problem_to_dict(load_problem(finite_doc()))["pair_source"] == EXHAUSTIVE
         src = problem_to_dict(load_problem(euclid_doc()))["pair_source"]

@@ -252,6 +252,18 @@ class TestLifting:
         with pytest.raises(LiftDisagreement):
             require_lift_agreement(PATH3, 0, 1)
 
+    @pytest.mark.parametrize("lam", [1.0, 1e2, 1e4])
+    def test_lift_allows_the_residual_of_the_solve(self, lam):
+        # the solved point lies within r / (1 - k) of the limit, and the lifted
+        # point moves by about that much; against the bare tol, 17 of these
+        # 360 pipelines raised LiftMismatch (lifted points moving 1.0-1.7e-9)
+        for seed in range(20):
+            for m in (2, 3, 4):
+                for arity in (3, 4):
+                    space, maps, x0 = _scaled_problem(seed, m, lam, arity)
+                    rep = solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, PipelineOptions(verify_hypotheses=False))
+                    assert rep.status is PipelineStatus.COMMON_FIXED_POINT
+
 
 class TestThreeMappingPipeline:
     def test_happy_path_reaches_common_fixed_point(self):

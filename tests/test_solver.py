@@ -189,6 +189,9 @@ class TestPicardSolve:
             picard_solve(halving_space, halving_map, halving_map, c, 9)
         with pytest.raises(DomainError):
             picard_solve(halving_space, halving_map, halving_map, c, 0, tol=0.0)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(DomainError, match="finite and non-negative"):
+                picard_solve(halving_space, halving_map, halving_map, c, 0, tol=bad)
         with pytest.raises(DomainError):
             picard_solve(halving_space, halving_map, halving_map, c, 0, max_iters=0)
 
@@ -241,6 +244,17 @@ class TestUniquenessCheck:
         wide = np.array([1.9e-9])
         # residuals still pass (9.5e-10) but the gap 3.8e-9 exceeds the ball
         assert uniqueness_check(space, half, half, c, wide, -wide) is UniquenessVerdict.DISTINCT
+
+    def test_equality_ball_grows_with_the_points(self):
+        # four ulps apart at |z| = 3.3e7: the residual's rounding (1.1e-8) used
+        # to fail the absolute 1e-9 and raise PreconditionError
+        space = MetricSpace.euclidean(1)
+        z = np.array([1e8 / 3.0])
+        S = AffineMapping([[0.3]], 0.7 * z)
+        c = Coefficients(0, 0, 0.3, 0)
+        assert uniqueness_check(space, S, S, c, z, z + 4 * np.spacing(z)) is UniquenessVerdict.EQUAL
+        with pytest.raises(PreconditionError):
+            uniqueness_check(space, S, S, c, z, z + 1e-9 * z)
 
     def test_first_point_checked_under_S_second_under_T(self):
         space = MetricSpace.finite([[0.0, 1.0], [1.0, 0.0]])
