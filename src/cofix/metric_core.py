@@ -214,6 +214,58 @@ class AxiomReport(Record):
 
 # the triangle check visits (i, j, k) in tiles of TILE_ROWS x TILE_COLS x n triples
 TILE_ROWS, TILE_COLS = 8, 32
+# tables of at least this many points are screened before the exact scan; below
+# it a cold scipy.spatial import (0.5-0.8 s) costs more than the scan it saves
+SCREEN_MIN_N = 128
+
+
+def _row_worst(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each i in ``rows``, the largest d(i, k) - d(i, j) - d(j, k) over all j and k."""
+    n = D.shape[0]
+    worst = np.empty(len(rows))
+    tile = np.empty((TILE_ROWS, TILE_COLS, n))
+    for r0 in range(0, len(rows), TILE_ROWS):
+        block = D[rows[r0 : r0 + TILE_ROWS]]
+        worst_here = np.full(len(block), -np.inf)
+        for j0 in range(0, n, TILE_COLS):
+            cols = D[j0 : j0 + TILE_COLS]
+            viol = tile[: len(block), : len(cols)]
+            np.subtract(block[:, None, :], block[:, j0 : j0 + len(cols), None], out=viol)
+            viol -= cols
+            np.maximum(worst_here, viol.max(axis=(1, 2)), out=worst_here)
+        worst[r0 : r0 + len(block)] = worst_here
+    return worst
+
+
+def _on_dyadic_grid(D: np.ndarray, scratch: np.ndarray) -> bool:
+    """Is every entry a multiple of ulp(C) in [0, C], C the least power of two >= max D?
+
+    Then every difference of two entries, and of three, is exact.
+    """
+    C = math.ldexp(1.0, min(math.frexp(float(D.max()))[1], 1023))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(D, C, out=scratch)
+        scratch -= C
+    return bool(np.array_equal(scratch, D))
+
+
+def _uncleared_rows(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The rows i, ascending, that the Chebyshev screen cannot prove free of triangle violations.
+
+    ``X`` is D with its diagonal set to t, the least off-diagonal entry; it
+    is overwritten.
+    """
+    from scipy.spatial.distance import pdist, squareform
+
+    # S[i, j] = max_k fl|X[i, k] - X[j, k]|, symmetric, so one C pass over i < j
+    S = squareform(pdist(X, "chebyshev"))
+    np.fill_diagonal(S, -np.inf)  # j = i is a trivial triple
+    cleared = ~(S >= D).any(axis=1)
+    if not cleared.all():
+        strict = ~(S > D).any(axis=1)
+        if not np.array_equal(strict, cleared) and _on_dyadic_grid(D, X):
+            cleared = strict
+    return np.flatnonzero(~cleared)
 
 
 def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
@@ -225,38 +277,49 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     ok = bool(diag[i] <= tolerance)
     identity = AxiomCheck("identity", ok, None if ok else (i,), 0.0 if ok else float(diag[i]))
 
-    asym = np.abs(D - D.T)
-    i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-    symmetry = AxiomCheck("symmetry", bool(asym[i, j] <= tolerance), None if asym[i, j] <= tolerance else (int(i), int(j)), float(asym[i, j]) if asym[i, j] > tolerance else 0.0)
+    # one n x n scratch: |D - D^T|, then D with a +inf diagonal, then the screen's X
+    scratch = np.empty(D.shape)
+    np.subtract(D, D.T, out=scratch)
+    np.abs(scratch, out=scratch)
+    i, j = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
+    ok = bool(scratch[i, j] <= tolerance)
+    symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(scratch[i, j]))
 
     # strict positivity off the diagonal, exact comparison by design
-    if n > 1:
-        off = D + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-        ok = bool(off[i, j] > 0.0)
-        positivity = AxiomCheck("positivity", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(-off[i, j]))
-    else:
-        positivity = AxiomCheck("positivity", True, None, 0.0)
+    np.copyto(scratch, D)
+    np.fill_diagonal(scratch, np.inf)
+    i, j = np.unravel_index(int(np.argmin(scratch)), scratch.shape)
+    ok = bool(scratch[i, j] > 0.0)
+    positivity = AxiomCheck("positivity", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(-scratch[i, j]))
 
-    # viol[i, j, k] = d(i, k) - d(i, j) - d(j, k), one tile of rows i and j at a
-    # time; only each i's worst value is kept, and the witness row is redone
-    row_worst = np.empty(n)
-    tile = np.empty((TILE_ROWS, TILE_COLS, n))
-    for i0 in range(0, n, TILE_ROWS):
-        rows = D[i0 : i0 + TILE_ROWS]
-        worst_here = np.full(len(rows), -np.inf)
-        for j0 in range(0, n, TILE_COLS):
-            cols = D[j0 : j0 + TILE_COLS]
-            viol = tile[: len(rows), : len(cols)]
-            np.subtract(rows[:, None, :], rows[:, j0 : j0 + len(cols), None], out=viol)
-            viol -= cols
-            np.maximum(worst_here, viol.max(axis=(1, 2)), out=worst_here)
-        row_worst[i0 : i0 + len(rows)] = worst_here
-    i = int(np.argmax(row_worst))
-    viol = D[i][None, :] - D[i][:, None] - D
-    j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
-    worst = float(viol[j, k])
-    ok = worst <= tolerance
+    # The triangle scan's value for (i, j, k) is e = fl(fl(a - b) - c), with
+    # a = D[i, k], b = D[i, j], c = D[j, k]; only each i's worst is kept, and
+    # the witness row is redone.  Ahead of the scan, a screen proves rows clean
+    # (rounding is monotone and b, c are floats: Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., §2.1):
+    #   e > tol >= 0  =>  fl(a - b) > c  =>  a - b > c  =>  a - c > b  =>  fl|a - c| >= b,
+    # so a row i with S[i, j] = max_k fl|D[i, k] - D[j, k]| < D[i, j] for every
+    # j != i holds no triple above tol.  Triples with j = i or k in {i, j} give
+    # e <= 0 when the diagonal is exactly 0 and positivity holds, so the screen
+    # runs only then; its X is D with the diagonal set to t, the least
+    # off-diagonal entry, so those columns read |t - d| < d rather than tying
+    # at d.  A tie S[i, j] == D[i, j] flags the row, unless every difference
+    # is exact (the table lies on the ulp grid of a power of two >= max D, as
+    # repaired tables do): then e > 0 forces S[i, j] > D[i, j].  A cleared
+    # row's worst is 0 <= tol, so a failing table's first worst row, and its
+    # witness, still come from the exact scan; a passing one reports no witness.
+    rows = np.arange(n)
+    if n >= SCREEN_MIN_N and positivity.passed and not diag.any():
+        np.fill_diagonal(scratch, scratch[i, j])
+        rows = _uncleared_rows(D, scratch)
+    del scratch
+    ok = True
+    if len(rows):
+        i = int(rows[np.argmax(_row_worst(D, rows))])
+        viol = D[i][None, :] - D[i][:, None] - D
+        j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        worst = float(viol[j, k])
+        ok = worst <= tolerance
     triangle = AxiomCheck("triangle", bool(ok), None if ok else (i, int(j), int(k)), 0.0 if ok else worst)
 
     return AxiomReport(checks=(identity, symmetry, positivity, triangle), mode="exhaustive", tolerance=tolerance)
@@ -309,6 +372,14 @@ def verify_metric_axioms(
 
     Finite spaces are checked exhaustively (positivity uses exact
     comparison; the other axioms allow ``tolerance`` slack, default 0).
+    From ``SCREEN_MIN_N`` points on, when the diagonal is exactly 0 and
+    positivity holds, the triangle check first screens rows with scipy's
+    Chebyshev distance: row i is clean when max_k fl|d(i, k) - d(j, k)| is
+    below d(i, j) for every j != i, since a triple above the tolerance
+    forces fl|d(i, k) - d(j, k)| >= d(i, j) by monotone rounding.  A tie
+    still sends the row to the exact scan unless every difference of the
+    table is exact (it lies on the ulp grid of a power of two >= its
+    maximum).  Reports are the same as from the full scan.
     Euclidean spaces are spot-checked on ``samples`` seeded triples drawn
     uniformly from ``box``; this always passes analytically and serves as a
     numeric self-test.  The failure report names the violating pair or

@@ -1,6 +1,9 @@
 """Metric space construction, point handling, and axiom verification."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cofix import AxiomReport, Flavor, MetricSpace, verify_metric_axioms
+import cofix
+from cofix import (
+    AxiomCheck,
+    AxiomReport,
+    Flavor,
+    InstanceRecipe,
+    MetricSpace,
+    generate_instance,
+    metric_closure_repair,
+    metric_core,
+    verify_metric_axioms,
+)
 from cofix.errors import DomainError
 
 # path-graph metric on four points
@@ -312,3 +326,235 @@ def test_embedded_point_clouds_always_yield_metrics(n, seed):
     tab = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     rep = verify_metric_axioms(MetricSpace.finite(tab), tolerance=1e-9)
     assert rep.passed
+
+
+# --------------------------------------------------------------------------
+# the Chebyshev row screen ahead of the exact triangle scan
+
+
+def reference_verify_finite(tab, tolerance):
+    """The unscreened check: every row goes through the exact tiled triangle scan."""
+    D = np.asarray(tab, dtype=float)
+    n = D.shape[0]
+    diag = np.abs(np.diag(D))
+    i = int(np.argmax(diag))
+    ok = bool(diag[i] <= tolerance)
+    identity = AxiomCheck("identity", ok, None if ok else (i,), 0.0 if ok else float(diag[i]))
+    asym = np.abs(D - D.T)
+    i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+    ok = bool(asym[i, j] <= tolerance)
+    symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(asym[i, j]))
+    off = D + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+    i, j = np.unravel_index(int(np.argmin(off)), off.shape)
+    ok = bool(off[i, j] > 0.0)
+    positivity = AxiomCheck("positivity", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(-off[i, j]))
+    T_ROWS, T_COLS = 8, 32
+    row_worst = np.empty(n)
+    tile = np.empty((T_ROWS, T_COLS, n))
+    for i0 in range(0, n, T_ROWS):
+        rows = D[i0 : i0 + T_ROWS]
+        worst_here = np.full(len(rows), -np.inf)
+        for j0 in range(0, n, T_COLS):
+            cols = D[j0 : j0 + T_COLS]
+            viol = tile[: len(rows), : len(cols)]
+            np.subtract(rows[:, None, :], rows[:, j0 : j0 + len(cols), None], out=viol)
+            viol -= cols
+            np.maximum(worst_here, viol.max(axis=(1, 2)), out=worst_here)
+        row_worst[i0 : i0 + len(rows)] = worst_here
+    i = int(np.argmax(row_worst))
+    viol = D[i][None, :] - D[i][:, None] - D
+    j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    worst = float(viol[j, k])
+    ok = worst <= tolerance
+    triangle = AxiomCheck("triangle", bool(ok), None if ok else (i, int(j), int(k)), 0.0 if ok else worst)
+    return AxiomReport(checks=(identity, symmetry, positivity, triangle), mode="exhaustive", tolerance=tolerance)
+
+
+def _ultrametric(rng, n):
+    rho = rng.uniform(0.5, 8.0, n)
+    tab = np.maximum.outer(rho, rho)
+    np.fill_diagonal(tab, 0.0)
+    return tab
+
+
+def _collinear(rng, n):
+    # |x_i - x_j| of float points: many triples hold with equality, up to rounding
+    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-7.0, 5.5)
+    if rng.random() < 0.5:
+        x = np.round(x * 64.0) / 64.0  # coarse grid: ties between distinct points
+    return np.abs(x[:, None] - x[None, :])
+
+
+def _nudged(rng, tab, count):
+    """``tab`` with ``count`` symmetric entries moved one ulp up or down."""
+    tab = tab.copy()
+    n = tab.shape[0]
+    for _ in range(count):
+        i, j = rng.choice(n, size=2, replace=False)
+        tab[i, j] = tab[j, i] = np.nextafter(tab[i, j], np.inf if rng.random() < 0.5 else -np.inf)
+    return tab
+
+
+def _tied_cluster(rng, n):
+    """Three points b, c and a = fl(b + c) +- an ulp apart, far from all others, which are equidistant to them.
+
+    Inside the cluster only a tie S[i, j] == D[i, j] can flag a row, and
+    rounding decides whether (i, j, k) violates the triangle inequality.
+    """
+    b = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(0, 40))
+    c = rng.uniform(1.0, 2.0) * 2.0 ** -int(rng.integers(0, 30))
+    a = b + c
+    for _ in range(int(rng.integers(0, 3))):
+        a = np.nextafter(a, np.inf if rng.random() < 0.5 else -np.inf)
+    rho = rng.uniform(4.0, 8.0, n) * a
+    i, j, k = rng.choice(n, size=3, replace=False)
+    rho[[j, k]] = rho[i]
+    tab = np.maximum.outer(rho, rho)
+    np.fill_diagonal(tab, 0.0)
+    for (p, q), d in (((i, j), b), ((j, k), c), ((i, k), a)):
+        tab[p, q] = tab[q, p] = d
+    return tab
+
+
+def _family_table(family, n, seed):
+    rng = np.random.default_rng(seed)
+    if family == "ultrametric":
+        return _ultrametric(rng, n)
+    if family == "repaired":
+        return metric_closure_repair(rng.uniform(0.1, 8.0, (n, n)))
+    if family == "random":
+        tab = rng.uniform(0.1, 8.0, (n, n))
+        tab = np.minimum(tab, tab.T)
+        np.fill_diagonal(tab, 0.0)
+        return tab
+    if family == "asymmetric":
+        tab = _ultrametric(rng, n) if rng.random() < 0.5 else metric_closure_repair(rng.uniform(0.1, 8.0, (n, n)))
+        return tab * (1.0 + rng.uniform(0.0, 0.3) * np.triu(rng.random((n, n)), 1))
+    if family == "collinear":
+        return _collinear(rng, n)
+    if family == "nextafter":
+        tab = _collinear(rng, n) if rng.random() < 0.5 else metric_closure_repair(rng.uniform(0.1, 8.0, (n, n)))
+        return _nudged(rng, tab, int(rng.integers(1, n)))
+    if family == "tied_cluster":
+        return _tied_cluster(rng, n)
+    if family == "offdiagonal_zero":
+        tab = _collinear(rng, n)
+        i, j = rng.choice(n, size=2, replace=False)
+        tab[i, j] = tab[j, i] = 0.0
+        return tab
+    if family == "diagonal":
+        tab = _ultrametric(rng, n)
+        i = int(rng.integers(0, n))
+        tab[i, i] = float(rng.choice([1e-300, 1e-13, 1e-6, -1e-13, -1e-6]))
+        return tab
+    if family == "negative":
+        tab = _collinear(rng, n)
+        i, j = rng.choice(n, size=2, replace=False)
+        tab[i, j] = tab[j, i] = -tab[i, j]
+        return tab
+    if family == "integer":
+        tab = rng.integers(0, 6, size=(n, n)).astype(float)
+        tab = tab + tab.T + 1.0
+        np.fill_diagonal(tab, 0.0)
+        return tab
+    mode = ("uniform", "integer", "embedded")[seed % 3]
+    return generate_instance(InstanceRecipe(seed=seed, n=n, metric_mode=mode)).space.table
+
+
+FAMILIES = (
+    "ultrametric",
+    "repaired",
+    "random",
+    "asymmetric",
+    "collinear",
+    "nextafter",
+    "tied_cluster",
+    "offdiagonal_zero",
+    "diagonal",
+    "negative",
+    "integer",
+    "generated",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(min_value=3, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+)
+def test_screened_reports_equal_the_unscreened_scan(family, n, seed, tol):
+    tab = _family_table(family, n, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_core, "SCREEN_MIN_N", 3)
+        screened = verify_metric_axioms(MetricSpace.finite(tab), tolerance=tol)
+    assert screened.to_dict() == reference_verify_finite(tab, tol).to_dict()
+
+
+@pytest.fixture
+def scanned_rows(monkeypatch):
+    """The rows the exact triangle scan visits, in call order."""
+    rows = []
+    row_worst = metric_core._row_worst
+
+    def counting(D, which):
+        rows.extend(int(i) for i in which)
+        return row_worst(D, which)
+
+    monkeypatch.setattr(metric_core, "_row_worst", counting)
+    return rows
+
+
+class TestScreenPath:
+    def test_anchor_ultrametric_scans_no_row(self, scanned_rows):
+        assert verify_metric_axioms(MetricSpace.finite(_ultrametric(np.random.default_rng(300), 300))).passed
+        assert scanned_rows == []
+
+    def test_repaired_table_scans_no_row(self, scanned_rows):
+        D = metric_closure_repair(np.random.default_rng(200).uniform(0.1, 8.0, (200, 200)))  # its own guard is screened
+        assert verify_metric_axioms(MetricSpace.finite(D), tolerance=0.0).passed
+        assert scanned_rows == []
+
+    def test_inexact_ties_are_scanned(self, scanned_rows):
+        # collinear points off any dyadic grid: d(i, k) = d(i, j) + d(j, k) up to rounding
+        x = np.random.default_rng(1).uniform(0.0, 0.3, 200)
+        tab = np.abs(x[:, None] - x[None, :])
+        rep = verify_metric_axioms(MetricSpace.finite(tab))
+        assert 0 < len(scanned_rows) <= 200
+        assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
+
+    def test_violation_is_found_through_the_screen(self, scanned_rows):
+        tab = _ultrametric(np.random.default_rng(7), 150)
+        tab[40, 90] = tab[90, 40] = tab[40, 90] * 3.0
+        rep = verify_metric_axioms(MetricSpace.finite(tab))
+        assert not rep.check("triangle").passed
+        assert 0 < len(scanned_rows) < 150
+        assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
+
+    def test_small_tables_never_import_scipy(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import cofix\n"
+            "rho = np.random.default_rng(0).uniform(0.5, 8.0, 64)\n"
+            "tab = np.maximum.outer(rho, rho)\n"
+            "np.fill_diagonal(tab, 0.0)\n"
+            "assert cofix.verify_metric_axioms(cofix.MetricSpace.finite(tab)).passed\n"
+            "sys.exit('scipy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cofix.__file__))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_peak_stays_below_three_tables(self):
+        n = 600
+        space = MetricSpace.finite(_ultrametric(np.random.default_rng(0), n))
+        verify_metric_axioms(space)  # the scipy import is not the check's memory
+        tracemalloc.start()
+        try:
+            verify_metric_axioms(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the unscreened check held |D - D^T|, the positivity matrix and its np.where temporary
+        assert peak < 3 * n * n * 8
