@@ -97,7 +97,6 @@ from .oracle import (
     MappingMode,
     MetricMode,
     OracleResult,
-    enumerate_common_fixed_points,
     enumerate_fixed_points,
     generate_instance,
     metric_closure_repair,

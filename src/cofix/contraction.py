@@ -61,6 +61,9 @@ EUCLIDEAN_BLOCK_PAIRS = 1 << 11
 # rows a cutting-plane pass of the coefficient LP takes from each block of pairs
 CUT_ROWS = 16
 
+# synthesized coefficients keep alpha + beta + gamma + 2*delta <= 1 - MARGIN
+MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class Coefficients(Record):
@@ -143,9 +146,6 @@ class TableMapping:
     def image(self) -> np.ndarray:
         return np.unique(self.table)
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.table, np.arange(self.n)))
-
     def compose(self, inner: "TableMapping") -> "TableMapping":
         """The composite self then inner-first: (self o inner)(x) = self(inner(x))."""
         return TableMapping(self.table[inner.table])
@@ -203,9 +203,6 @@ class AffineMapping:
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
         """Apply to a stack of points, shape (N, m) -> (N, m)."""
         return pts @ self.matrix.T + self.offset
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.matrix, np.eye(self.dimension)) and not self.offset.any())
 
     def inverse(self) -> "AffineMapping":
         try:
@@ -641,22 +638,18 @@ def synthesize_coefficients(
     space: MetricSpace,
     maps: MappingSet,
     pair_source: PairSource = EXHAUSTIVE,
-    margin: float = 0.05,
-    *,
-    slack: Optional[float] = None,
-    tolerance: Optional[float] = None,
 ) -> Coefficients:
     """Find coefficients making the arity-matched condition hold on the source.
 
     Solves a linear feasibility problem in (alpha, beta, gamma, delta, L):
     one covering constraint per pair plus the weight-sum budget
-    alpha + beta + gamma + 2*delta <= 1 - margin.  A first elastic solve
-    measures feasibility and identifies the most binding pair; a second
-    solve picks the smallest feasible tuple by coefficient sum.  ``slack``
-    is a relative cushion ((1 + slack) * lhs <= rhs) that makes sampled
-    certificates robust off-sample; it defaults to 0 for exhaustive sources
-    and 0.02 for sampled ones.  The returned tuple is re-verified with the
-    matching check before being handed back; failure to re-verify raises
+    alpha + beta + gamma + 2*delta <= 1 - ``MARGIN``.  A first elastic
+    solve measures feasibility and identifies the most binding pair; a
+    second solve picks the smallest feasible tuple by coefficient sum.
+    Sampled sources get a relative cushion, (1 + 0.02) * lhs <= rhs, that
+    makes their certificates robust off-sample; exhaustive ones get none.
+    The returned tuple is re-verified with the matching check at
+    ``space.slack()`` before being handed back; failure to re-verify raises
     :class:`Infeasible` like any other infeasibility, with the most binding
     pair attached.
 
@@ -664,18 +657,15 @@ def synthesize_coefficients(
     on a small working set of pair rows, seeded with the rows of largest
     lhs, and a pass over every pair adds each block's ``CUT_ROWS`` most
     violated rows until no pair's shortfall exceeds the solve's optimum by
-    more than ``tolerance``.  The working-set optimum is then feasible for
+    more than ``space.slack()``.  The working-set optimum is then feasible for
     the LP over all pairs, hence optimal for it, and no dense
     (pairs x 5) matrix is ever built.
     """
     from scipy.optimize import linprog
 
-    if not 0.0 < margin < 1.0:
-        raise DomainError(f"margin must lie in (0, 1), got {margin}")
     maps.validate(space)
-    if slack is None:
-        slack = 0.0 if (pair_source == EXHAUSTIVE or pair_source is None) else 0.02
-    tolerance = space.slack(tolerance)
+    cushion = 0.0 if (pair_source == EXHAUSTIVE or pair_source is None) else 0.02
+    tolerance = space.slack()
 
     # shortfalls this close to the worst are ties: the solve is no more exact than that
     ties = max(tolerance, 1e-9)
@@ -683,7 +673,7 @@ def synthesize_coefficients(
     batch = _pair_batch(space, pair_source)
 
     def margins(coefs):
-        return _margins(space, maps.S, maps.T, f, g, batch, coefs, 1.0 + slack)
+        return _margins(space, maps.S, maps.T, f, g, batch, coefs, 1.0 + cushion)
 
     def cuts(coefs, above):
         """Each block's ``CUT_ROWS`` largest-margin rows [t1, .., t5, need] with margin above ``above``."""
@@ -707,13 +697,13 @@ def synthesize_coefficients(
     def phase1(rows):
         # minimize the elastic excess s with  need - A@coefs <= s
         A_ub = np.vstack([np.column_stack([-rows[:, :5], -np.ones(len(rows))]), np.append(budget_row, 0.0)])
-        b_ub = np.append(-rows[:, 5], 1.0 - margin)
+        b_ub = np.append(-rows[:, 5], 1.0 - MARGIN)
         return linprog(c=np.array([0, 0, 0, 0, 0, 1.0]), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
     def phase2(rows):
         # smallest feasible tuple by coefficient sum
         A_ub = np.vstack([-rows[:, :5], budget_row])
-        b_ub = np.append(-rows[:, 5], 1.0 - margin)
+        b_ub = np.append(-rows[:, 5], 1.0 - MARGIN)
         return linprog(c=np.ones(5), A_ub=A_ub, b_ub=b_ub, bounds=bounds[:5], method="highs")
 
     def cutting_plane(solve, rows, bound):
@@ -730,13 +720,13 @@ def synthesize_coefficients(
     largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
     res, rows = cutting_plane(phase1, largest_lhs, lambda r: r.x[-1])
     if not res.success:
-        raise Infeasible("feasibility solve failed", binding_pair=None, margin=margin)
+        raise Infeasible("feasibility solve failed", binding_pair=None, margin=MARGIN)
     if res.x[-1] > ties:
         pair, excess, count = most_binding(res.x[:5])
         raise Infeasible(
             f"no coefficient tuple covers all {count} pairs; most binding pair {pair} lacks {excess:.6g}",
             binding_pair=pair,
-            margin=margin,
+            margin=MARGIN,
         )
 
     res2, _ = cutting_plane(phase2, rows, lambda r: 0.0)
@@ -745,7 +735,7 @@ def synthesize_coefficients(
         coefs = np.maximum(np.asarray(attempt, dtype=float), 0.0)
         if bump:
             coefs = np.minimum(coefs * (1.0 + bump) + bump, [0.999, 0.999, 0.999, 0.499, np.inf])
-            if budget_row @ coefs >= 1.0 - margin / 2.0:
+            if budget_row @ coefs >= 1.0 - MARGIN / 2.0:
                 continue
         candidate = validate_coefficients(Coefficients(*[float(v) for v in coefs]))
         report = check_condition(space, maps, candidate, pair_source, tolerance)
@@ -755,5 +745,5 @@ def synthesize_coefficients(
     raise Infeasible(
         f"solved tuple failed re-verification; most binding pair {pair} lacks {excess:.6g}",
         binding_pair=pair,
-        margin=margin,
+        margin=MARGIN,
     )

@@ -34,7 +34,7 @@ class BoundViolation(CofixError):
     """Coefficient bounds are broken (negative entry or weight sum >= 1)."""
 
 
-class ExhaustiveOnInfinite(CofixError):
+class ExhaustiveOnInfinite(DomainError):
     """Exhaustive enumeration was requested on a non-enumerable space."""
 
 

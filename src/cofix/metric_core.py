@@ -7,9 +7,8 @@ Two flavors of space are supported:
 * ``EUCLIDEAN_AFFINE``: points are real ``m``-vectors and the distance is
   the Euclidean norm of the difference.
 
-Completeness is carried as an assumption flag and is never computed.  A
-finite space is always complete, so the flag is pinned to ``True`` there;
-for Euclidean spaces the caller may declare a weaker setting explicitly.
+Both flavors are complete, which the fixed-point results assume: a finite
+space trivially, R^m by construction.  No flag records it.
 
 All value objects here are immutable after construction: tables are stored
 as read-only arrays and the dataclasses are frozen.  Every operation is a
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,12 +35,6 @@ class Flavor(Enum):
     EUCLIDEAN_AFFINE = "euclidean_affine"
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class MetricSpace:
     """A metric space of one of the two supported flavors.
@@ -54,20 +47,21 @@ class MetricSpace:
     flavor: Flavor
     table: Optional[np.ndarray] = None
     dimension: Optional[int] = None
-    complete: bool = True
 
     def __post_init__(self):
         if self.flavor is Flavor.FINITE_EXPLICIT:
             if self.table is None:
                 raise DomainError("finite space needs a distance table")
-            tab = self.table
+            # a read-only view: no copy of a float64 table, and the caller's flags stay
+            tab = np.asarray(self.table, dtype=float).view()
+            tab.setflags(write=False)
             if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] < 1:
                 raise DomainError(f"distance table must be square and non-empty, got shape {tab.shape}")
             # min and max propagate NaN and reach any infinity without an n x n mask
             if not (np.isfinite(tab.min()) and np.isfinite(tab.max())):
                 raise DomainError("distance table contains non-finite entries")
+            object.__setattr__(self, "table", tab)
             object.__setattr__(self, "dimension", None)
-            object.__setattr__(self, "complete", True)
         elif self.flavor is Flavor.EUCLIDEAN_AFFINE:
             try:
                 dimension = as_int(self.dimension)
@@ -82,12 +76,12 @@ class MetricSpace:
 
     @classmethod
     def finite(cls, table) -> "MetricSpace":
-        """Build a finite space from a square distance table (any array-like)."""
-        return cls(flavor=Flavor.FINITE_EXPLICIT, table=_readonly(np.asarray(table, dtype=float)))
+        """Build a finite space from a copy of a square distance table (any array-like)."""
+        return cls(flavor=Flavor.FINITE_EXPLICIT, table=np.array(table, dtype=float))
 
     @classmethod
-    def euclidean(cls, dimension: int, complete: bool = True) -> "MetricSpace":
-        return cls(flavor=Flavor.EUCLIDEAN_AFFINE, dimension=dimension, complete=complete)
+    def euclidean(cls, dimension: int) -> "MetricSpace":
+        return cls(flavor=Flavor.EUCLIDEAN_AFFINE, dimension=dimension)
 
     @property
     def is_finite(self) -> bool:
@@ -122,10 +116,6 @@ class MetricSpace:
     def default_point(self) -> Point:
         """The start point used when none is given: index 0, or the origin of R^m."""
         return 0 if self.is_finite else np.zeros(self.dimension)
-
-    def points(self) -> Iterable[int]:
-        """Iterate the finite universe (indices in ascending order)."""
-        return range(self.n)
 
     def contains(self, p: Point) -> bool:
         if self.is_finite:

@@ -56,9 +56,11 @@ class MappingMode(Enum):
 # and differences of two entries stay exactly representable in a double
 GRID_BITS = 20
 MAX_DISTANCE = 1024.0
+# repaired tables keep distinct points at least this far apart
+MIN_SEPARATION = 1e-6
 
 
-def metric_closure_repair(table: np.ndarray, *, min_separation: float = 1e-6) -> np.ndarray:
+def metric_closure_repair(table: np.ndarray) -> np.ndarray:
     """Turn a nonnegative square array into an exact finite metric table.
 
     Entries are clipped to [0, 1024] and snapped onto a dyadic grid, the
@@ -67,7 +69,7 @@ def metric_closure_repair(table: np.ndarray, *, min_separation: float = 1e-6) ->
     path length in place, one intermediate point at a time, with a single
     n x n scratch array.  On the grid every intermediate sum is exact, so
     the resulting table satisfies the triangle inequality with zero
-    tolerance.  Off-diagonal entries below ``min_separation`` are lifted
+    tolerance.  Off-diagonal entries below ``MIN_SEPARATION`` are lifted
     by a uniform grid-aligned shift, which keeps the table closed.  A
     final axiom verification guards the construction and raises
     :class:`RepairFailure` if anything slipped through; with the grid in
@@ -91,8 +93,8 @@ def metric_closure_repair(table: np.ndarray, *, min_separation: float = 1e-6) ->
     off = ~np.eye(n, dtype=bool)
     if n > 1:
         floor = float(D[off].min())
-        if floor < min_separation:
-            bump = np.ceil(min_separation * scale) / scale
+        if floor < MIN_SEPARATION:
+            bump = np.ceil(MIN_SEPARATION * scale) / scale
             D = D + bump * off
 
     report = verify_metric_axioms(MetricSpace.finite(D), tolerance=0.0)
@@ -106,14 +108,6 @@ def enumerate_fixed_points(space: MetricSpace, m: TableMapping) -> tuple[int, ..
     """All x with m(x) = x, by exhaustive scan."""
     m.validate(space)
     return tuple(int(x) for x in np.flatnonzero(m.table == np.arange(space.n)))
-
-
-def enumerate_common_fixed_points(space: MetricSpace, S: TableMapping, T: TableMapping) -> tuple[int, ...]:
-    """All x fixed by both S and T, by exhaustive scan."""
-    S.validate(space)
-    T.validate(space)
-    idx = np.arange(space.n)
-    return tuple(int(x) for x in np.flatnonzero((S.table == idx) & (T.table == idx)))
 
 
 @dataclass(frozen=True)
@@ -132,10 +126,6 @@ class OracleResult(Record):
     fixed_points: dict
     coincidence_classes: tuple[CoincidenceClass, ...] = ()
 
-    @property
-    def unique_common_fixed_point(self) -> Optional[int]:
-        return self.common_fixed_points[0] if len(self.common_fixed_points) == 1 else None
-
 
 def oracle_summary(space: MetricSpace, maps: MappingSet) -> OracleResult:
     """Enumerate fixed points, common fixed points, and coincidence classes."""
@@ -143,11 +133,7 @@ def oracle_summary(space: MetricSpace, maps: MappingSet) -> OracleResult:
         raise ExhaustiveOnInfinite("oracle enumeration needs a finite universe")
     maps.validate(space)
     fixed = {label: enumerate_fixed_points(space, m) for label, m in maps.items()}
-    idx = np.arange(space.n)
-    mask = np.ones(space.n, dtype=bool)
-    for _, m in maps.items():
-        mask &= m.table == idx
-    common = tuple(int(x) for x in np.flatnonzero(mask))
+    common = tuple(sorted(set.intersection(*map(set, fixed.values()))))
     classes: tuple[CoincidenceClass, ...] = ()
     if maps.arity >= Arity.THREE:
         scan = coincidence_points(space, maps)
@@ -220,14 +206,11 @@ def _descent_table(rho: np.ndarray, phi: float, allowed: np.ndarray, rank: int) 
     smallest index; the anchor (rho zero) always qualifies, so the
     candidate set is never empty.
     """
-    n = rho.shape[0]
-    caps = phi * rho
-    table = np.empty(n, dtype=np.int64)
-    order = sorted(allowed, key=lambda y: (-rho[y], y))
-    for x in range(n):
-        candidates = [y for y in order if rho[y] <= caps[x]]
-        table[x] = candidates[min(rank, len(candidates) - 1)]
-    return TableMapping(table)
+    # allowed points by descending rho, then index: the qualifying targets of
+    # x are the suffix from the first one with rho <= phi * rho[x]
+    order = allowed[np.lexsort((allowed, -rho[allowed]))]
+    first = np.searchsorted(-rho[order], -(phi * rho), side="left")
+    return TableMapping(order[np.minimum(first + rank, order.shape[0] - 1)])
 
 
 def _force_non_injective(rng: np.random.Generator, f: np.ndarray, anchor: int) -> np.ndarray:

@@ -22,7 +22,8 @@ does a fractional integer such as ``2.5`` (``2.0`` reads as 2).
 
 A "solver" ``tol`` follows the one tolerance rule, :meth:`MetricSpace.slack`:
 it must be finite and non-negative, and Euclidean spaces add their rounding
-to it.  The space block has no tolerance; an old ``"eq_tol"`` key is ignored.
+to it.  The space block has no tolerance and no completeness flag; an old
+``"eq_tol"`` or ``"complete"`` key is ignored.
 """
 
 from __future__ import annotations
@@ -84,13 +85,13 @@ def _space_from_dict(doc: dict) -> MetricSpace:
     if flavor == Flavor.FINITE_EXPLICIT:
         table = _require(doc, "table", "space")
         return MetricSpace.finite(np.array(table, dtype=float))
-    return MetricSpace.euclidean(as_int(_require(doc, "dimension", "space")), complete=bool(doc.get("complete", True)))
+    return MetricSpace.euclidean(as_int(_require(doc, "dimension", "space")))
 
 
 def _space_to_dict(space: MetricSpace) -> dict:
     if space.is_finite:
         return {"flavor": space.flavor.value, "table": space.table.tolist()}
-    return {"flavor": space.flavor.value, "dimension": space.dimension, "complete": space.complete}
+    return {"flavor": space.flavor.value, "dimension": space.dimension}
 
 
 def _mapping_from_dict(doc: dict, label: str):

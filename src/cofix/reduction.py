@@ -144,16 +144,6 @@ class InducedPair:
     section_s: Section
     section_t: Section
 
-    def fixed_points(self, space: MetricSpace, mapping_name: str = "S") -> tuple[int, ...]:
-        """Fixed points of one induced mapping inside the image (finite only)."""
-        if self.image is None:
-            raise ExhaustiveOnInfinite("fixed-point enumeration needs a finite image")
-        m = self.S if mapping_name == "S" else self.T
-        return tuple(y for y in self.image if m(y) == y)
-
-    def common_fixed_points(self, space: MetricSpace) -> tuple[int, ...]:
-        return tuple(y for y in self.fixed_points(space, "S") if self.T(y) == y)
-
 
 def induce(space: MetricSpace, maps: MappingSet) -> InducedPair:
     """Induced two-mapping problem for S over its companion and T over its own.

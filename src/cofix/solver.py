@@ -76,9 +76,6 @@ class IterationTrace(Record):
                 f"{len(self.points)} points need {max(len(self.points) - 1, 0)} gaps, got {len(self.steps)}"
             )
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def producer(self, i: int) -> str:
         """Which mapping produced points[i]: the start, S (odd), or T (even)."""
         if i == 0:

@@ -173,6 +173,41 @@ class TestCheck:
         assert "sampling box" in captured.err
 
 
+class TestEuclideanWithoutSampler:
+    """An exhaustive pair source on R^m is an input error (it exited 1 as a failure)."""
+
+    @pytest.fixture
+    def unsampled(self, tmp_path):
+        def write(arity):
+            half = {"type": "affine", "matrix": [[0.5]], "offset": [0.0]}
+            mappings = {"arity": arity, "S": half, "T": half}
+            if arity == 3:
+                mappings["f"] = {"type": "affine", "matrix": [[2.0]], "offset": [0.0]}
+            doc = {
+                "space": {"flavor": "euclidean_affine", "dimension": 1},
+                "mappings": mappings,
+                "coefficients": {"alpha": 0, "beta": 0, "gamma": 0.6, "delta": 0, "L": 0},
+                "solver": {"x0": [1.0]},
+            }
+            return write_doc(tmp_path, f"unsampled{arity}.json", doc)
+
+        return write
+
+    @pytest.mark.parametrize("command, arity", [("check", 2), ("check", 3), ("solve3", 3)])
+    def test_checking_the_condition_exits_schema(self, unsampled, capsys, command, arity):
+        assert cli.main([command, unsampled(arity), "--format", "structured"]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "supply a sampler" in captured.err
+
+    def test_solving_needs_no_sampler(self, unsampled, capsys):
+        assert cli.main(["solve", unsampled(2)]) == cli.EXIT_OK
+        assert "status: converged" in capsys.readouterr().out
+        assert cli.main(["solve3", unsampled(3), "--no-verify"]) == cli.EXIT_OK
+        assert "common fixed point" in capsys.readouterr().out
+
+
 class TestBadTolerance:
     """A NaN, infinite or negative tolerance is an input error, however it arrives."""
 

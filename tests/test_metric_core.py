@@ -44,8 +44,6 @@ class TestFiniteSpace:
         assert path4.is_finite
         assert path4.flavor is Flavor.FINITE_EXPLICIT
         assert path4.n == 4
-        assert path4.complete
-        assert list(path4.points()) == [0, 1, 2, 3]
         assert path4.slack() == 1e-12
 
     def test_distance_lookup(self, path4):
@@ -108,9 +106,22 @@ class TestFiniteSpace:
         assert c == 2 and isinstance(c, int)
         assert path4.materialize(c) == 2
 
-    def test_complete_flag_pinned_true(self):
-        sp = MetricSpace(flavor=Flavor.FINITE_EXPLICIT, table=np.array(PATH4), complete=False)
-        assert sp.complete
+    def test_raw_constructor_takes_a_nested_list(self, path4):
+        sp = MetricSpace(Flavor.FINITE_EXPLICIT, table=PATH4)
+        assert np.array_equal(sp.table, path4.table)
+        assert sp.table.dtype == np.float64
+        assert verify_metric_axioms(sp).to_dict() == verify_metric_axioms(path4).to_dict()
+
+    def test_table_is_stored_read_only_on_both_paths(self):
+        tab = np.array(PATH4)
+        raw = MetricSpace(Flavor.FINITE_EXPLICIT, table=tab)
+        assert not raw.table.flags.writeable
+        assert not MetricSpace.finite(tab).table.flags.writeable
+        # the raw constructor shares the caller's float64 table without a copy,
+        # and leaves the caller's own array writable
+        assert np.shares_memory(raw.table, tab)
+        assert tab.flags.writeable
+        assert not np.shares_memory(MetricSpace.finite(tab).table, tab)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
@@ -154,9 +165,6 @@ class TestEuclideanSpace:
         sp = MetricSpace.euclidean(2)
         with pytest.raises(DomainError):
             sp.distance(np.zeros(3), np.zeros(3))
-
-    def test_incomplete_flag_survives(self):
-        assert not MetricSpace.euclidean(2, complete=False).complete
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(DomainError):

@@ -21,7 +21,6 @@ from cofix import (
     check_condition_three,
     check_condition_four,
     check_range_inclusions,
-    enumerate_common_fixed_points,
     enumerate_fixed_points,
     generate_instance,
     identity_mapping,
@@ -34,6 +33,7 @@ from cofix import (
     validate_coefficients,
     verify_metric_axioms,
 )
+from cofix import oracle
 from cofix.errors import DomainError, ExhaustiveOnInfinite
 
 PATH3_TABLE = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -52,6 +52,43 @@ def squaring_closure(table, min_separation=1e-6):
     if n > 1 and D[off].min() < min_separation:
         D = D + np.ceil(min_separation * 2.0**20) / 2.0**20 * off
     return D
+
+
+def loop_descent_table(rho, phi, allowed, rank):
+    """Descent targets by scanning every allowed point for every point; a reference."""
+    caps = phi * rho
+    order = sorted(allowed, key=lambda y: (-rho[y], y))
+    table = []
+    for x in range(rho.shape[0]):
+        candidates = [y for y in order if rho[y] <= caps[x]]
+        table.append(candidates[min(rank, len(candidates) - 1)])
+    return table
+
+
+class TestDescentTable:
+    def test_matches_the_loop(self):
+        rng = np.random.default_rng(20)
+        for case in range(600):
+            n = int(rng.integers(2, 80))
+            mode = list(MetricMode)[case % 3]
+            rho = oracle._rho_profile(rng, n, mode)
+            anchor = int(rng.integers(0, n))
+            rho[anchor] = 0.0
+            # phi = 0.5 on integer profiles puts caps exactly on other rho values
+            phi = 0.5 if case % 6 == 1 else float(rng.uniform(0.35, 0.65))
+            allowed = np.arange(n)
+            if case % 2:
+                f = rng.integers(0, n, size=n)
+                f[anchor] = anchor
+                allowed = np.unique(f)
+            for rank in (0, 1):
+                got = oracle._descent_table(rho, phi, allowed, rank).table
+                assert got.tolist() == loop_descent_table(rho, phi, allowed, rank), (case, rank)
+
+    def test_ties_go_to_the_smallest_index(self):
+        rho = np.array([2.0, 1.0, 0.0, 1.0, 2.0, 4.0])
+        assert oracle._descent_table(rho, 0.5, np.arange(6), 0).table.tolist() == [1, 2, 2, 2, 1, 0]
+        assert oracle._descent_table(rho, 0.5, np.arange(6), 1).table.tolist() == [3, 2, 2, 2, 3, 4]
 
 
 class TestMetricClosureRepair:
@@ -126,19 +163,12 @@ class TestEnumeration:
         assert enumerate_fixed_points(space, TableMapping([0, 0, 1])) == (0,)
         assert enumerate_fixed_points(space, identity_mapping(3)) == (0, 1, 2)
 
-    def test_common_fixed_points(self):
-        space = MetricSpace.finite(PATH3_TABLE)
-        S = TableMapping([0, 0, 2])
-        T = TableMapping([0, 1, 1])
-        assert enumerate_common_fixed_points(space, S, T) == (0,)
-
     def test_summary_collects_per_mapping_results(self):
         space = MetricSpace.finite(PATH3_TABLE)
         ms = MappingSet(S=TableMapping([0, 0, 2]), T=TableMapping([0, 1, 1]), arity=Arity.TWO)
         result = oracle_summary(space, ms)
         assert result.fixed_points == {"S": (0, 2), "T": (0, 1)}
         assert result.common_fixed_points == (0,)
-        assert result.unique_common_fixed_point == 0
         assert result.coincidence_classes == ()
         json.dumps(result.to_dict())
 
@@ -149,7 +179,6 @@ class TestEnumeration:
         )
         result = oracle_summary(space, ms)
         assert result.common_fixed_points == ()
-        assert result.unique_common_fixed_point is None
         assert len(result.coincidence_classes) == 1
         klass = result.coincidence_classes[0]
         assert klass.value == 1 and klass.points == (2,)
@@ -159,7 +188,6 @@ class TestEnumeration:
         ident = identity_mapping(3)
         result = oracle_summary(space, MappingSet(S=ident, T=ident, arity=Arity.TWO))
         assert result.common_fixed_points == (0, 1, 2)
-        assert result.unique_common_fixed_point is None
 
     def test_needs_finite_space(self):
         from cofix import AffineMapping
@@ -200,7 +228,7 @@ class TestAnchorInstances:
 
     def test_every_start_descends_to_the_anchor(self):
         inst = generate_instance(InstanceRecipe(seed=3, n=12))
-        for x0 in inst.space.points():
+        for x0 in range(inst.space.n):
             rep = picard_solve(inst.space, inst.maps.S, inst.maps.T, inst.coefficients, x0)
             assert rep.converged and rep.point == inst.anchor
 

@@ -274,6 +274,14 @@ class TestRoundTrip:
             assert problem_to_dict(load_problem(old)) == problem_to_dict(load_problem(doc))
             assert "eq_tol" not in problem_to_dict(load_problem(doc))["space"]
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_space_block_carries_no_completeness_flag(self, flag):
+        # every space is complete: an old "complete" key, even false, is ignored
+        for doc in (finite_doc(), euclid_doc()):
+            old = {**doc, "space": {**doc["space"], "complete": flag}}
+            assert problem_to_dict(load_problem(old)) == problem_to_dict(load_problem(doc))
+            assert "complete" not in problem_to_dict(load_problem(doc))["space"]
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_solver_tolerance_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(SchemaError, match="finite and non-negative"):
