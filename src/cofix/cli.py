@@ -21,7 +21,6 @@ import numpy as np
 from .contraction import (
     Arity,
     MappingSet,
-    SampledPairs,
     check_condition,
     check_range_inclusions,
 )
@@ -55,17 +54,8 @@ def _parse_x0(problem: Problem, raw: Optional[str]):
 
 def _cmd_check(args) -> int:
     problem = load_problem(args.problem)
-    source = problem.pair_source
-    if isinstance(source, SampledPairs):
-        axioms = verify_metric_axioms(
-            problem.space,
-            seed=source.seed,
-            samples=source.samples,
-            box=source.box or (-1.0, 1.0),
-        )
-    else:
-        axioms = verify_metric_axioms(problem.space)
-    condition = check_condition(problem.space, problem.maps, problem.coefficients, source, args.tol)
+    axioms = verify_metric_axioms(problem.space)
+    condition = check_condition(problem.space, problem.maps, problem.coefficients, problem.pair_source, args.tol)
     inclusions = check_range_inclusions(problem.space, problem.maps, tolerance=args.tol)
     passed = axioms.passed and condition.satisfied and inclusions.holds
 

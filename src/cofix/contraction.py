@@ -45,7 +45,7 @@ from .errors import (
     NonInvertibleMapping,
 )
 from .metric_core import MetricSpace, Point, sampling_box
-from .records import Record, as_int
+from .records import Record, int_arg
 
 EXHAUSTIVE = "exhaustive"
 
@@ -293,10 +293,7 @@ class SampledPairs(Record):
 
     def __post_init__(self):
         for name in ("samples", "seed"):
-            try:
-                object.__setattr__(self, name, as_int(getattr(self, name)))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from exc
+            object.__setattr__(self, name, int_arg(name, getattr(self, name)))
         if self.samples < 1:
             raise DomainError(f"need at least one sample, got {self.samples}")
         if self.box is not None:

@@ -31,7 +31,7 @@ from .contraction import (
 )
 from .errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
 from .metric_core import MetricSpace, verify_metric_axioms
-from .records import Record
+from .records import Record, int_arg
 from .reduction import coincidence_points, is_weakly_compatible
 
 
@@ -146,7 +146,7 @@ def oracle_summary(space: MetricSpace, maps: MappingSet) -> OracleResult:
 
 @dataclass(frozen=True)
 class InstanceRecipe(Record):
-    """Reproducible parameters for one generated instance."""
+    """Reproducible parameters for one generated instance; a fractional ``seed`` or ``n`` raises DomainError."""
 
     seed: int
     n: int
@@ -155,6 +155,8 @@ class InstanceRecipe(Record):
     mapping_mode: MappingMode = MappingMode.CONTRACTION_ANCHOR
 
     def __post_init__(self):
+        for name in ("seed", "n"):
+            object.__setattr__(self, name, int_arg(name, getattr(self, name)))
         if self.n < 2:
             raise DomainError(f"need at least two points, got {self.n}")
         object.__setattr__(self, "arity", Arity(self.arity))
@@ -368,11 +370,13 @@ def run_fuzz(
     :func:`generate_instance`.  In anchor mode every solve must land on
     the known fixed point; in random mode a converged solve must land on
     some enumerated common fixed point, and condition violations are
-    simply tallied.
+    simply tallied.  A fractional count, seed or size raises DomainError.
     """
     from .reduction import PipelineOptions, PipelineStatus, solve_pipeline
     from .solver import SolveStatus, picard_solve
 
+    count, seed = int_arg("count", count), int_arg("seed", seed)
+    n_min, n_max = int_arg("n_min", n_min), int_arg("n_max", n_max)
     if count < 1:
         raise DomainError(f"need a positive instance count, got {count}")
     if not 2 <= n_min <= n_max:

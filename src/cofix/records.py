@@ -16,6 +16,8 @@ import functools
 import typing
 from enum import Enum
 
+from .errors import DomainError
+
 
 class Record:
     """Mixin for frozen report dataclasses: field-driven ``to_dict``/``from_dict``."""
@@ -93,3 +95,11 @@ def as_int(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def int_arg(name: str, value) -> int:
+    """:func:`as_int` for a library argument: what it refuses raises DomainError naming ``name``."""
+    try:
+        return as_int(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from exc

@@ -212,6 +212,18 @@ class TestInstanceRecipe:
         with pytest.raises(DomainError):
             InstanceRecipe(seed=0, n=1)
 
+    @pytest.mark.parametrize("kwargs", [{"seed": 1, "n": 5.5}, {"seed": 1.5, "n": 5}, {"seed": None, "n": 5}], ids=["n", "seed", "no-seed"])
+    def test_seed_and_size_follow_the_integer_rule(self, kwargs):
+        # n = 5.5 constructed and failed later inside numpy; seed = 1.5 raised TypeError
+        with pytest.raises(DomainError, match="must be an integer"):
+            InstanceRecipe(**kwargs)
+
+    def test_integral_floats_are_accepted(self):
+        r = InstanceRecipe(seed=3.0, n=6.0)
+        assert r == InstanceRecipe(seed=3, n=6)
+        assert type(r.seed) is int and type(r.n) is int
+        assert generate_instance(r).space == generate_instance(InstanceRecipe(seed=3, n=6)).space
+
 
 class TestAnchorInstances:
     @pytest.mark.parametrize("mode", list(MetricMode))
@@ -346,3 +358,20 @@ class TestRunFuzz:
             run_fuzz(0)
         with pytest.raises(DomainError):
             run_fuzz(5, n_min=5, n_max=3)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((2.5,), {}), ((1,), {"seed": 1.5}), ((3,), {"n_min": 2.5, "n_max": 4.7}), ((3,), {"n_max": 4.7})],
+        ids=["count", "seed", "n_min", "n_max"],
+    )
+    def test_counts_seed_and_sizes_follow_the_integer_rule(self, args, kwargs):
+        # n_min = 2.5 ran and wrote an n_range that FuzzSummary.from_dict refused
+        with pytest.raises(DomainError, match="must be an integer"):
+            run_fuzz(*args, **kwargs)
+
+    def test_integral_floats_give_a_summary_that_decodes(self):
+        summary = run_fuzz(3.0, seed=7.0, n_min=3.0, n_max=5.0)
+        assert summary.to_dict()["n_range"] == [3, 5]
+        assert oracle.FuzzSummary.from_dict(json.loads(json.dumps(summary.to_dict()))) == summary
+        exact = run_fuzz(3, seed=7, n_min=3, n_max=5)
+        assert (summary.count, summary.seed, summary.tallies) == (exact.count, exact.seed, exact.tallies)

@@ -1,13 +1,18 @@
-"""The package's export list, and the names the benchmark's tracer wraps."""
+"""The package's export list, and what the benchmark calls in it."""
 
 import importlib
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
-import cofix
+import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import cofix
+from cofix.errors import CofixError
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_all_is_sorted_and_public():
@@ -32,3 +37,21 @@ def test_traced_names_resolve():
     for module, names in tracing.TRACED.values():
         for name in names:
             assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("workload", ["large_finite", "corpus_euclidean"])
+def test_benchmark_warmup_ops_answer_right(workload, monkeypatch):
+    # the smallest op of each kind the benchmark times, judged by its own check;
+    # a CofixError is an answer for the check to classify, as in perfbench/run.py
+    spec = importlib.util.spec_from_file_location("cofix_bench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    verdicts = []
+    for op in workloads.WORKLOADS[workload](1).warmup():
+        try:
+            value = op.call()
+        except CofixError as exc:
+            value = exc
+        verdicts.append((op.kind, op.check(value)))
+    assert verdicts and all(verdict != workloads.WRONG for _, verdict in verdicts), verdicts

@@ -59,7 +59,7 @@ def euclidean_pipeline():
 
 CASES = {
     "AxiomCheck": lambda: AxiomCheck("symmetry", False, ((0.5, 1.0), (2.0, -1.0)), 0.25),
-    "AxiomReport": lambda: verify_metric_axioms(LINE, samples=16, seed=2, box=(-1.0, 3.0)),
+    "AxiomReport": lambda: verify_metric_axioms(LINE),
     "Coefficients": lambda: Coefficients(0.1, 0.2, 0.3, 0.05, 1.5),
     "SampledPairs": lambda: SampledPairs(samples=10, seed=4),
     "ViolationReport": lambda: check_condition(LINE, MappingSet(S=HALF, T=HALF), GAMMA, BOX),
