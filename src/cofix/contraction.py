@@ -166,7 +166,7 @@ def identity_mapping(n: int) -> TableMapping:
 
 @dataclass(frozen=True)
 class AffineMapping:
-    """The affine self-map x -> matrix @ x + offset of a Euclidean space."""
+    """The affine self-map x -> matrix @ x + offset of a Euclidean space; every entry must be finite."""
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -178,6 +178,8 @@ class AffineMapping:
             raise DomainError(f"affine matrix must be square, got shape {mat.shape}")
         if off.shape != (mat.shape[0],):
             raise DomainError(f"offset shape {off.shape} does not match matrix {mat.shape}")
+        if not (np.isfinite(mat).all() and np.isfinite(off).all()):
+            raise DomainError("affine matrix and offset entries must be finite")
         mat.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -194,7 +196,8 @@ class AffineMapping:
         )
 
     def __hash__(self):
-        return hash((self.matrix.tobytes(), self.offset.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which == already equates
+        return hash(((self.matrix + 0.0).tobytes(), (self.offset + 0.0).tobytes()))
 
     @property
     def dimension(self) -> int:

@@ -215,7 +215,7 @@ def _descent_table(rho: np.ndarray, phi: float, allowed: np.ndarray, rank: int) 
     return TableMapping(order[np.minimum(first + rank, order.shape[0] - 1)])
 
 
-def _force_non_injective(rng: np.random.Generator, f: np.ndarray, anchor: int) -> np.ndarray:
+def _force_non_injective(f: np.ndarray, anchor: int) -> np.ndarray:
     n = f.shape[0]
     others = [i for i in range(n) if i != anchor]
     if len(others) >= 2:
@@ -225,30 +225,27 @@ def _force_non_injective(rng: np.random.Generator, f: np.ndarray, anchor: int) -
     return f
 
 
+def _mapping_set(arity: Arity, S: TableMapping, T: TableMapping, f: Optional[TableMapping]) -> MappingSet:
+    """S and T with their companions by arity: none for two, f for three, f and g = f for four."""
+    return MappingSet(S=S, T=T, f=f, g=f if arity == Arity.FOUR else None, arity=arity)
+
+
 def _anchor_instance(recipe: InstanceRecipe, rng: np.random.Generator) -> GeneratedInstance:
     space, anchor, rho = _hub_space(rng, recipe.n, recipe.metric_mode)
     phi = float(rng.uniform(0.35, 0.65))
-    everyone = np.arange(recipe.n)
-
-    if recipe.arity == Arity.TWO:
-        sigma = _descent_table(rho, phi, everyone, rank=0)
-        maps = MappingSet(S=sigma, T=sigma, arity=Arity.TWO)
-        coefficients = Coefficients(0.0, 0.0, phi, 0.0, 0.0)
-    else:
+    f, targets = None, np.arange(recipe.n)
+    if recipe.arity >= Arity.THREE:
         f_table = rng.integers(0, recipe.n, size=recipe.n)
         f_table[anchor] = anchor
-        f_table = _force_non_injective(rng, f_table, anchor)
-        f = TableMapping(f_table)
+        f = TableMapping(_force_non_injective(f_table, anchor))
         targets = f.image()
-        sigma = _descent_table(rho, phi, targets, rank=0)
-        if recipe.arity == Arity.THREE:
-            st = sigma.compose(f)
-            maps = MappingSet(S=st, T=st, f=f, arity=Arity.THREE)
-            coefficients = Coefficients(0.0, 0.0, phi, 0.0, 0.0)
-        else:
-            tau = _descent_table(rho, phi, targets, rank=1)
-            maps = MappingSet(S=sigma.compose(f), T=tau.compose(f), f=f, g=f, arity=Arity.FOUR)
-            coefficients = Coefficients(0.0, 0.0, phi, 0.0, phi)
+
+    sigma = _descent_table(rho, phi, targets, rank=0)
+    S = sigma if f is None else sigma.compose(f)
+    four = recipe.arity == Arity.FOUR
+    T = _descent_table(rho, phi, targets, rank=1).compose(f) if four else S
+    maps = _mapping_set(recipe.arity, S, T, f)
+    coefficients = Coefficients(0.0, 0.0, phi, 0.0, phi if four else 0.0)
 
     oracle = _verified_oracle(space, maps, coefficients, anchor)
     return GeneratedInstance(
@@ -303,20 +300,11 @@ def _random_instance(recipe: InstanceRecipe, rng: np.random.Generator) -> Genera
         float(rng.uniform(0.0, 1.0)),
     )
 
-    if recipe.arity == Arity.TWO:
-        maps = MappingSet(
-            S=TableMapping(rng.integers(0, n, size=n)),
-            T=TableMapping(rng.integers(0, n, size=n)),
-            arity=Arity.TWO,
-        )
-    else:
-        f = TableMapping(rng.integers(0, n, size=n))
-        targets = f.image()
-        draw = lambda: TableMapping(targets[rng.integers(0, targets.shape[0], size=n)])
-        if recipe.arity == Arity.THREE:
-            maps = MappingSet(S=draw(), T=draw(), f=f, arity=Arity.THREE)
-        else:
-            maps = MappingSet(S=draw(), T=draw(), f=f, g=f, arity=Arity.FOUR)
+    # f is drawn before S and T, which take values in its image: the draw order fixes every table
+    f = TableMapping(rng.integers(0, n, size=n)) if recipe.arity >= Arity.THREE else None
+    targets = np.arange(n) if f is None else f.image()
+    draw = lambda: TableMapping(targets[rng.integers(0, targets.shape[0], size=n)])
+    maps = _mapping_set(recipe.arity, draw(), draw(), f)
     return GeneratedInstance(
         space=space,
         maps=maps,
@@ -367,13 +355,15 @@ def run_fuzz(
 
     Instance i uses seed ``seed + i``, so a mismatch seed reported in the
     summary reproduces its instance directly through
-    :func:`generate_instance`.  In anchor mode every solve must land on
-    the known fixed point; in random mode a converged solve must land on
-    some enumerated common fixed point, and condition violations are
-    simply tallied.  A fractional count, seed or size raises DomainError.
+    :func:`generate_instance`.  One rule judges both solvers: a point the
+    solve names as common fixed point must be an enumerated one, and
+    naming none (a failed orbit, a coincidence-only pipeline, a tallied
+    CofixError) is a mismatch only in anchor mode, whose answer is known.
+    Condition violations are simply tallied.  A fractional count, seed or
+    size raises DomainError.
     """
-    from .reduction import PipelineOptions, PipelineStatus, solve_pipeline
-    from .solver import SolveStatus, picard_solve
+    from .reduction import PipelineOptions, solve_pipeline
+    from .solver import picard_solve
 
     count, seed = int_arg("count", count), int_arg("seed", seed)
     n_min, n_max = int_arg("n_min", n_min), int_arg("n_max", n_max)
@@ -413,35 +403,24 @@ def run_fuzz(
         report = check_condition(space, maps, c)
         tallies["condition_satisfied" if report.satisfied else "condition_violated"] += 1
 
+        # each solver names the point it certified, or None
         if arity == Arity.TWO:
             x0 = int(np.random.default_rng(recipe.seed ^ 0xA5A5).integers(0, space.n))
             solve = picard_solve(space, maps.S, maps.T, c, x0, keep_trace=False)
-            tallies[str(solve.status)] += 1
-            if solve.status == SolveStatus.CONVERGED:
-                if solve.point in inst.oracle.common_fixed_points:
-                    tallies["oracle_matched"] += 1
-                else:
-                    mismatches.append(recipe.seed)
-            elif inst.anchor is not None:
-                mismatches.append(recipe.seed)
+            key, named = str(solve.status), solve.point if solve.converged else None
         else:
             options = PipelineOptions(verify_hypotheses=False, keep_trace=False)
             try:
                 pipe = solve_pipeline(space, maps, c, None, options)
             except CofixError:
-                tallies["pipeline_errors"] += 1
-                if inst.anchor is not None:
-                    mismatches.append(recipe.seed)
-                continue
-            key = f"pipeline_{pipe.status.value}"
-            tallies[key] = tallies.get(key, 0) + 1
-            if pipe.status == PipelineStatus.COMMON_FIXED_POINT:
-                if pipe.common_fixed_point in inst.oracle.common_fixed_points:
-                    tallies["oracle_matched"] += 1
-                else:
-                    mismatches.append(recipe.seed)
-            elif inst.anchor is not None:
-                mismatches.append(recipe.seed)
+                key, named = "pipeline_errors", None
+            else:
+                key, named = f"pipeline_{pipe.status}", pipe.common_fixed_point
+        tallies[key] = tallies.get(key, 0) + 1
+        if named is not None and named in inst.oracle.common_fixed_points:
+            tallies["oracle_matched"] += 1
+        elif named is not None or inst.anchor is not None:
+            mismatches.append(recipe.seed)
 
     return FuzzSummary(
         count=count,

@@ -14,11 +14,12 @@ A problem document has the shape
     }
 
 Euclidean spaces use {"flavor": "euclidean_affine", "dimension": m} and
-affine mappings {"type": "affine", "matrix": [[...]], "offset": [...]};
-their pair_source must be an object {"samples", "seed", "box"}.  The
-"solver" and "metadata" blocks are optional.  Anything structurally wrong
-raises SchemaError, which the command line reports as exit code 2, and so
-does a fractional integer such as ``2.5`` (``2.0`` reads as 2).
+affine mappings {"type": "affine", "matrix": [[...]], "offset": [...]}
+with finite entries; their pair_source must be an object {"samples",
+"seed", "box"}.  The "solver" and "metadata" blocks are optional.  Anything
+structurally wrong raises SchemaError, which the command line reports as
+exit code 2, and so does a fractional integer such as ``2.5`` (``2.0``
+reads as 2).
 
 A "solver" ``tol`` follows the one tolerance rule, :meth:`MetricSpace.slack`:
 it must be finite and non-negative, and Euclidean spaces add their rounding
@@ -32,8 +33,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
-
-import numpy as np
 
 from .contraction import (
     EXHAUSTIVE,
@@ -84,7 +83,7 @@ def _space_from_dict(doc: dict) -> MetricSpace:
         raise SchemaError(f"unknown space flavor {flavor!r}") from None
     if flavor == Flavor.FINITE_EXPLICIT:
         table = _require(doc, "table", "space")
-        return MetricSpace.finite(np.array(table, dtype=float))
+        return MetricSpace.finite(table)
     return MetricSpace.euclidean(as_int(_require(doc, "dimension", "space")))
 
 
@@ -97,11 +96,11 @@ def _space_to_dict(space: MetricSpace) -> dict:
 def _mapping_from_dict(doc: dict, label: str):
     kind = _require(doc, "type", f"mapping {label}")
     if kind == "table":
-        return TableMapping(np.array(_require(doc, "table", f"mapping {label}")))
+        return TableMapping(_require(doc, "table", f"mapping {label}"))
     if kind == "affine":
         return AffineMapping(
-            np.array(_require(doc, "matrix", f"mapping {label}"), dtype=float),
-            np.array(_require(doc, "offset", f"mapping {label}"), dtype=float),
+            _require(doc, "matrix", f"mapping {label}"),
+            _require(doc, "offset", f"mapping {label}"),
         )
     raise SchemaError(f"mapping {label} has unknown type {kind!r}")
 

@@ -274,6 +274,31 @@ class TestFractionalInput:
         assert "not an integer" in capsys.readouterr().err
 
 
+class TestNonFiniteAffine:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("fmt", ["human", "structured"])
+    def test_exits_schema_with_nothing_on_stdout(self, tmp_path, capsys, bad, command, fmt):
+        # check exited 1 and printed "worst_margin": NaN; solve failed only at
+        # its first iterate, with a point "outside the universe"
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 1},
+            "mappings": {
+                "arity": 2,
+                "S": {"type": "affine", "matrix": [[bad]], "offset": [0.0]},
+                "T": {"type": "affine", "matrix": [[0.5]], "offset": [0.0]},
+            },
+            "coefficients": GAMMA_HALF,
+            "pair_source": {"samples": 64, "seed": 0, "box": [-1.0, 1.0]},
+            "solver": {"x0": [1.0]},
+        }
+        path = write_doc(tmp_path, "nonfinite.json", doc)
+        assert cli.main([command, path, "--format", fmt]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "schema error: invalid problem document: affine matrix and offset entries must be finite\n"
+
+
 class TestSolve:
     def test_converging_problem_exits_zero(self, halving_file, capsys):
         assert cli.main(["solve", halving_file]) == cli.EXIT_OK

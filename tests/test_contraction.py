@@ -188,6 +188,29 @@ class TestAffineMapping:
         with pytest.raises(DomainError):
             AffineMapping(np.eye(2), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["matrix", "offset"])
+    def test_rejects_non_finite_entries(self, bad, where):
+        # a NaN matrix was accepted and surfaced as "worst_margin": NaN in check
+        matrix, offset = [[0.5, 0.0], [0.0, 0.5]], [0.0, 1.0]
+        if where == "matrix":
+            matrix[1][0] = bad
+        else:
+            offset[0] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            AffineMapping(matrix, offset)
+
+    def test_hash_agrees_with_eq_on_signed_zero(self):
+        # the byte hash put the -0.0 map and its == twin in different buckets
+        a = AffineMapping([[0.5]], [-0.0])
+        b = AffineMapping([[0.5]], [0.0])
+        c = AffineMapping([[-0.0, 0.5], [0.5, 0.0]], [1.0, -0.0])
+        d = AffineMapping([[0.0, 0.5], [0.5, 0.0]], [1.0, 0.0])
+        assert a == b and hash(a) == hash(b)
+        assert c == d and hash(c) == hash(d)
+        assert len({a, b, c, d}) == 2
+        assert np.signbit(a.offset[0])  # the stored entry keeps its sign
+
     def test_validate_against_space(self):
         m = AffineMapping(np.eye(2), np.zeros(2))
         assert m.validate(MetricSpace.euclidean(2)) is m

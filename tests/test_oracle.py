@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 from cofix import (
     Arity,
     Coefficients,
+    CoincidenceReport,
     InstanceRecipe,
     MappingMode,
     MappingSet,
     MetricMode,
     MetricSpace,
+    PipelineStatus,
+    SolveStatus,
     TableMapping,
     check_condition_two,
     check_condition_three,
@@ -34,7 +38,7 @@ from cofix import (
     verify_metric_axioms,
 )
 from cofix import oracle
-from cofix.errors import DomainError, ExhaustiveOnInfinite
+from cofix.errors import CofixError, DomainError, ExhaustiveOnInfinite
 
 PATH3_TABLE = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 
@@ -288,6 +292,25 @@ class TestAnchorInstances:
         assert inst.oracle.common_fixed_points == (inst.anchor,)
 
 
+class TestMappingSets:
+    @pytest.mark.parametrize("mode", list(MappingMode), ids=str)
+    @pytest.mark.parametrize("arity", list(Arity))
+    def test_companions_follow_the_arity(self, arity, mode):
+        # none for two mappings, f for three, and g = f (the same object) for four
+        for seed in range(4):
+            inst = generate_instance(InstanceRecipe(seed=seed, n=7, arity=arity, mapping_mode=mode))
+            maps = inst.maps
+            assert maps.arity == arity
+            assert (maps.f is None) == (arity == Arity.TWO)
+            assert (maps.g is maps.f) if arity == Arity.FOUR else maps.g is None
+            if arity >= Arity.THREE:
+                image = set(maps.f.image().tolist())
+                assert set(maps.S.table.tolist()) <= image and set(maps.T.table.tolist()) <= image
+            if mode == MappingMode.CONTRACTION_ANCHOR:
+                assert (maps.S is maps.T) == (arity != Arity.FOUR)
+                assert inst.coefficients.L == (inst.phi if arity == Arity.FOUR else 0.0)
+
+
 class TestRandomInstances:
     def test_random_mode_attaches_plain_oracle(self):
         inst = generate_instance(
@@ -375,3 +398,61 @@ class TestRunFuzz:
         assert oracle.FuzzSummary.from_dict(json.loads(json.dumps(summary.to_dict()))) == summary
         exact = run_fuzz(3, seed=7, n_min=3, n_max=5)
         assert (summary.count, summary.seed, summary.tallies) == (exact.count, exact.seed, exact.tallies)
+
+
+class TestFuzzVerdict:
+    """One rule judges both solvers: a named point must be an enumerated
+    common fixed point, and naming none is a mismatch only on anchor instances."""
+
+    MODES = [MappingMode.CONTRACTION_ANCHOR, MappingMode.RANDOM]
+
+    @staticmethod
+    def _patch(monkeypatch, *, point, status, pipeline_status=None, raises=False):
+        import cofix.reduction
+        import cofix.solver
+
+        real_picard = cofix.solver.picard_solve
+
+        def picard(*args, **kwargs):
+            return replace(real_picard(*args, **kwargs), status=status, **({} if point is None else {"point": point}))
+
+        def pipeline(space, maps, *args, **kwargs):
+            if raises:
+                raise CofixError("tallied failure")
+            return CoincidenceReport(
+                status=pipeline_status, arity=maps.arity, tolerance=0.0, stages=(), common_fixed_point=point
+            )
+
+        monkeypatch.setattr(cofix.solver, "picard_solve", picard)
+        monkeypatch.setattr(cofix.reduction, "solve_pipeline", pipeline)
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.THREE])
+    def test_a_point_outside_the_oracle_is_a_mismatch(self, monkeypatch, arity, mode):
+        # -1 indexes no point, so it is in no oracle's common fixed points
+        self._patch(monkeypatch, point=-1, status=SolveStatus.CONVERGED, pipeline_status=PipelineStatus.COMMON_FIXED_POINT)
+        summary = run_fuzz(5, seed=30, arity=arity, mapping_mode=mode, n_max=8)
+        assert summary.mismatch_seeds == (30, 31, 32, 33, 34)
+        assert summary.tallies["oracle_matched"] == 0
+        key = "converged" if arity == Arity.TWO else "pipeline_common_fixed_point"
+        assert summary.tallies[key] == 5
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    @pytest.mark.parametrize("arity", [Arity.TWO, Arity.THREE])
+    def test_naming_no_point_is_a_mismatch_only_on_anchor_instances(self, monkeypatch, arity, mode):
+        # the failed orbit still ends on the anchor; a point not certified counts for nothing
+        self._patch(monkeypatch, point=None, status=SolveStatus.MAX_ITERATIONS, pipeline_status=PipelineStatus.COINCIDENCE_ONLY)
+        summary = run_fuzz(5, seed=30, arity=arity, mapping_mode=mode, n_max=8)
+        anchored = mode == MappingMode.CONTRACTION_ANCHOR
+        assert summary.mismatch_seeds == ((30, 31, 32, 33, 34) if anchored else ())
+        assert summary.tallies["oracle_matched"] == 0
+        key = "max_iterations" if arity == Arity.TWO else "pipeline_coincidence_only"
+        assert summary.tallies[key] == 5
+
+    @pytest.mark.parametrize("mode", MODES, ids=str)
+    def test_tallied_pipeline_errors_name_no_point(self, monkeypatch, mode):
+        self._patch(monkeypatch, point=None, status=SolveStatus.CONVERGED, raises=True)
+        summary = run_fuzz(4, seed=40, arity=Arity.FOUR, mapping_mode=mode, n_max=8)
+        assert summary.tallies["pipeline_errors"] == 4
+        assert summary.tallies["oracle_matched"] == 0
+        assert summary.mismatch_seeds == ((40, 41, 42, 43) if mode == MappingMode.CONTRACTION_ANCHOR else ())

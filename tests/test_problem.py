@@ -1,6 +1,7 @@
 """Problem document loading, serialization, and the instance wrapper."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,46 @@ class TestSchemaRejections:
         doc["mappings"]["S"] = {"type": "table", "table": [0.5, 0, 1, 2]}
         with pytest.raises(SchemaError, match="entries must be integers"):
             load_problem(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["matrix", "offset"])
+    def test_non_finite_affine_entries_are_rejected(self, bad, where):
+        # a NaN matrix loaded, and check printed "worst_margin": NaN, which is not JSON
+        doc = euclid_doc()
+        doc["mappings"]["S"][where] = [[bad, 0.0], [0.0, 0.5]] if where == "matrix" else [bad, 0.0]
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        with pytest.raises(SchemaError, match="entries must be finite"):
+            load_problem(json.dumps(doc))
+
+    @pytest.mark.parametrize("block", ["table", "matrix"])
+    def test_ragged_arrays_are_rejected(self, block):
+        if block == "table":
+            doc = finite_doc(space={"flavor": "finite_explicit", "table": [[0.0, 1.0], [1.0]]})
+        else:
+            doc = euclid_doc()
+            doc["mappings"]["S"]["matrix"] = [[0.5, 0.0], [0.5]]
+        with pytest.raises(SchemaError, match="invalid problem document"):
+            load_problem(doc)
+
+    def test_distance_table_is_converted_once(self):
+        # the loader wrapped the table in a float array that finite() copied again
+        n = 400
+        rho = np.random.default_rng(0).uniform(0.5, 8.0, n)
+        table = np.maximum.outer(rho, rho)
+        np.fill_diagonal(table, 0.0)
+        doc = finite_doc(
+            space={"flavor": "finite_explicit", "table": table.tolist()},
+            mappings={"arity": 2, "S": {"type": "table", "table": [0] * n}, "T": {"type": "table", "table": [0] * n}},
+            solver={},
+        )
+        tracemalloc.start()
+        try:
+            problem = load_problem(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(problem.space.table, table)
+        assert peak < 1.5 * table.nbytes
 
 
 class TestRoundTrip:

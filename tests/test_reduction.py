@@ -39,6 +39,7 @@ from cofix import (
     solve_three,
     solve_three_coincidence,
 )
+from cofix import reduction
 from cofix.errors import (
     CofixError,
     ConditionViolated,
@@ -214,6 +215,16 @@ class TestWeakCompatibility:
         assert not wc.compatible
         assert wc.witness is not None
         assert wc.checked == 2
+
+    def test_affine_incompatible_at_the_particular_solution(self):
+        # 2x + 1 = 3x - 1 only at x = 2, where A(B(2)) = 11 but B(A(2)) = 14
+        space = MetricSpace.euclidean(1)
+        A = AffineMapping([[2.0]], [1.0])
+        B = AffineMapping([[3.0]], [-1.0])
+        wc = is_weakly_compatible(space, A, B, names=("A", "B"))
+        assert not wc.compatible and not wc.vacuous
+        assert wc.witness == (2.0,)
+        assert wc.checked == 1
 
     def test_affine_parallel_maps_are_vacuous(self):
         space = MetricSpace.euclidean(2)
@@ -401,6 +412,23 @@ def _scaled_problem(seed, m, lam, arity, rank_deficient=False):
 
 
 SCALES = [10.0**k for k in range(0, 13, 2)]
+
+
+class TestSingularFactor:
+    @pytest.mark.parametrize("lam", [1.0, 1e4])
+    def test_pseudo_inverse_section_reaches_the_fixed_point(self, lam):
+        # f projects onto the first axis about z, so it has no inverse and the
+        # section falls back to the pseudo-inverse; S = T = f / 2 about z
+        P = np.diag([1.0, 0.0])
+        z = lam * np.array([0.3, -0.7])
+        f, S = _about(P, z), _about(0.5 * P, z)
+        section = reduction._affine_section(f)
+        assert np.array_equal(section.mapping.matrix, np.linalg.pinv(P))
+        opts = PipelineOptions(pair_source=SampledPairs(500, 0, (-3 * lam, 3 * lam)))
+        maps = MappingSet(S=S, T=S, f=f, arity=Arity.THREE)
+        rep = solve_pipeline(MetricSpace.euclidean(2), maps, Coefficients(0, 0, 0.5, 0), np.array([lam, lam]), opts)
+        assert rep.status == PipelineStatus.COMMON_FIXED_POINT
+        assert np.linalg.norm(np.array(rep.common_fixed_point) - z) <= 1e-8 * max(1.0, np.linalg.norm(z))
 
 
 class TestAffineInclusionsAtScale:
