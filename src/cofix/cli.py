@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -21,15 +22,16 @@ import numpy as np
 from .contraction import (
     Arity,
     MappingSet,
+    TableMapping,
     check_condition,
     check_range_inclusions,
 )
-from .errors import CofixError, DomainError, SchemaError
-from .metric_core import verify_metric_axioms
+from .errors import CofixError, DomainError, RangeInclusionFailure, SchemaError
+from .metric_core import MetricSpace, verify_metric_axioms
 from .oracle import MappingMode, MetricMode, oracle_summary, run_fuzz
-from .problem import Problem, load_problem, problem_to_dict
+from .problem import load_problem, problem_to_dict
 from .reduction import PipelineOptions, PipelineStatus, induce, solve_pipeline
-from .solver import SolveStatus, picard_solve
+from .solver import picard_solve
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -41,7 +43,7 @@ def _emit(doc: dict, fmt: str) -> None:
         print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _parse_x0(problem: Problem, raw: Optional[str]):
+def _parse_x0(problem, raw: Optional[str]):
     if raw is None:
         return problem.start_point()
     try:
@@ -107,65 +109,56 @@ def _print_solve_human(report) -> None:
             print(f"  [{i:>3}] {report.trace.producer(i):>5}: {p}{gap}")
 
 
+def _print_pipeline_human(report) -> None:
+    print(f"status: {report.status}")
+    print(f"stages: {' -> '.join(report.stages)}")
+    if report.point_of_coincidence is not None:
+        print(f"point of coincidence: {report.point_of_coincidence}")
+        print(f"coincidence points: {list(report.coincidence_points)}")
+    if report.common_fixed_point is not None:
+        print(f"common fixed point: {report.common_fixed_point}")
+    for wc in report.weak_compatibility:
+        verdict = "compatible" if wc.compatible else f"INCOMPATIBLE at {wc.witness}"
+        print(f"weak compatibility {wc.pair[0]},{wc.pair[1]}: {verdict}")
+    if report.solve_report is not None:
+        print(f"inner solve: {report.solve_report.status} in {report.solve_report.iterations} iterations")
+
+
+def _solve_command(arity: Arity) -> str:
+    return "solve" if arity == Arity.TWO else f"solve{int(arity)}"
+
+
 def _cmd_solve(args) -> int:
+    """solve, solve3 and solve4: picard_solve at two mappings, solve_pipeline at three or four."""
     problem = load_problem(args.problem)
-    if problem.maps.arity != Arity.TWO:
-        raise SchemaError(f"solve handles two mappings; this problem has {int(problem.maps.arity)} (use solve{int(problem.maps.arity)})")
-    x0 = _parse_x0(problem, args.x0)
-    report = picard_solve(
-        problem.space,
-        problem.maps.S,
-        problem.maps.T,
-        problem.coefficients,
-        x0,
-        tol=args.tol if args.tol is not None else problem.tol,
-        max_iters=args.max_iters if args.max_iters is not None else problem.max_iters,
-        keep_trace=args.trace,
-    )
-    if args.format == "human":
-        _print_solve_human(report)
-    _emit(report.to_dict(), args.format)
-    return EXIT_OK if report.status == SolveStatus.CONVERGED else EXIT_FAILED
-
-
-def _cmd_solve_high(args) -> int:
-    problem = load_problem(args.problem)
-    want_arity = args.want_arity
-    if problem.maps.arity != want_arity:
+    want, have = args.want_arity, problem.maps.arity
+    if have != want:
         raise SchemaError(
-            f"solve{int(want_arity)} handles {int(want_arity)} mappings; this problem has {int(problem.maps.arity)}"
+            f"{_solve_command(want)} handles {int(want)} mappings; this problem has {int(have)} (use {_solve_command(have)})"
         )
     x0 = _parse_x0(problem, args.x0)
-    options = PipelineOptions(
+    # the same three settings drive picard_solve and the pipeline; a flag overrides the document
+    run = dict(
         tol=args.tol if args.tol is not None else problem.tol,
         max_iters=args.max_iters if args.max_iters is not None else problem.max_iters,
         keep_trace=args.trace,
-        verify_hypotheses=not args.no_verify,
-        pair_source=problem.pair_source,
-        stop_at_coincidence=args.coincidence_only,
     )
-    report = solve_pipeline(problem.space, problem.maps, problem.coefficients, x0, options)
-
+    if want == Arity.TWO:
+        report = picard_solve(problem.space, problem.maps.S, problem.maps.T, problem.coefficients, x0, **run)
+        good, show = report.converged, _print_solve_human
+    else:
+        options = PipelineOptions(
+            verify_hypotheses=not args.no_verify,
+            pair_source=problem.pair_source,
+            stop_at_coincidence=args.coincidence_only,
+            **run,
+        )
+        report = solve_pipeline(problem.space, problem.maps, problem.coefficients, x0, options)
+        wanted = PipelineStatus.COINCIDENCE_ONLY if args.coincidence_only else PipelineStatus.COMMON_FIXED_POINT
+        good, show = report.status == wanted, _print_pipeline_human
     if args.format == "human":
-        print(f"status: {report.status}")
-        print(f"stages: {' -> '.join(report.stages)}")
-        if report.point_of_coincidence is not None:
-            print(f"point of coincidence: {report.point_of_coincidence}")
-            print(f"coincidence points: {list(report.coincidence_points)}")
-        if report.common_fixed_point is not None:
-            print(f"common fixed point: {report.common_fixed_point}")
-        for wc in report.weak_compatibility:
-            verdict = "compatible" if wc.compatible else f"INCOMPATIBLE at {wc.witness}"
-            print(f"weak compatibility {wc.pair[0]},{wc.pair[1]}: {verdict}")
-        if report.solve_report is not None:
-            print(f"inner solve: {report.solve_report.status} in {report.solve_report.iterations} iterations")
+        show(report)
     _emit(report.to_dict(), args.format)
-
-    good = (
-        report.status == PipelineStatus.COINCIDENCE_ONLY
-        if args.coincidence_only
-        else report.status == PipelineStatus.COMMON_FIXED_POINT
-    )
     return EXIT_OK if good else EXIT_FAILED
 
 
@@ -173,27 +166,29 @@ def _cmd_reduce(args) -> int:
     problem = load_problem(args.problem)
     if problem.maps.arity == Arity.TWO:
         raise SchemaError("reduce needs a three- or four-mapping problem")
+    inclusions = check_range_inclusions(problem.space, problem.maps, tolerance=problem.tol)
+    bad = next((ch for ch in inclusions.checks if not ch.holds), None)
+    if bad is not None:
+        raise RangeInclusionFailure(f"{bad.description} fails", witness=bad.witness, stage="inclusions")
     induced = induce(problem.space, problem.maps)
-
-    reduced = Problem(
-        space=problem.space,
-        maps=MappingSet(S=induced.S, T=induced.T, arity=Arity.TWO),
-        coefficients=problem.coefficients,
-        pair_source=problem.pair_source,
-        tol=problem.tol,
-        max_iters=problem.max_iters,
-        metadata={**problem.metadata, "reduced_from_arity": int(problem.maps.arity)},
-    )
-    doc = problem_to_dict(reduced)
+    space, S, T = problem.space, induced.S, induced.T
+    start = problem.maps.f(problem.start_point())  # where the pipeline's inner solve starts
+    metadata = {**problem.metadata, "reduced_from_arity": int(problem.maps.arity)}
     if induced.image is not None:
-        doc["metadata"]["image"] = list(induced.image)
+        # the induced maps act on f(X) alone, which holds S(X) and T(X): point i of the reduced problem is image[i]
+        image = np.array(induced.image)
+        space = MetricSpace.finite(space.table[np.ix_(image, image)])
+        S, T = (TableMapping(np.searchsorted(image, m.table[image])) for m in (S, T))
+        start = int(np.searchsorted(image, start))
+        metadata["image"] = list(induced.image)
+    reduced = replace(problem, space=space, maps=MappingSet(S=S, T=T), x0=space.canonicalize(start), metadata=metadata)
+    doc = problem_to_dict(reduced)
     if args.format == "human":
         print(f"induced S: {doc['mappings']['S']}")
         print(f"induced T: {doc['mappings']['T']}")
         if induced.image is not None:
             print(f"image: {list(induced.image)}")
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    _emit(doc, args.format)
     return EXIT_OK
 
 
@@ -261,20 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("solve", parents=[fmt, solvopts], help="two-mapping alternating iteration")
-    p.add_argument("problem")
-    p.set_defaults(fn=_cmd_solve)
-
-    for arity in (Arity.THREE, Arity.FOUR):
-        p = sub.add_parser(
-            f"solve{int(arity)}",
-            parents=[fmt, solvopts],
-            help=f"{int(arity)}-mapping reduction pipeline",
-        )
+    for arity in Arity:
+        helptext = "two-mapping alternating iteration" if arity == Arity.TWO else f"{int(arity)}-mapping reduction pipeline"
+        p = sub.add_parser(_solve_command(arity), parents=[fmt, solvopts], help=helptext)
         p.add_argument("problem")
-        p.add_argument("--no-verify", action="store_true", help="skip the up-front hypothesis check")
-        p.add_argument("--coincidence-only", action="store_true", help="stop at the coincidence point")
-        p.set_defaults(fn=_cmd_solve_high, want_arity=arity)
+        if arity != Arity.TWO:
+            p.add_argument("--no-verify", action="store_true", help="skip the up-front hypothesis check")
+            p.add_argument("--coincidence-only", action="store_true", help="stop at the coincidence point")
+        p.set_defaults(fn=_cmd_solve, want_arity=arity)
 
     p = sub.add_parser("reduce", parents=[fmt], help="emit the induced two-mapping problem")
     p.add_argument("problem")

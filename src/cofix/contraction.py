@@ -208,11 +208,16 @@ class AffineMapping:
         return pts @ self.matrix.T + self.offset
 
     def inverse(self) -> "AffineMapping":
+        """x -> matrix^-1 (x - offset); NonInvertibleMapping if the linear part is singular or its inverse overflows."""
         try:
             inv = np.linalg.inv(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleMapping(f"linear part is singular: {exc}") from exc
-        return AffineMapping(inv, -inv @ self.offset)
+        with np.errstate(all="ignore"):
+            offset = -inv @ self.offset
+        if not (np.isfinite(inv).all() and np.isfinite(offset).all()):
+            raise NonInvertibleMapping("the inverse of the linear part overflows")
+        return AffineMapping(inv, offset)
 
     def compose(self, inner: "AffineMapping") -> "AffineMapping":
         return AffineMapping(self.matrix @ inner.matrix, self.matrix @ inner.offset + self.offset)

@@ -124,8 +124,12 @@ def _affine_section(f: AffineMapping) -> AffineSection:
     try:
         return AffineSection(f.inverse())
     except NonInvertibleMapping:
-        pinv = np.linalg.pinv(f.matrix)
-        return AffineSection(AffineMapping(pinv, -pinv @ f.offset))
+        with np.errstate(all="ignore"):
+            pinv = np.linalg.pinv(f.matrix)
+            offset = -pinv @ f.offset
+    if not (np.isfinite(pinv).all() and np.isfinite(offset).all()):
+        raise NonInvertibleMapping("the pseudo-inverse of the linear part overflows")
+    return AffineSection(AffineMapping(pinv, offset))
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,10 @@ class InducedPair:
     ``S`` and ``T`` act on the shared image like the originals act through
     the sections; on finite spaces they are stored as full-universe tables
     that hold points outside ``image`` fixed, so only orbits started inside
-    the image are meaningful.
+    the image are meaningful.  ``cofix reduce`` writes the document of this
+    pair: on finite spaces it keeps only the image, relabels point
+    ``image[i]`` as i and lists ``image`` in its metadata, so no point
+    outside f(X) becomes a spurious common fixed point.
     """
 
     S: Mapping

@@ -6,10 +6,12 @@ what a shell user would see.
 """
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
-from cofix import cli, load_problem
+from cofix import InstanceRecipe, MetricMode, as_problem, cli, generate_instance, load_problem, problem_to_dict
 
 HALVING_TABLE = [
     [0.0, 1.0, 3.0, 7.0],
@@ -299,6 +301,44 @@ class TestNonFiniteAffine:
         assert captured.err == "schema error: invalid problem document: affine matrix and offset entries must be finite\n"
 
 
+class TestOverflowingInverse:
+    # every entry is finite, but 1 / 1e-310 is not: this used to print a numpy
+    # RuntimeWarning and exit 2, calling the document non-finite
+    @staticmethod
+    def write(tmp_path, f):
+        m = len(f)
+        half = {"type": "affine", "matrix": (0.5 * np.array(f)).tolist(), "offset": [0.0] * m}
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": m},
+            "mappings": {"arity": 3, "S": half, "T": half, "f": {"type": "affine", "matrix": f, "offset": [0.0] * m}},
+            "coefficients": GAMMA_HALF,
+            "pair_source": {"samples": 64, "seed": 0, "box": [-1.0, 1.0]},
+            "solver": {"x0": [1.0] * m},
+        }
+        return write_doc(tmp_path, "overflow.json", doc)
+
+    @pytest.mark.parametrize("argv", [["solve3", "--no-verify"], ["reduce"]])
+    def test_overflowing_section_exits_one(self, tmp_path, capsys, argv):
+        path = self.write(tmp_path, [[1e-310]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, path]) == cli.EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("failed: ")
+        assert captured.err.rstrip().endswith("overflows")
+
+    def test_pseudo_inverse_section_reaches_the_fixed_point(self, tmp_path, capsys):
+        # inv overflows on the first axis; the pseudo-inverse drops that axis
+        path = self.write(tmp_path, [[1e-310, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve3", path, "--no-verify", "--format", "structured"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "common_fixed_point"
+        assert np.linalg.norm(data["common_fixed_point"]) <= 1e-8
+
+
 class TestSolve:
     def test_converging_problem_exits_zero(self, halving_file, capsys):
         assert cli.main(["solve", halving_file]) == cli.EXIT_OK
@@ -324,9 +364,19 @@ class TestSolve:
         assert cli.main(["solve", halving_file, "--x0", "abc"]) == cli.EXIT_SCHEMA
         assert "cannot parse start point" in capsys.readouterr().err
 
-    def test_wrong_arity_exits_schema(self, three_file, capsys):
-        assert cli.main(["solve", three_file]) == cli.EXIT_SCHEMA
-        assert "use solve3" in capsys.readouterr().err
+    @pytest.mark.parametrize("fixture, arity", [("three_file", 3), ("four_file", 4)])
+    def test_wrong_arity_exits_schema(self, request, capsys, fixture, arity):
+        assert cli.main(["solve", request.getfixturevalue(fixture)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"solve handles 2 mappings; this problem has {arity} (use solve{arity})" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--no-verify", "--coincidence-only"])
+    def test_pipeline_flags_are_refused(self, halving_file, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", halving_file, flag])
+        assert exc.value.code == cli.EXIT_SCHEMA
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_structured_report_parses(self, halving_file, capsys):
         assert cli.main(["solve", halving_file, "--format", "structured"]) == cli.EXIT_OK
@@ -380,9 +430,22 @@ class TestSolveHigher:
         assert cli.main(["solve4", path, "--coincidence-only"]) == cli.EXIT_OK
         assert "point of coincidence: 1" in capsys.readouterr().out
 
-    def test_arity_mismatch_exits_schema(self, halving_file, capsys):
-        assert cli.main(["solve3", halving_file]) == cli.EXIT_SCHEMA
-        assert "solve3 handles 3 mappings" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, fixture, use",
+        [
+            ("solve3", "halving_file", "solve"),
+            ("solve3", "four_file", "solve4"),
+            ("solve4", "halving_file", "solve"),
+            ("solve4", "three_file", "solve3"),
+        ],
+    )
+    def test_arity_mismatch_exits_schema(self, request, capsys, command, fixture, use):
+        # these messages used to name no command to use instead
+        assert cli.main([command, request.getfixturevalue(fixture)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{command} handles {command[-1]} mappings; this problem has " in captured.err
+        assert captured.err.endswith(f" (use {use})\n")
 
     def test_inclusion_failure_exits_one(self, tmp_path, capsys):
         doc = {
@@ -425,6 +488,69 @@ class TestReduce:
     def test_two_mapping_problem_is_rejected(self, halving_file, capsys):
         assert cli.main(["reduce", halving_file]) == cli.EXIT_SCHEMA
         assert "three- or four-mapping" in capsys.readouterr().err
+
+    def test_reduced_problem_lives_on_the_image(self, tmp_path, capsys):
+        # f misses point 2, which used to stay in the universe as a fixed point
+        # of both induced maps, a second common fixed point
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": PATH3},
+            "mappings": table_maps(3, S=[1, 1, 1], T=[1, 1, 1], f=[0, 0, 1]),
+            "coefficients": GAMMA_HALF,
+            "solver": {"x0": 2},
+        }
+        assert cli.main(["reduce", write_doc(tmp_path, "p.json", doc), "--format", "structured"]) == cli.EXIT_OK
+        reduced = json.loads(capsys.readouterr().out)
+        assert reduced["space"]["table"] == [[0.0, 1.0], [1.0, 0.0]]
+        assert reduced["mappings"]["S"]["table"] == [1, 1]
+        assert reduced["mappings"]["T"]["table"] == [1, 1]
+        assert reduced["metadata"]["image"] == [0, 1]
+        assert reduced["solver"]["x0"] == 1  # f(2) = 1, at position 1
+        assert cli.main(["check", write_doc(tmp_path, "r.json", reduced)]) == cli.EXIT_OK
+
+    def test_euclidean_start_is_the_image_of_x0(self, affine_file, capsys):
+        # a null start used to be written, so the reduced solve began at the origin
+        assert cli.main(["reduce", affine_file, "--format", "structured"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["solver"]["x0"] == [2.0]
+
+    def test_inclusion_failure_exits_one(self, tmp_path, capsys):
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": PATH3},
+            "mappings": table_maps(3, S=[2, 2, 2], T=[2, 2, 2], f=[0, 0, 0]),
+            "coefficients": ZERO_COEFS,
+        }
+        assert cli.main(["reduce", write_doc(tmp_path, "badinc.json", doc)]) == cli.EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "failed: [inclusions] S(X) within f(X) fails\n"
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    @pytest.mark.parametrize("metric_mode", list(MetricMode))
+    def test_reduced_anchor_instance_solves_like_the_pipeline(self, tmp_path, capsys, arity, metric_mode):
+        # the reduced problem passes check, and solve runs the pipeline's inner
+        # solve point for point, landing on the anchor's position in the image
+        for seed in (3, 8, 21):
+            inst = generate_instance(InstanceRecipe(seed=seed, n=2 + seed, arity=arity, metric_mode=metric_mode))
+            path = write_doc(tmp_path, "anchor.json", problem_to_dict(as_problem(inst)))
+            assert cli.main(["reduce", path, "--format", "structured"]) == cli.EXIT_OK
+            reduced = json.loads(capsys.readouterr().out)
+            image = reduced["metadata"]["image"]
+            reduced_path = write_doc(tmp_path, "reduced.json", reduced)
+            assert cli.main(["check", reduced_path]) == cli.EXIT_OK
+            capsys.readouterr()
+            assert cli.main(["solve", reduced_path, "--format", "structured"]) == cli.EXIT_OK
+            solved = json.loads(capsys.readouterr().out)
+            assert image[solved["point"]] == inst.anchor
+            assert cli.main([f"solve{arity}", path, "--no-verify", "--format", "structured"]) == cli.EXIT_OK
+            inner = json.loads(capsys.readouterr().out)["solve_report"]
+            assert inner == {**solved, "point": image[solved["point"]]}
+
+    def test_reduced_euclidean_problem_solves_like_the_pipeline(self, tmp_path, affine_file, capsys):
+        assert cli.main(["reduce", affine_file, "--format", "structured"]) == cli.EXIT_OK
+        reduced_path = write_doc(tmp_path, "reduced.json", json.loads(capsys.readouterr().out))
+        assert cli.main(["solve", reduced_path, "--format", "structured"]) == cli.EXIT_OK
+        solved = json.loads(capsys.readouterr().out)
+        assert cli.main(["solve3", affine_file, "--no-verify", "--format", "structured"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["solve_report"] == solved
 
 
 class TestOracle:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,16 @@ class TestAffineMapping:
     def test_singular_inverse_raises(self):
         with pytest.raises(NonInvertibleMapping):
             AffineMapping([[1.0, 0.0], [1.0, 0.0]], [0.0, 0.0]).inverse()
+
+    @pytest.mark.parametrize("matrix", [[[1e-310]], [[1e-310, 0.0], [0.0, 1.0]]], ids=["1d", "2d"])
+    def test_overflowing_inverse_counts_as_singular(self, matrix):
+        # every entry is finite but 1 / 1e-310 is not: this used to raise
+        # DomainError("... must be finite"), in 1-D after a numpy RuntimeWarning
+        m = AffineMapping(matrix, [1.0] * len(matrix))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonInvertibleMapping, match="overflows"):
+                m.inverse()
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Sections, induced pairs, weak compatibility, lifting, and the pipelines."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,7 @@ from cofix.errors import (
     ExhaustiveOnInfinite,
     LiftDisagreement,
     LiftMismatch,
+    NonInvertibleMapping,
     NonUniqueCoincidence,
     RangeInclusionFailure,
 )
@@ -429,6 +431,32 @@ class TestSingularFactor:
         rep = solve_pipeline(MetricSpace.euclidean(2), maps, Coefficients(0, 0, 0.5, 0), np.array([lam, lam]), opts)
         assert rep.status == PipelineStatus.COMMON_FIXED_POINT
         assert np.linalg.norm(np.array(rep.common_fixed_point) - z) <= 1e-8 * max(1.0, np.linalg.norm(z))
+
+    def test_overflowing_inverse_falls_back_to_the_pseudo_inverse(self):
+        # inv(f) overflows on the first axis, which pinv treats as null
+        f = AffineMapping(np.diag([1e-310, 1.0]), np.zeros(2))
+        S = AffineMapping(0.5 * f.matrix, np.zeros(2))
+        maps = MappingSet(S=S, T=S, f=f, arity=Arity.THREE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            section = reduction._affine_section(f)
+            rep = solve_pipeline(
+                MetricSpace.euclidean(2), maps, Coefficients(0, 0, 0.5, 0), np.ones(2), PipelineOptions(verify_hypotheses=False)
+            )
+        assert np.array_equal(section.mapping.matrix, np.diag([0.0, 1.0]))
+        assert rep.status == PipelineStatus.COMMON_FIXED_POINT
+        assert np.linalg.norm(rep.common_fixed_point) <= 1e-8
+
+    def test_overflowing_pseudo_inverse_is_not_invertible(self):
+        # a 1-D factor of 1e-310 is its own largest singular value, so pinv inverts it too
+        f = AffineMapping([[1e-310]], [0.0])
+        S = AffineMapping([[0.5e-310]], [0.0])
+        maps = MappingSet(S=S, T=S, f=f, arity=Arity.THREE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonInvertibleMapping, match="overflows") as exc:
+                solve_pipeline(MetricSpace.euclidean(1), maps, Coefficients(0, 0, 0.5, 0), np.ones(1), PipelineOptions(verify_hypotheses=False))
+        assert exc.value.stage == "induce"
 
 
 class TestAffineInclusionsAtScale:
