@@ -25,6 +25,20 @@ memory stays bounded at any table size.  ``check_condition`` picks the
 named check that matches a mapping set's arity.  ``synthesize_coefficients``
 solves its LPs by cutting planes, with a pass over the same blocks as the
 separation step.
+
+A check computes only what its report reads, and reports what the full
+evaluation would, bit for bit.  It takes the lhs and the terms with a
+nonzero coefficient (synthesis's LP rows take all five): 0 times a finite
+term is a signed zero, which leaves a nonzero sum as it was.  All terms
+are finite while the table's entries, or on R^m a block's coordinates of
+x, y, S(x), T(y), f(x) and g(y), stay within ``REACH_CAP``, the cap of
+``sampling_box``; past it all five are computed.  A finite check redoes
+its worst margin in full, as -0.0 entries can flip a zero sum's sign (R^m
+norms are never -0.0).  And as the paper gets three and four mappings
+from maps induced on f(X), G(f(x)) = S(x), the condition reads x only
+through the key (S(x), f(x)) and y through (T(y), g(y)): the exhaustive
+grid keeps the least x and the least y of each key.  These ascend, so its
+first worst pair is the full grid's.  With two mappings the key is x.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import partial
+from functools import partial, reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -44,7 +58,7 @@ from .errors import (
     Infeasible,
     NonInvertibleMapping,
 )
-from .metric_core import MetricSpace, Point, sampling_box
+from .metric_core import REACH_CAP, MetricSpace, Point, sampling_box
 from .records import Record, int_arg
 
 EXHAUSTIVE = "exhaustive"
@@ -57,6 +71,9 @@ BLOCK_PAIRS = 1 << 16
 # reuse them from block to block, where 2**16-pair blocks (4 MiB arrays at
 # m=8) were mapped in afresh, page by page, on every check
 EUCLIDEAN_BLOCK_PAIRS = 1 << 11
+
+# which of the terms t1..t5 to compute: by default all five
+ALL_TERMS = (True,) * 5
 
 # rows a cutting-plane pass of the coefficient LP takes from each block of pairs
 CUT_ROWS = 16
@@ -329,7 +346,8 @@ class ViolationReport(Record):
     ``worst_pair`` maximizes lhs - rhs; ties resolve to the first pair in
     iteration order, which is the lexicographically smallest pair for
     exhaustive checks.  ``satisfied`` means the worst margin stays within
-    ``tolerance``.
+    ``tolerance``.  ``pairs_checked`` counts the pairs covered: all n^2 of
+    an exhaustive check, though it evaluates one pair per pair of keys.
     """
 
     condition: str
@@ -379,29 +397,44 @@ def rhs_four(c: Coefficients, space: MetricSpace, S, T, f, g, x: Point, y: Point
     return _rhs(c, _scalar_terms(space, S, T, f, g, x, y))
 
 
-def _pair_batch(space: MetricSpace, pair_source) -> tuple[np.ndarray, np.ndarray]:
+def _pair_batch(space: MetricSpace, pair_source, maps: Optional[MappingSet] = None) -> tuple[np.ndarray, np.ndarray]:
     """Points (xs, ys) of the pairs a source names; they broadcast to the batch shape.
 
     The exhaustive grid is the index column against the index row, so its
-    flat order is the lexicographic pair order.
+    flat order is the lexicographic pair order.  Given validated ``maps``
+    of three or four mappings, the column keeps only the least x of each
+    key (S(x), f(x)) and the row the least y of each key (T(y), g(y)).
     """
     if pair_source == EXHAUSTIVE or pair_source is None:
         if not space.is_finite:
             raise ExhaustiveOnInfinite("exhaustive pair enumeration needs a finite space; supply a sampler")
-        idx = np.arange(space.n)
-        return idx[:, None], idx[None, :]
+        rows = cols = np.arange(space.n)
+        if maps is not None and maps.arity > Arity.TWO:
+            # key (m(x), comp(x)) as m(x) * n + comp(x): the tables hold indices below n
+            keys = (m.table * space.n + comp.table for _, m, _, comp in maps.sides)
+            rows, cols = (np.sort(np.unique(k, return_index=True)[1]) for k in keys)
+        return rows[:, None], cols[None, :]
     if not isinstance(pair_source, SampledPairs):
         raise DomainError(f"unknown pair source {pair_source!r}")
     return pair_source.draw_pairs(space)
 
 
-def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray):
+def _within_reach(space: MetricSpace, *points: np.ndarray) -> bool:
+    """Is every table entry, or every coordinate of ``points``, at most ``REACH_CAP`` in magnitude?  NaN is not."""
+    if space.is_finite:
+        return space.table_reach <= REACH_CAP
+    return all(-REACH_CAP <= p.min() and p.max() <= REACH_CAP for p in points)
+
+
+def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray, wanted=ALL_TERMS):
     """Vectorized condition terms at a batch of pairs, in :func:`_scalar_terms` order.
 
     Finite points are index arrays and distances are table lookups;
     Euclidean points carry coordinates on the last axis and distances are
     norms.  ``f`` or ``g`` None stands for the identity.  Terms that depend
     on one side only keep that side's shape and broadcast against the rest.
+    Of t1..t5 only those ``wanted`` are computed, the others are None, unless
+    :func:`_within_reach` fails: a term left out may then be infinite.
     """
     if space.is_finite:
         D = space.table
@@ -425,12 +458,17 @@ def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray)
     Ty = T.apply_many(ys)
     fx = f.apply_many(xs) if f is not None else xs
     gy = g.apply_many(ys) if g is not None else ys
-    t1 = dist(fx, Sx)
-    t2 = dist(gy, Ty)
-    u1 = dist(gy, Sx)
-    u2 = dist(fx, Ty)
-    t5 = np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
-    return dist(Sx, Ty), t1, t2, dist(fx, gy), u1 + u2, t5
+    if not (all(wanted) or _within_reach(space, xs, ys, Sx, Ty, fx, gy)):
+        wanted = ALL_TERMS
+    alpha, beta, gamma, delta, L = wanted
+    # t5 is the least of t1, t2, u1 and u2, so L needs all four
+    t1 = dist(fx, Sx) if alpha or L else None
+    t2 = dist(gy, Ty) if beta or L else None
+    u1, u2 = (dist(gy, Sx), dist(fx, Ty)) if delta or L else (None, None)
+    t5 = np.minimum(np.minimum(t1, t2), np.minimum(u1, u2)) if L else None
+    t3 = dist(fx, gy) if gamma else None
+    t4 = u1 + u2 if delta else None
+    return dist(Sx, Ty), t1 if alpha else None, t2 if beta else None, t3, t4, t5
 
 
 def _pair_at(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, shape: tuple, flat: int) -> tuple:
@@ -460,19 +498,20 @@ def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray):
         yield tuple(p[r0 : r0 + step] if len(p) == rows else p for p in (xs, ys))
 
 
-def _margins(space: MetricSpace, S, T, f, g, batch, coefs, scale: float = 1.0):
+def _margins(space: MetricSpace, S, T, f, g, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
     """(xs, ys, margin, need, terms) for each row block of a pair batch.
 
     ``need`` is ``scale * lhs`` and the margin is ``need`` minus the
     right-hand side at ``coefs``: alpha*t1 + beta*t2 + gamma*t3 + delta*t4
-    + L*t5, with ``terms`` the five arrays t1..t5.
+    + L*t5, with ``terms`` t1..t5, summed in that order over the terms
+    :func:`_term_arrays` computed as ``wanted``; the others are None.
     """
-    alpha, beta, gamma, delta, L = coefs
     for xs, ys in _row_blocks(space, *batch):
-        lhs, *terms = _term_arrays(space, S, T, f, g, xs, ys)
-        t1, t2, t3, t4, t5 = terms
+        lhs, *terms = _term_arrays(space, S, T, f, g, xs, ys, wanted)
         need = lhs if scale == 1.0 else scale * lhs
-        yield xs, ys, need - (alpha * t1 + beta * t2 + gamma * t3 + delta * t4 + L * t5), need, terms
+        products = [coef * t for coef, t in zip(coefs, terms) if t is not None]
+        margin = need - reduce(np.add, products) if products else need
+        yield xs, ys, margin, need, terms
 
 
 def _worst(margins):
@@ -490,17 +529,28 @@ def _worst(margins):
     return worst, at, count
 
 
-def _evaluate_condition(space, S, T, f, g, c, pair_source, tolerance, label) -> ViolationReport:
+def _evaluate_condition(space, maps: MappingSet, c, pair_source, tolerance) -> ViolationReport:
+    maps.validate(space)
     c = validate_coefficients(c)
     tolerance = space.slack(tolerance)
-    worst, at, count = _worst(_margins(space, S, T, f, g, _pair_batch(space, pair_source), c.as_tuple()))
+    coefs = c.as_tuple()
+    wanted = tuple(v != 0.0 for v in coefs)
+    margins = partial(_margins, space, maps.S, maps.T, *maps.rhs_maps, coefs=coefs)
+    # past REACH_CAP a margin may be NaN, and which NaN is reported depends on the blocks: keep the full grid
+    keyed = maps if _within_reach(space) else None
+    worst, at, count = _worst(margins(_pair_batch(space, pair_source, keyed), wanted=wanted))
+    pair = _pair_at(space, *at)
+    if space.is_finite and not all(wanted):
+        # the pruned sum may differ from the full one in the sign of a zero: redo the worst pair in full
+        _, _, margin, *_ = next(margins((np.array([[pair[0]]]), np.array([[pair[1]]]))))
+        worst = float(margin[0, 0])
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
-        condition=label,
+        condition=maps.arity.name.lower(),
         satisfied=bool(worst <= tolerance),
-        worst_pair=_pair_at(space, *at),
+        worst_pair=pair,
         worst_margin=worst,
-        pairs_checked=count,
+        pairs_checked=count if sampled else space.n**2,
         mode="sampled" if sampled else "exhaustive",
         tolerance=float(tolerance),
         seed=pair_source.seed if sampled else None,
@@ -517,7 +567,7 @@ def check_condition_two(
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
     """Check the two-mapping condition over the pair source (``tolerance`` per ``space.slack``)."""
-    return _evaluate_condition(space, S, T, None, None, c, pair_source, tolerance, "two")
+    return _evaluate_condition(space, MappingSet(S, T), c, pair_source, tolerance)
 
 
 def check_condition_three(
@@ -530,7 +580,7 @@ def check_condition_three(
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
     """Check the three-mapping condition: f(x), f(y) replace x, y on the right."""
-    return _evaluate_condition(space, S, T, f, f, c, pair_source, tolerance, "three")
+    return _evaluate_condition(space, MappingSet(S, T, f, arity=Arity.THREE), c, pair_source, tolerance)
 
 
 def check_condition_four(
@@ -544,7 +594,7 @@ def check_condition_four(
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
     """Check the four-mapping condition: f(x) on the x side, g(y) on the y side."""
-    return _evaluate_condition(space, S, T, f, g, c, pair_source, tolerance, "four")
+    return _evaluate_condition(space, MappingSet(S, T, f, g, arity=Arity.FOUR), c, pair_source, tolerance)
 
 
 def check_condition(

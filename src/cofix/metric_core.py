@@ -45,7 +45,8 @@ class MetricSpace:
 
     Construct through :meth:`finite` or :meth:`euclidean`; the raw
     constructor performs only structural validation.  Whether two points
-    are the same is decided by :meth:`slack`.
+    are the same is decided by :meth:`slack`.  A finite space also keeps
+    ``table_reach``, the largest magnitude of a table entry.
     """
 
     flavor: Flavor
@@ -62,9 +63,11 @@ class MetricSpace:
             if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] < 1:
                 raise DomainError(f"distance table must be square and non-empty, got shape {tab.shape}")
             # min and max propagate NaN and reach any infinity without an n x n mask
-            if not (np.isfinite(tab.min()) and np.isfinite(tab.max())):
+            lo, hi = tab.min(), tab.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise DomainError("distance table contains non-finite entries")
             object.__setattr__(self, "table", tab)
+            object.__setattr__(self, "table_reach", float(max(-lo, hi)))
             object.__setattr__(self, "dimension", None)
         elif self.flavor is Flavor.EUCLIDEAN_AFFINE:
             dimension = int_arg("dimension", self.dimension)
@@ -164,16 +167,20 @@ class MetricSpace:
         return self._check_point(np.asarray(p, dtype=float))
 
 
+# the largest reach of a sampling box; values this small keep distances, their sums and squares finite
+REACH_CAP = 1e150
+
+
 def sampling_box(box: tuple[float, float], dimension: int = 1) -> tuple[float, float]:
     """A sampling box as floats; DomainError unless lo < hi and squared distances in R^dimension stay finite.
 
     Squares past about 1e154 overflow and margins read NaN; capping sqrt(m)
-    times the box's reach at 1e150 leaves mappings room to stretch it 1000-fold.
+    times the box's reach at ``REACH_CAP`` leaves mappings room to stretch it 1000-fold.
     """
     lo, hi = float(box[0]), float(box[1])
     if not lo < hi:
         raise DomainError(f"sampling box must have lo < hi, got {box}")
-    if max(abs(lo), abs(hi)) * math.sqrt(dimension) > 1e150:
+    if max(abs(lo), abs(hi)) * math.sqrt(dimension) > REACH_CAP:
         raise DomainError(f"sampling box {box} is too wide: squared distances in R^{dimension} would overflow")
     return lo, hi
 

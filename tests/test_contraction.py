@@ -4,6 +4,7 @@ import itertools
 import json
 import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -508,13 +509,66 @@ class TestConditionChecks:
         assert ViolationReport.from_dict(d) == rep
 
 
-def _single_batch_report(space, maps, c):
-    """Worst margin and pair of the exhaustive grid taken as one batch, the reference for row blocks."""
-    idx = np.arange(space.n)
-    lhs, t1, t2, t3, t4, t5 = contraction._term_arrays(space, maps.S, maps.T, *maps.rhs_maps, idx[:, None], idx[None, :])
-    margin = lhs - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5)
-    flat = int(np.argmax(margin))
-    return float(margin.flat[flat]), tuple(int(v) for v in divmod(flat, space.n)), margin.size
+def reference_condition_report(space, maps, c, pair_source=EXHAUSTIVE, tolerance=None):
+    """The condition check with every pair of the batch and all five terms, as a report.
+
+    The reference for the library's check, which evaluates one pair per
+    pair of keys and only the terms with a nonzero coefficient.  It cuts
+    the batch into the library's row blocks: R^m norms of a block round
+    differently from those of a single pair, and a NaN margin is the worst
+    only in the first block that holds one.
+    """
+    c = validate_coefficients(c)
+    tolerance = space.slack(tolerance)
+    f, g = maps.rhs_maps
+    sampled = isinstance(pair_source, SampledPairs)
+    if sampled:
+        xs, ys = pair_source.draw_pairs(space)
+    else:
+        idx = np.arange(space.n)
+        xs, ys = idx[:, None], idx[None, :]
+    if space.is_finite:
+        dist, block = (lambda u, v: space.table[u, v]), contraction.BLOCK_PAIRS
+    else:
+        dist, block = (lambda u, v: np.linalg.norm(u - v, axis=-1)), contraction.EUCLIDEAN_BLOCK_PAIRS
+    rows = xs.shape[0]
+    pairs = rows * (1 if sampled else space.n)
+    step = max(1, block * rows // pairs)
+    worst = pair = None
+    for r0 in range(0, rows, step):
+        bx = xs[r0 : r0 + step]
+        by = ys[r0 : r0 + step] if sampled else ys
+        Sx, Ty = maps.S.apply_many(bx), maps.T.apply_many(by)
+        fx = bx if f is None else f.apply_many(bx)
+        gy = by if g is None else g.apply_many(by)
+        t1, t2, t3, u1, u2 = dist(fx, Sx), dist(gy, Ty), dist(fx, gy), dist(gy, Sx), dist(fx, Ty)
+        t5 = np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
+        margin = dist(Sx, Ty) - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * (u1 + u2) + c.L * t5)
+        margin = np.broadcast_to(margin, (len(bx),) if sampled else (len(bx), space.n))
+        flat = int(np.argmax(margin))
+        if worst is None or margin.flat[flat] > worst:
+            worst = float(margin.flat[flat])
+            if sampled:
+                pair = (space.canonicalize(xs[r0 + flat]), space.canonicalize(ys[r0 + flat]))
+            else:
+                pair = (r0 + flat // space.n, flat % space.n)
+    return ViolationReport(
+        condition=maps.arity.name.lower(),
+        satisfied=bool(worst <= tolerance),
+        worst_pair=pair,
+        worst_margin=worst,
+        pairs_checked=pairs,
+        mode="sampled" if sampled else "exhaustive",
+        tolerance=float(tolerance),
+        seed=pair_source.seed if sampled else None,
+        box=pair_source.box if sampled else None,
+    )
+
+
+def _report_json(report):
+    """Sorted-key JSON of a report: tells -0.0 from 0.0 and keeps a NaN margin."""
+    return json.dumps(report.to_dict(), sort_keys=True)
+
 
 
 class TestRowBlocks:
@@ -532,7 +586,9 @@ class TestRowBlocks:
         maps = MappingSet(S, T, *[f, g][: arity - 2], arity=arity)
         c = Coefficients(*coefficients)
         rep = check_condition(space, maps, c)
-        assert (rep.worst_margin, rep.worst_pair, rep.pairs_checked) == _single_batch_report(space, maps, c)
+        with patch.object(contraction, "BLOCK_PAIRS", n * n):
+            whole = reference_condition_report(space, maps, c)
+        assert _report_json(rep) == _report_json(whole)
 
     def test_tie_between_blocks_reports_the_earlier_pair(self):
         n = self.N
@@ -582,24 +638,6 @@ class TestRowBlocks:
         assert peak < 32 * 2**20
 
 
-def _fancy_index_report(space, maps, c, pair_source=EXHAUSTIVE):
-    """Worst margin, pair and pair count from plain ``D[u, v]`` lookups over the whole batch.
-
-    The reference for the evaluator's row and column gathers.
-    """
-    D = space.table
-    xs, ys = contraction._pair_batch(space, pair_source)
-    f, g = maps.rhs_maps
-    fx = xs if f is None else f.table[xs]
-    gy = ys if g is None else g.table[ys]
-    Sx, Ty = maps.S.table[xs], maps.T.table[ys]
-    t1, t2, u1, u2 = D[fx, Sx], D[gy, Ty], D[gy, Sx], D[fx, Ty]
-    t5 = np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
-    margin = D[Sx, Ty] - (c.alpha * t1 + c.beta * t2 + c.gamma * D[fx, gy] + c.delta * (u1 + u2) + c.L * t5)
-    flat = int(np.argmax(margin))
-    return float(margin.flat[flat]), contraction._pair_at(space, xs, ys, margin.shape, flat), margin.size
-
-
 class TestGatheredGrid:
     @pytest.mark.parametrize("one_row_blocks", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 9, 300])
@@ -613,9 +651,7 @@ class TestGatheredGrid:
         c = Coefficients(0.2, 0.1, 0.15, 0.1, 0.4)
         if one_row_blocks:
             monkeypatch.setattr(contraction, "BLOCK_PAIRS", 1)
-        rep = check_condition(space, maps, c)
-        worst, pair, count = _fancy_index_report(space, maps, c)
-        assert (repr(rep.worst_margin), rep.worst_pair, rep.pairs_checked) == (repr(worst), pair, count)
+        assert _report_json(check_condition(space, maps, c)) == _report_json(reference_condition_report(space, maps, c))
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_sampled_finite_report_matches_fancy_indexing(self, arity):
@@ -626,9 +662,166 @@ class TestGatheredGrid:
         maps = MappingSet(S, T, *[f, g][: arity - 2], arity=arity)
         c = Coefficients(0.2, 0.1, 0.15, 0.1, 0.4)
         src = SampledPairs(3000, seed=arity)
-        rep = check_condition(space, maps, c, src)
-        worst, pair, count = _fancy_index_report(space, maps, c, src)
-        assert (repr(rep.worst_margin), rep.worst_pair, rep.pairs_checked) == (repr(worst), pair, count)
+        assert _report_json(check_condition(space, maps, c, src)) == _report_json(reference_condition_report(space, maps, c, src))
+
+
+# a nonzero value for each coefficient; any subset of them keeps the weight sum below 1
+NONZERO = (0.1, 0.15, 0.2, 0.1, 0.7)
+ZERO_PATTERNS = list(itertools.product((False, True), repeat=5))
+
+
+def _coefficients(pattern):
+    return Coefficients(*(v if keep else 0.0 for v, keep in zip(NONZERO, pattern)))
+
+
+@st.composite
+def table_cases(draw):
+    """Tables drawn entry by entry, not symmetric, with negative, -0.0 and near-overflow entries."""
+    n = draw(st.integers(1, 9))
+    entries = draw(st.sampled_from([(0.0, 1.0, 2.0), (-0.0, 0.0, -1.0, 1.0, 2.0), (0.0, 0.5, 1e308, -1e308)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = MetricSpace.finite(rng.choice(entries, size=(n, n)))
+    arity = draw(st.integers(2, 4))
+    # few distinct values per map, so that many x share a key
+    maps = [TableMapping(rng.integers(0, draw(st.integers(1, n)), size=n)) for _ in range(arity)]
+    return space, MappingSet(*maps, arity=arity)
+
+
+@st.composite
+def generated_cases(draw):
+    recipe = InstanceRecipe(
+        seed=draw(st.integers(0, 10**6)),
+        n=draw(st.integers(2, 24)),
+        arity=draw(st.integers(2, 4)),
+        metric_mode=draw(st.sampled_from(MetricMode)),
+        mapping_mode=draw(st.sampled_from(MappingMode)),
+    )
+    inst = generate_instance(recipe)
+    return inst.space, inst.maps
+
+
+@st.composite
+def euclidean_cases(draw):
+    """Affine maps on R^m, some stretching points past every float's reach."""
+    m, arity = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stretch = draw(st.sampled_from([1.0, 1.0, 1e100, 1e200]))
+    maps = [AffineMapping(rng.normal(size=(m, m)) * (stretch if k == 2 else 1.0), rng.normal(size=m)) for k in range(arity)]
+    lam = draw(st.sampled_from([1.0, 1e4, 1e8, 1e120]))
+    src = SampledPairs(draw(st.integers(1, 40)), draw(st.integers(0, 1000)), (-lam, lam))
+    return MetricSpace.euclidean(m), MappingSet(*maps, arity=arity), src
+
+
+class TestPrunedKeyedCheck:
+    """The check's report equals the all-terms, all-pairs reference byte for byte."""
+
+    @staticmethod
+    def _assert_same_reports(space, maps, src, pattern, block):
+        c = _coefficients(pattern)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS), patch.object(
+                contraction, "EUCLIDEAN_BLOCK_PAIRS", block or contraction.EUCLIDEAN_BLOCK_PAIRS
+            ):
+                expected = _report_json(reference_condition_report(space, maps, c, src))
+                assert _report_json(check_condition(space, maps, c, src)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.one_of(table_cases(), generated_cases()),
+        sampled=st.booleans(),
+        seed=st.integers(0, 1000),
+        pattern=st.sampled_from(ZERO_PATTERNS),
+        block=st.sampled_from([None, 1, 7]),
+    )
+    def test_finite_reports_equal_the_reference(self, case, sampled, seed, pattern, block):
+        space, maps = case
+        src = SampledPairs(2 * space.n**2, seed) if sampled else EXHAUSTIVE
+        self._assert_same_reports(space, maps, src, pattern, block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=euclidean_cases(), pattern=st.sampled_from(ZERO_PATTERNS), block=st.sampled_from([None, 1, 7]))
+    def test_euclidean_reports_equal_the_reference(self, case, pattern, block):
+        space, maps, src = case
+        self._assert_same_reports(space, maps, src, pattern, block)
+
+    @pytest.mark.parametrize("lam", [1.0, 1e4, 1e8])
+    def test_euclidean_gamma_only_check_at_every_scale(self, lam):
+        rng = np.random.default_rng(3)
+        S, T = (AffineMapping(0.5 * rng.normal(size=(3, 3)), lam * rng.normal(size=3)) for _ in range(2))
+        maps, src = MappingSet(S, T), SampledPairs(5000, 1, (-lam, lam))
+        self._assert_same_reports(MetricSpace.euclidean(3), maps, src, (False, False, True, False, False), None)
+
+    @pytest.mark.parametrize("src", [EXHAUSTIVE, SampledPairs(5, 0)], ids=["exhaustive", "sampled"])
+    def test_negative_zero_table_reports_a_positive_zero(self, src):
+        # without any term the margin is the lhs, -0.0; the full sum subtracts a -0.0 and gives 0.0
+        space, S = MetricSpace.finite([[-0.0]]), TableMapping([0])
+        rep = check_condition(space, MappingSet(S, S), Coefficients(0, 0, 0, 0), src)
+        assert repr(rep.worst_margin) == "0.0"
+
+    def test_overflowing_companion_keeps_every_term(self):
+        # f(x) = 1e200 x overflows: 0 times an infinite term is NaN, which a pruned sum would miss
+        space, half = MetricSpace.euclidean(1), AffineMapping([[0.5]], [0.0])
+        maps = MappingSet(half, half, AffineMapping([[1e200]], [0.0]), arity=3)
+        src = SampledPairs(100, 1, (-1e120, 1e120))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = check_condition(space, maps, Coefficients(0, 0, 0, 0), src)
+        assert np.isnan(rep.worst_margin)
+        assert rep.worst_pair == ((2.364324940051349e118,), (9.009273926518706e119,))
+
+    def test_nan_margins_keep_the_full_grid(self):
+        # rows 0, 1 and 2 have distinct keys and every y the same; row 1's
+        # d(g(y), S(x)) + d(f(x), T(y)) overflows, so 0 times it is NaN.  In
+        # one-row blocks the NaN sits in the second block, and only a NaN in
+        # the first block is reported, but three keyed rows share one block.
+        big = 1e308
+        space = MetricSpace.finite([[0.5, big, 0.5], [big, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        zero = TableMapping([0, 0, 0])
+        maps = MappingSet(TableMapping([0, 1, 2]), zero, TableMapping([0, 1, 0]), zero, arity=4)
+        c = Coefficients(0, 0, 0.5, 0)
+        with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", 3):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = check_condition(space, maps, c)
+            assert _report_json(rep) == _report_json(reference_condition_report(space, maps, c))
+        assert (rep.worst_pair, rep.worst_margin) == ((2, 0), 1.75)
+
+    def test_keyed_grid_counts_every_pair(self):
+        # f sends everything to 0 and S is constant: one key per side, n^2 pairs covered
+        n = 40
+        space = MetricSpace.finite(np.ones((n, n)) - np.eye(n))
+        zero = TableMapping(np.zeros(n, dtype=int))
+        rep = check_condition_three(space, zero, zero, zero, Coefficients(0, 0, 0.5, 0))
+        assert (rep.pairs_checked, rep.worst_pair) == (n * n, (0, 0))
+
+
+class TestCheckValidatesMappings:
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([0, 1, 2, 0], "mapping S: mapping table has 4 entries for a universe of 3 points"),
+            ([0, 1], "mapping S: mapping table has 2 entries for a universe of 3 points"),
+            ([0, 1, 7], "mapping S: mapping table references indices outside the universe"),
+        ],
+        ids=["too_long", "too_short", "out_of_range"],
+    )
+    def test_bad_table_is_a_domain_error(self, table, message):
+        space = MetricSpace.finite(np.ones((3, 3)) - np.eye(3))
+        S = TableMapping(table)
+        with pytest.raises(DomainError, match=message):
+            check_condition_two(space, S, S, Coefficients(0, 0, 0.5, 0))
+
+    def test_table_mapping_on_euclidean_space_is_a_domain_error(self):
+        S = TableMapping([0])
+        with pytest.raises(DomainError, match="mapping S: index-table mappings apply to finite spaces only"):
+            check_condition_two(MetricSpace.euclidean(2), S, S, Coefficients(0, 0, 0.5, 0), SampledPairs(4, 0, (-1, 1)))
+
+    @pytest.mark.parametrize("label", ["f", "g"])
+    def test_bad_companion_is_named(self, halving_space, halving_map, label):
+        good, bad = halving_map, TableMapping([0, 1, 2, 9])
+        f, g = (bad, good) if label == "f" else (good, bad)
+        with pytest.raises(DomainError, match=f"mapping {label}: "):
+            check_condition(halving_space, MappingSet(good, good, f, g, arity=4), Coefficients(0, 0, 0.5, 0))
 
 
 class TestRangeInclusions:
