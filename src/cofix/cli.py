@@ -26,11 +26,11 @@ from .contraction import (
     check_condition,
     check_range_inclusions,
 )
-from .errors import CofixError, DomainError, RangeInclusionFailure, SchemaError
+from .errors import CofixError, DomainError, SchemaError
 from .metric_core import MetricSpace, verify_metric_axioms
 from .oracle import MappingMode, MetricMode, oracle_summary, run_fuzz
 from .problem import load_problem, problem_to_dict
-from .reduction import PipelineOptions, PipelineStatus, induce, solve_pipeline
+from .reduction import PipelineOptions, PipelineStatus, _require_inclusions, induce, solve_pipeline
 from .solver import picard_solve
 
 EXIT_OK = 0
@@ -72,13 +72,9 @@ def _cmd_check(args) -> int:
             f"worst margin {condition.worst_margin:.6g} at pair {condition.worst_pair}  "
             f"[{condition.pairs_checked} pairs]"
         )
-        if inclusions.checks:
-            for ch in inclusions.checks:
-                line = f"inclusion {ch.description}: {'pass' if ch.holds else 'FAIL'}"
-                if not ch.holds:
-                    line += f"  witness {ch.witness}"
-                print(line)
-        else:
+        for ch in inclusions.checks:
+            print(f"inclusion {ch.description}: " + ("pass" if ch.holds else f"FAIL  witness {ch.witness}"))
+        if not inclusions.checks:
             print("inclusions: none required")
         print(f"result: {'pass' if passed else 'FAIL'}")
     _emit(
@@ -166,10 +162,7 @@ def _cmd_reduce(args) -> int:
     problem = load_problem(args.problem)
     if problem.maps.arity == Arity.TWO:
         raise SchemaError("reduce needs a three- or four-mapping problem")
-    inclusions = check_range_inclusions(problem.space, problem.maps, tolerance=problem.tol)
-    bad = next((ch for ch in inclusions.checks if not ch.holds), None)
-    if bad is not None:
-        raise RangeInclusionFailure(f"{bad.description} fails", witness=bad.witness, stage="inclusions")
+    _require_inclusions(problem.space, problem.maps, problem.tol)
     induced = induce(problem.space, problem.maps)
     space, S, T = problem.space, induced.S, induced.T
     start = problem.maps.f(problem.start_point())  # where the pipeline's inner solve starts

@@ -26,19 +26,17 @@ named check that matches a mapping set's arity.  ``synthesize_coefficients``
 solves its LPs by cutting planes, with a pass over the same blocks as the
 separation step.
 
-A check computes only what its report reads, and reports what the full
-evaluation would, bit for bit.  It takes the lhs and the terms with a
-nonzero coefficient (synthesis's LP rows take all five): 0 times a finite
-term is a signed zero, which leaves a nonzero sum as it was.  All terms
-are finite while the table's entries, or on R^m a block's coordinates of
-x, y, S(x), T(y), f(x) and g(y), stay within ``REACH_CAP``, the cap of
-``sampling_box``; past it all five are computed.  A finite check redoes
-its worst margin in full, as -0.0 entries can flip a zero sum's sign (R^m
-norms are never -0.0).  And as the paper gets three and four mappings
-from maps induced on f(X), G(f(x)) = S(x), the condition reads x only
-through the key (S(x), f(x)) and y through (T(y), g(y)): the exhaustive
-grid keeps the least x and the least y of each key.  These ascend, so its
-first worst pair is the full grid's.  With two mappings the key is x.
+A check takes the lhs and only the terms with a nonzero coefficient, in
+the order alpha, beta, gamma, delta, L: as in the paper, a zero
+coefficient drops its term, so an overflowing term it multiplies leaves
+no NaN behind (synthesis's LP rows take all five).  Without any term the
+margin is the lhs itself.  A NaN margin outranks every number, and the
+first NaN in pair order is the worst in any block layout.  And as the
+paper gets three and four mappings from maps induced on f(X), G(f(x)) =
+S(x), the condition reads x only through the key (S(x), f(x)) and y
+through (T(y), g(y)): the exhaustive grid keeps the least x and the least
+y of each key.  These ascend, so its first worst pair is the full grid's.
+With two mappings the key is x.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from .errors import (
     Infeasible,
     NonInvertibleMapping,
 )
-from .metric_core import REACH_CAP, MetricSpace, Point, sampling_box
+from .metric_core import MetricSpace, Point, sampling_box
 from .records import Record, int_arg
 
 EXHAUSTIVE = "exhaustive"
@@ -227,14 +225,9 @@ class AffineMapping:
     def inverse(self) -> "AffineMapping":
         """x -> matrix^-1 (x - offset); NonInvertibleMapping if the linear part is singular or its inverse overflows."""
         try:
-            inv = np.linalg.inv(self.matrix)
+            return _inverted(self, np.linalg.inv, "inverse")
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleMapping(f"linear part is singular: {exc}") from exc
-        with np.errstate(all="ignore"):
-            offset = -inv @ self.offset
-        if not (np.isfinite(inv).all() and np.isfinite(offset).all()):
-            raise NonInvertibleMapping("the inverse of the linear part overflows")
-        return AffineMapping(inv, offset)
 
     def compose(self, inner: "AffineMapping") -> "AffineMapping":
         return AffineMapping(self.matrix @ inner.matrix, self.matrix @ inner.offset + self.offset)
@@ -245,6 +238,16 @@ class AffineMapping:
         if self.dimension != space.dimension:
             raise DomainError(f"mapping dimension {self.dimension} does not match space dimension {space.dimension}")
         return self
+
+
+def _inverted(m: AffineMapping, invert, name: str) -> AffineMapping:
+    """x -> L (x - m.offset) for L = invert(m.matrix); NonInvertibleMapping, naming L the ``name``, if it overflows."""
+    with np.errstate(all="ignore"):
+        inv = invert(m.matrix)
+        offset = -inv @ m.offset
+    if not (np.isfinite(inv).all() and np.isfinite(offset).all()):
+        raise NonInvertibleMapping(f"the {name} of the linear part overflows")
+    return AffineMapping(inv, offset)
 
 
 Mapping = Union[TableMapping, AffineMapping]
@@ -343,11 +346,12 @@ PairSource = Union[str, SampledPairs]
 class ViolationReport(Record):
     """Outcome of a condition check over a pair source.
 
-    ``worst_pair`` maximizes lhs - rhs; ties resolve to the first pair in
-    iteration order, which is the lexicographically smallest pair for
-    exhaustive checks.  ``satisfied`` means the worst margin stays within
-    ``tolerance``.  ``pairs_checked`` counts the pairs covered: all n^2 of
-    an exhaustive check, though it evaluates one pair per pair of keys.
+    ``worst_pair`` maximizes lhs - rhs, where a NaN margin outranks every
+    number; ties, NaN or not, resolve to the first pair in iteration order,
+    which is the lexicographically smallest pair for exhaustive checks.
+    ``satisfied`` means the worst margin stays within ``tolerance``, which
+    a NaN never does.  ``pairs_checked`` counts the pairs covered: all n^2
+    of an exhaustive check, though it evaluates one pair per pair of keys.
     """
 
     condition: str
@@ -419,13 +423,6 @@ def _pair_batch(space: MetricSpace, pair_source, maps: Optional[MappingSet] = No
     return pair_source.draw_pairs(space)
 
 
-def _within_reach(space: MetricSpace, *points: np.ndarray) -> bool:
-    """Is every table entry, or every coordinate of ``points``, at most ``REACH_CAP`` in magnitude?  NaN is not."""
-    if space.is_finite:
-        return space.table_reach <= REACH_CAP
-    return all(-REACH_CAP <= p.min() and p.max() <= REACH_CAP for p in points)
-
-
 def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray, wanted=ALL_TERMS):
     """Vectorized condition terms at a batch of pairs, in :func:`_scalar_terms` order.
 
@@ -433,8 +430,7 @@ def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray,
     Euclidean points carry coordinates on the last axis and distances are
     norms.  ``f`` or ``g`` None stands for the identity.  Terms that depend
     on one side only keep that side's shape and broadcast against the rest.
-    Of t1..t5 only those ``wanted`` are computed, the others are None, unless
-    :func:`_within_reach` fails: a term left out may then be infinite.
+    Of t1..t5 only those ``wanted`` are computed; the others are None.
     """
     if space.is_finite:
         D = space.table
@@ -458,8 +454,6 @@ def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray,
     Ty = T.apply_many(ys)
     fx = f.apply_many(xs) if f is not None else xs
     gy = g.apply_many(ys) if g is not None else ys
-    if not (all(wanted) or _within_reach(space, xs, ys, Sx, Ty, fx, gy)):
-        wanted = ALL_TERMS
     alpha, beta, gamma, delta, L = wanted
     # t5 is the least of t1, t2, u1 and u2, so L needs all four
     t1 = dist(fx, Sx) if alpha or L else None
@@ -517,13 +511,15 @@ def _margins(space: MetricSpace, S, T, f, g, batch, coefs, scale: float = 1.0, w
 def _worst(margins):
     """The worst margin, where it sits as ``(xs, ys, shape, flat)``, and the pair count.
 
-    Ties go to the first pair in the batch's flat order.
+    A NaN margin outranks every number; ties, NaN or not, go to the first
+    pair in the batch's flat order.
     """
     worst, at, count = None, None, 0
     for xs, ys, margin, *_ in margins:
+        # argmax finds a block's first NaN, if it holds one
         flat = int(np.argmax(margin))
-        # strict: on a tie the earlier block keeps the worst pair
-        if worst is None or margin.flat[flat] > worst:
+        # a NaN worst stays; NaN or more replaces a number, strictly: on a tie the earlier block keeps the worst pair
+        if worst is None or not (math.isnan(worst) or margin.flat[flat] <= worst):
             worst, at = float(margin.flat[flat]), (xs, ys, margin.shape, flat)
         count += margin.size
     return worst, at, count
@@ -535,15 +531,9 @@ def _evaluate_condition(space, maps: MappingSet, c, pair_source, tolerance) -> V
     tolerance = space.slack(tolerance)
     coefs = c.as_tuple()
     wanted = tuple(v != 0.0 for v in coefs)
-    margins = partial(_margins, space, maps.S, maps.T, *maps.rhs_maps, coefs=coefs)
-    # past REACH_CAP a margin may be NaN, and which NaN is reported depends on the blocks: keep the full grid
-    keyed = maps if _within_reach(space) else None
-    worst, at, count = _worst(margins(_pair_batch(space, pair_source, keyed), wanted=wanted))
+    batch = _pair_batch(space, pair_source, maps)
+    worst, at, count = _worst(_margins(space, maps.S, maps.T, *maps.rhs_maps, batch, coefs, wanted=wanted))
     pair = _pair_at(space, *at)
-    if space.is_finite and not all(wanted):
-        # the pruned sum may differ from the full one in the sign of a zero: redo the worst pair in full
-        _, _, margin, *_ = next(margins((np.array([[pair[0]]]), np.array([[pair[1]]]))))
-        worst = float(margin[0, 0])
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
         condition=maps.arity.name.lower(),
@@ -739,10 +729,10 @@ def synthesize_coefficients(
             yield np.column_stack([np.broadcast_to(t, margin.shape)[idx] for t in (*terms, need)])
 
     def most_binding(coefs):
-        """The first pair whose shortfall is within ``ties`` of the worst, the worst, and the pair count."""
+        """The first pair within ``ties`` of the worst shortfall, or the first NaN one; the worst; the pair count."""
         worst, _, count = _worst(margins(coefs))
         for xs, ys, margin, *_ in margins(coefs):
-            hits = np.flatnonzero(margin.reshape(-1) >= worst - ties)
+            hits = np.flatnonzero(np.isnan(margin) | (margin >= worst - ties))
             if hits.size:
                 return _pair_at(space, xs, ys, margin.shape, int(hits[0])), worst, count
 

@@ -45,8 +45,7 @@ class MetricSpace:
 
     Construct through :meth:`finite` or :meth:`euclidean`; the raw
     constructor performs only structural validation.  Whether two points
-    are the same is decided by :meth:`slack`.  A finite space also keeps
-    ``table_reach``, the largest magnitude of a table entry.
+    are the same is decided by :meth:`slack`.
     """
 
     flavor: Flavor
@@ -63,11 +62,9 @@ class MetricSpace:
             if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] < 1:
                 raise DomainError(f"distance table must be square and non-empty, got shape {tab.shape}")
             # min and max propagate NaN and reach any infinity without an n x n mask
-            lo, hi = tab.min(), tab.max()
-            if not (np.isfinite(lo) and np.isfinite(hi)):
+            if not np.isfinite([tab.min(), tab.max()]).all():
                 raise DomainError("distance table contains non-finite entries")
             object.__setattr__(self, "table", tab)
-            object.__setattr__(self, "table_reach", float(max(-lo, hi)))
             object.__setattr__(self, "dimension", None)
         elif self.flavor is Flavor.EUCLIDEAN_AFFINE:
             dimension = int_arg("dimension", self.dimension)

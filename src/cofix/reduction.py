@@ -16,7 +16,7 @@ provided f(X) = g(X).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -35,6 +35,7 @@ from .contraction import (
     PairSource,
     TableMapping,
     ViolationReport,
+    _inverted,
     check_condition,
     check_range_inclusions,
 )
@@ -121,15 +122,18 @@ def injective_restriction(space: MetricSpace, f: TableMapping) -> TableSection:
 
 
 def _affine_section(f: AffineMapping) -> AffineSection:
-    try:
+    with suppress(NonInvertibleMapping):
         return AffineSection(f.inverse())
-    except NonInvertibleMapping:
-        with np.errstate(all="ignore"):
-            pinv = np.linalg.pinv(f.matrix)
-            offset = -pinv @ f.offset
-    if not (np.isfinite(pinv).all() and np.isfinite(offset).all()):
-        raise NonInvertibleMapping("the pseudo-inverse of the linear part overflows")
-    return AffineSection(AffineMapping(pinv, offset))
+    return AffineSection(_inverted(f, np.linalg.pinv, "pseudo-inverse"))
+
+
+def _require_inclusions(space: MetricSpace, maps: MappingSet, tol: Optional[float]) -> InclusionReport:
+    """The range inclusions the induced pair needs; RangeInclusionFailure names the first that fails."""
+    report = check_range_inclusions(space, maps, tolerance=tol)
+    bad = next((ch for ch in report.checks if not ch.holds), None)
+    if bad is not None:
+        raise RangeInclusionFailure(f"{bad.description} fails", witness=bad.witness, stage="inclusions")
+    return report
 
 
 @dataclass(frozen=True)
@@ -431,10 +435,7 @@ def solve_pipeline(
         space._check_point(x0)
 
     with _stage("inclusions", stages):
-        inclusion_report = check_range_inclusions(space, maps, tolerance=tol)
-        if not inclusion_report.holds:
-            bad = next(ch for ch in inclusion_report.checks if not ch.holds)
-            raise RangeInclusionFailure(f"{bad.description} fails", witness=bad.witness)
+        inclusion_report = _require_inclusions(space, maps, tol)
 
     condition_report = None
     if options.verify_hypotheses:

@@ -153,6 +153,54 @@ class TestCheck:
         assert cli.main(["check", path]) == cli.EXIT_OK
         assert "axioms: pass (analytic" in capsys.readouterr().out
 
+    def test_failing_axiom_names_its_witness(self, tmp_path, capsys):
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 3.0, 0.0]]},
+            "mappings": table_maps(2, S=[0, 0, 0], T=[0, 0, 0]),
+            "coefficients": GAMMA_HALF,
+        }
+        assert cli.main(["check", write_doc(tmp_path, "asymmetric.json", doc)]) == cli.EXIT_FAILED
+        assert capsys.readouterr().out == (
+            "axioms: FAIL (exhaustive, tolerance 0)\n"
+            "  symmetry fails at (1, 2) by 2\n"
+            "condition (two mappings, exhaustive): pass  worst margin 0 at pair (0, 0)  [9 pairs]\n"
+            "inclusions: none required\n"
+            "result: FAIL\n"
+        )
+
+    def test_three_mapping_problem_lists_its_inclusions(self, three_file, capsys):
+        assert cli.main(["check", three_file]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[2:] == ["inclusion S(X) within f(X): pass", "inclusion T(X) within f(X): pass", "result: pass"]
+
+    def test_failed_inclusions_name_their_witnesses(self, tmp_path, capsys):
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": PATH3},
+            "mappings": table_maps(3, S=[2, 2, 2], T=[2, 2, 2], f=[0, 0, 0]),
+            "coefficients": ZERO_COEFS,
+        }
+        assert cli.main(["check", write_doc(tmp_path, "badinc.json", doc)]) == cli.EXIT_FAILED
+        out = capsys.readouterr().out.splitlines()
+        assert out[2:] == [
+            "inclusion S(X) within f(X): FAIL  witness 0",
+            "inclusion T(X) within f(X): FAIL  witness 0",
+            "result: FAIL",
+        ]
+
+    # the axiom scan's d(j, k) - d(i, j) - d(i, k) overflows to -inf, which is no violation
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_overflowing_dropped_term_is_not_a_violation(self, tmp_path, capsys):
+        # every margin is -0.5 * d(x, y) <= 0; 0 * (1e308 + 1e308) once made one NaN, printed as invalid JSON
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": [[0, 1e308, 1], [1e308, 0, 1e308], [1, 1e308, 0]]},
+            "mappings": table_maps(2, S=[0, 0, 0], T=[0, 0, 0]),
+            "coefficients": GAMMA_HALF,
+        }
+        path = write_doc(tmp_path, "reach.json", doc)
+        assert cli.main(["check", path, "--format", "structured"]) == cli.EXIT_OK
+        condition = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["condition"]
+        assert (condition["worst_margin"], condition["worst_pair"]) == (0.0, [0, 0])
+
     def test_missing_file_exits_schema(self, capsys):
         assert cli.main(["check", "/no/such/file.json"]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("schema error:")
@@ -360,6 +408,19 @@ class TestSolve:
         assert cli.main(["solve", halving_file, "--x0", "0"]) == cli.EXIT_OK
         assert "iterations: 1" in capsys.readouterr().out
 
+    def test_euclidean_x0_override(self, tmp_path, capsys):
+        half = {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]}
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 2},
+            "mappings": {"arity": 2, "S": half, "T": half},
+            "coefficients": GAMMA_HALF,
+        }
+        path = write_doc(tmp_path, "plane.json", doc)
+        assert cli.main(["solve", path, "--x0", "3,-4", "--trace", "--format", "structured"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "converged"
+        assert data["trace"]["points"][0] == [3.0, -4.0]
+
     def test_unparseable_x0_exits_schema(self, halving_file, capsys):
         assert cli.main(["solve", halving_file, "--x0", "abc"]) == cli.EXIT_SCHEMA
         assert "cannot parse start point" in capsys.readouterr().err
@@ -559,6 +620,10 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "fixed points of S: [0]" in out
         assert "common fixed points: [0]" in out
+
+    def test_lists_coincidence_classes(self, degrade_file, capsys):
+        assert cli.main(["oracle", degrade_file]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-2:] == ["common fixed points: []", "coincidence value 1: points [2]"]
 
     def test_structured_output_parses(self, four_file, capsys):
         assert cli.main(["oracle", four_file, "--format", "structured"]) == cli.EXIT_OK

@@ -1,5 +1,6 @@
 """Coefficient bounds, mapping containers, condition checks, and synthesis."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -510,13 +511,15 @@ class TestConditionChecks:
 
 
 def reference_condition_report(space, maps, c, pair_source=EXHAUSTIVE, tolerance=None):
-    """The condition check with every pair of the batch and all five terms, as a report.
+    """The condition check with every pair of the batch, as a report.
 
     The reference for the library's check, which evaluates one pair per
-    pair of keys and only the terms with a nonzero coefficient.  It cuts
-    the batch into the library's row blocks: R^m norms of a block round
-    differently from those of a single pair, and a NaN margin is the worst
-    only in the first block that holds one.
+    pair of keys.  As in the paper, a zero coefficient drops its term:
+    the margin is the lhs minus the nonzero-coefficient terms, summed in
+    the order alpha, beta, gamma, delta, L.  The worst margin is the first
+    NaN in pair order, else the first largest.  The batch is cut into the
+    library's row blocks: R^m norms of a block round differently from
+    those of a single pair.
     """
     c = validate_coefficients(c)
     tolerance = space.slack(tolerance)
@@ -534,7 +537,7 @@ def reference_condition_report(space, maps, c, pair_source=EXHAUSTIVE, tolerance
     rows = xs.shape[0]
     pairs = rows * (1 if sampled else space.n)
     step = max(1, block * rows // pairs)
-    worst = pair = None
+    margins = []
     for r0 in range(0, rows, step):
         bx = xs[r0 : r0 + step]
         by = ys[r0 : r0 + step] if sampled else ys
@@ -542,21 +545,25 @@ def reference_condition_report(space, maps, c, pair_source=EXHAUSTIVE, tolerance
         fx = bx if f is None else f.apply_many(bx)
         gy = by if g is None else g.apply_many(by)
         t1, t2, t3, u1, u2 = dist(fx, Sx), dist(gy, Ty), dist(fx, gy), dist(gy, Sx), dist(fx, Ty)
-        t5 = np.minimum(np.minimum(t1, t2), np.minimum(u1, u2))
-        margin = dist(Sx, Ty) - (c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * (u1 + u2) + c.L * t5)
-        margin = np.broadcast_to(margin, (len(bx),) if sampled else (len(bx), space.n))
-        flat = int(np.argmax(margin))
-        if worst is None or margin.flat[flat] > worst:
-            worst = float(margin.flat[flat])
-            if sampled:
-                pair = (space.canonicalize(xs[r0 + flat]), space.canonicalize(ys[r0 + flat]))
-            else:
-                pair = (r0 + flat // space.n, flat % space.n)
+        terms = (t1, t2, t3, u1 + u2, np.minimum(np.minimum(t1, t2), np.minimum(u1, u2)))
+        rhs = None
+        for coef, t in zip(c.as_tuple(), terms):
+            if coef != 0.0:
+                rhs = coef * t if rhs is None else rhs + coef * t
+        margin = dist(Sx, Ty) if rhs is None else dist(Sx, Ty) - rhs
+        margins.append(np.broadcast_to(margin, (len(bx),) if sampled else (len(bx), space.n)).reshape(-1))
+    margins = np.concatenate(margins)
+    # argmax returns the first NaN if there is one, else the first largest
+    flat = int(np.argmax(margins))
+    if sampled:
+        pair = (space.canonicalize(xs[flat]), space.canonicalize(ys[flat]))
+    else:
+        pair = divmod(flat, space.n)
     return ViolationReport(
         condition=maps.arity.name.lower(),
-        satisfied=bool(worst <= tolerance),
+        satisfied=bool(margins[flat] <= tolerance),
         worst_pair=pair,
-        worst_margin=worst,
+        worst_margin=float(margins[flat]),
         pairs_checked=pairs,
         mode="sampled" if sampled else "exhaustive",
         tolerance=float(tolerance),
@@ -713,7 +720,7 @@ def euclidean_cases(draw):
 
 
 class TestPrunedKeyedCheck:
-    """The check's report equals the all-terms, all-pairs reference byte for byte."""
+    """The check's report equals the all-pairs reference byte for byte."""
 
     @staticmethod
     def _assert_same_reports(space, maps, src, pattern, block):
@@ -753,38 +760,68 @@ class TestPrunedKeyedCheck:
         self._assert_same_reports(MetricSpace.euclidean(3), maps, src, (False, False, True, False, False), None)
 
     @pytest.mark.parametrize("src", [EXHAUSTIVE, SampledPairs(5, 0)], ids=["exhaustive", "sampled"])
-    def test_negative_zero_table_reports_a_positive_zero(self, src):
-        # without any term the margin is the lhs, -0.0; the full sum subtracts a -0.0 and gives 0.0
+    def test_negative_zero_table_reports_the_lhs(self, src):
+        # without any term the margin is the lhs itself, -0.0
         space, S = MetricSpace.finite([[-0.0]]), TableMapping([0])
         rep = check_condition(space, MappingSet(S, S), Coefficients(0, 0, 0, 0), src)
-        assert repr(rep.worst_margin) == "0.0"
+        assert repr(rep.worst_margin) == "-0.0"
 
-    def test_overflowing_companion_keeps_every_term(self):
-        # f(x) = 1e200 x overflows: 0 times an infinite term is NaN, which a pruned sum would miss
+    def test_overflowing_companion_of_zero_coefficients_drops_out(self):
+        # f(x) = 1e200 x overflows, but every coefficient is 0: the margin is the finite lhs, never 0 * inf
         space, half = MetricSpace.euclidean(1), AffineMapping([[0.5]], [0.0])
         maps = MappingSet(half, half, AffineMapping([[1e200]], [0.0]), arity=3)
         src = SampledPairs(100, 1, (-1e120, 1e120))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             rep = check_condition(space, maps, Coefficients(0, 0, 0, 0), src)
-        assert np.isnan(rep.worst_margin)
-        assert rep.worst_pair == ((2.364324940051349e118,), (9.009273926518706e119,))
+        xs, ys = src.draw_pairs(space)
+        k = int(np.argmax(np.abs(0.5 * xs - 0.5 * ys)))
+        assert rep.worst_pair == ((float(xs[k, 0]),), (float(ys[k, 0]),))
+        assert rep.worst_margin == abs(0.5 * xs[k, 0] - 0.5 * ys[k, 0])
 
-    def test_nan_margins_keep_the_full_grid(self):
+    def test_overflow_in_a_dropped_term_does_not_hide_a_violation(self):
         # rows 0, 1 and 2 have distinct keys and every y the same; row 1's
-        # d(g(y), S(x)) + d(f(x), T(y)) overflows, so 0 times it is NaN.  In
-        # one-row blocks the NaN sits in the second block, and only a NaN in
-        # the first block is reported, but three keyed rows share one block.
+        # d(g(y), S(x)) + d(f(x), T(y)) overflows, but delta is 0, so row 1's
+        # margin is d(Sx, Ty) - gamma * d(fx, gy) = 1e308 - 0.5e308 in every block layout
         big = 1e308
         space = MetricSpace.finite([[0.5, big, 0.5], [big, 0.0, 1.0], [2.0, 1.0, 0.0]])
         zero = TableMapping([0, 0, 0])
         maps = MappingSet(TableMapping([0, 1, 2]), zero, TableMapping([0, 1, 0]), zero, arity=4)
         c = Coefficients(0, 0, 0.5, 0)
-        with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", 3):
+        for block in (1, 3, 9, None):
+            with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rep = check_condition(space, maps, c)
+                assert _report_json(rep) == _report_json(reference_condition_report(space, maps, c))
+            assert (rep.worst_pair, rep.worst_margin) == ((1, 0), 5e307)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    def test_first_nan_margin_is_the_worst_in_every_block_layout(self, block):
+        # S = T = identity, (0, 0, 0, 1/4, 2): at (1, 2) delta * (1e308 + 1e308) is inf and
+        # L * min{.., d(1, 1) = -1e308, ..} is -inf, so the margin is NaN; row 0 already reads +inf at (0, 1)
+        big = 1e308
+        space, ident = MetricSpace.finite([[0, 1, 1], [1, -big, big], [1, big, 0]]), identity_mapping(3)
+        c = Coefficients(0, 0, 0, 0.25, 2.0)
+        with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
             warnings.simplefilter("ignore", RuntimeWarning)
-            rep = check_condition(space, maps, c)
-            assert _report_json(rep) == _report_json(reference_condition_report(space, maps, c))
-        assert (rep.worst_pair, rep.worst_margin) == ((2, 0), 1.75)
+            rep = check_condition(space, MappingSet(ident, ident), c)
+        assert rep.worst_pair == (1, 2)
+        assert np.isnan(rep.worst_margin) and not rep.satisfied
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    def test_first_nan_margin_is_the_worst_on_euclidean_samples(self, block):
+        # f(x) = 1e200 x overflows past x = 1.8e108; where f(x) and f(y) both read inf,
+        # d(f(x), f(y)) is NaN and so is the margin at gamma = 1/2
+        space, half = MetricSpace.euclidean(1), AffineMapping([[0.5]], [0.0])
+        maps = MappingSet(half, half, AffineMapping([[1e200]], [0.0]), arity=3)
+        src = SampledPairs(40, 0, (-1e108, 2.5e108))
+        with warnings.catch_warnings(), patch.object(contraction, "EUCLIDEAN_BLOCK_PAIRS", block or contraction.EUCLIDEAN_BLOCK_PAIRS):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = check_condition(space, maps, Coefficients(0, 0, 0.5, 0), src)
+            xs, ys = src.draw_pairs(space)
+            k = int(np.flatnonzero(np.isinf(1e200 * xs[:, 0]) & np.isinf(1e200 * ys[:, 0]))[0])
+        assert rep.worst_pair == ((float(xs[k, 0]),), (float(ys[k, 0]),))
+        assert np.isnan(rep.worst_margin)
 
     def test_keyed_grid_counts_every_pair(self):
         # f sends everything to 0 and S is constant: one key per side, n^2 pairs covered
@@ -926,6 +963,59 @@ class TestSynthesis:
         fresh = check_condition_two(space, double, double, c, SampledPairs(50000, seed=77, box=(-2, 2)))
         assert not fresh.satisfied
 
+    @staticmethod
+    def _failing_checks(failures):
+        """A check_condition whose first ``failures`` reports read unsatisfied, and the tuples it was asked about."""
+        asked = []
+
+        def check(space, maps, c, *args):
+            asked.append(c)
+            report = check_condition(space, maps, c, *args)
+            return dataclasses.replace(report, satisfied=False) if len(asked) <= failures else report
+
+        return check, asked
+
+    def test_a_failed_reverification_retries_a_bumped_tuple(self, monkeypatch, halving_space, halving_map):
+        check, asked = self._failing_checks(1)
+        monkeypatch.setattr(contraction, "check_condition", check)
+        c = synthesize_coefficients(halving_space, MappingSet(halving_map, halving_map))
+        first, bumped = asked
+        tol = halving_space.slack()
+        assert c == bumped == Coefficients(*(v * (1.0 + tol) + tol for v in first.as_tuple()))
+        assert first.delta == pytest.approx(1.0 / 3.0)
+        assert check_condition_two(halving_space, halving_map, halving_map, c).satisfied
+
+    def test_tuple_failing_every_reverification_is_infeasible(self, monkeypatch, halving_space, halving_map):
+        check, asked = self._failing_checks(3)
+        monkeypatch.setattr(contraction, "check_condition", check)
+        with pytest.raises(Infeasible, match="solved tuple failed re-verification") as exc_info:
+            synthesize_coefficients(halving_space, MappingSet(halving_map, halving_map))
+        assert len(asked) == 3
+        # every margin of the halving instance is at most 0 at delta = 1/3; the first tie is the first pair
+        assert exc_info.value.binding_pair == (0, 0)
+
+    def test_zero_tuple_holds_on_a_table_with_nan_margins(self):
+        # d(S(x), T(y)) = -1e308 <= 0 at every pair, but 0 times an overflowed term made the check's
+        # margins NaN; the failed re-verification then sought margins >= NaN - ties, found none: TypeError
+        z = TableMapping([0, 0])
+        space, maps = MetricSpace.finite([[-1e308, 1e308], [-1e308, -1e308]]), MappingSet(z, z, z, arity=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            c = synthesize_coefficients(space, maps)
+        assert c == Coefficients(0, 0, 0, 0, 0)
+        assert check_condition(space, maps, c).satisfied
+
+    def test_nan_margins_make_the_first_nan_pair_most_binding(self):
+        # synthesis's all-terms margins are NaN at (0, 0); no margin is >= NaN - ties, which raised TypeError
+        b = 1.7e308
+        space = MetricSpace.finite(
+            [[b, 0.5, 2, 2, 0.5], [2, b, 0.5, 0.5, 0.5], [2, b, b, b, b], [2, b, b, 0.5, 2], [0.5, 0.5, 0.5, 0.5, b]]
+        )
+        tables = ([1, 2, 1, 1, 2], [2, 0, 1, 2, 1], [3, 3, 2, 2, 3], [2, 3, 1, 2, 1])
+        with warnings.catch_warnings(), pytest.raises(Infeasible, match="lacks nan") as exc_info:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            synthesize_coefficients(space, MappingSet(*map(TableMapping, tables), arity=4))
+        assert exc_info.value.binding_pair == (0, 0)
 
 def dense_two_phase_lp(space, maps, pair_source=EXHAUSTIVE, margin=0.05):
     """Both synthesis LPs over every pair at once, one dense row per pair.
