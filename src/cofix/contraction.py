@@ -9,9 +9,9 @@ The two-mapping condition bounds d(Sx, Ty) by
 with alpha, beta, gamma, delta in [0, 1), alpha + beta + gamma + 2*delta < 1
 and L >= 0.  The three-mapping variant replaces x and y inside the distance
 terms on the right-hand side by f(x) and f(y); the four-mapping variant uses
-f(x) on the x side and g(y) on the y side.  ``MappingSet.rhs_maps`` names
-that substitution once: ``(None, None)`` (the identity) for two mappings,
-``(f, f)`` for three, ``(f, g)`` for four.
+f(x) on the x side and g(y) on the y side.  ``MappingSet.sides`` names
+that substitution once, as each side's companion: None (the identity) on
+both sides for two mappings, f on both for three, f and g for four.
 
 Every check runs the four-mapping form through one vectorized evaluator,
 ``_term_arrays``, over a batch of pairs: index arrays looked up in the
@@ -19,12 +19,12 @@ distance table on finite spaces, coordinate arrays compared by norm on
 Euclidean ones.  The exhaustive grid is the same call with the index
 column and row broadcast against each other, so substituting the identity
 for f (or f for g) reproduces the lower-arity report exactly; its lookups
-gather whole table rows, then columns.  Checks feed the batch to the
-evaluator in row blocks of about ``BLOCK_PAIRS`` pairs, so their scratch
-memory stays bounded at any table size.  ``check_condition`` picks the
-named check that matches a mapping set's arity.  ``synthesize_coefficients``
-solves its LPs by cutting planes, with a pass over the same blocks as the
-separation step.
+gather the whole table rows or columns of the smaller index set, then the
+other axis.  Checks feed the batch to the evaluator in row blocks of about
+``BLOCK_PAIRS`` pairs, so their scratch memory stays bounded at any table
+size.  ``check_condition`` picks the named check that matches a mapping
+set's arity.  ``synthesize_coefficients`` solves its LPs by cutting planes,
+with a pass over the same blocks as the separation step.
 
 A check takes the lhs and only the terms with a nonzero coefficient, in
 the order alpha, beta, gamma, delta, L: as in the paper, a zero
@@ -57,7 +57,7 @@ from .errors import (
     NonInvertibleMapping,
 )
 from .metric_core import MetricSpace, Point, sampling_box
-from .records import Record, int_arg
+from .records import ArrayEq, Record, int_arg
 
 EXHAUSTIVE = "exhaustive"
 
@@ -125,8 +125,8 @@ class Arity(IntEnum):
     FOUR = 4
 
 
-@dataclass(frozen=True)
-class TableMapping:
+@dataclass(frozen=True, eq=False)
+class TableMapping(ArrayEq):
     """A self-map of a finite universe stored as an index table."""
 
     table: np.ndarray
@@ -143,12 +143,6 @@ class TableMapping:
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
-
-    def __eq__(self, other):
-        return isinstance(other, TableMapping) and np.array_equal(self.table, other.table)
-
-    def __hash__(self):
-        return hash(self.table.tobytes())
 
     @property
     def n(self) -> int:
@@ -179,8 +173,8 @@ def identity_mapping(n: int) -> TableMapping:
     return TableMapping(np.arange(n))
 
 
-@dataclass(frozen=True)
-class AffineMapping:
+@dataclass(frozen=True, eq=False)
+class AffineMapping(ArrayEq):
     """The affine self-map x -> matrix @ x + offset of a Euclidean space; every entry must be finite."""
 
     matrix: np.ndarray
@@ -202,17 +196,6 @@ class AffineMapping:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float) + self.offset
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineMapping)
-            and np.array_equal(self.matrix, other.matrix)
-            and np.array_equal(self.offset, other.offset)
-        )
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which == already equates
-        return hash(((self.matrix + 0.0).tobytes(), (self.offset + 0.0).tobytes()))
 
     @property
     def dimension(self) -> int:
@@ -255,7 +238,7 @@ Mapping = Union[TableMapping, AffineMapping]
 
 @dataclass(frozen=True)
 class MappingSet:
-    """The mappings of one problem: always S and T, plus f (and g) by arity."""
+    """The mappings of one problem: an arity-k set holds exactly the first k of S, T, f and g."""
 
     S: Mapping
     T: Mapping
@@ -266,14 +249,8 @@ class MappingSet:
     def __post_init__(self):
         arity = Arity(self.arity)
         object.__setattr__(self, "arity", arity)
-        if arity >= Arity.THREE and self.f is None:
-            raise DomainError("three-mapping problems need f")
-        if arity == Arity.FOUR and self.g is None:
-            raise DomainError("four-mapping problems need g")
-        if arity == Arity.TWO and (self.f is not None or self.g is not None):
-            raise DomainError("two-mapping problems take only S and T")
-        if arity == Arity.THREE and self.g is not None:
-            raise DomainError("three-mapping problems take S, T, and f")
+        if any((m is None) != (i >= arity) for i, m in enumerate((self.S, self.T, self.f, self.g))):
+            raise DomainError(f"{arity.name.lower()}-mapping problems take {', '.join('STfg'[:arity])}")
 
     def validate(self, space: MetricSpace) -> "MappingSet":
         for label, m in self.items():
@@ -293,12 +270,6 @@ class MappingSet:
         f = ("f", self.f) if self.f is not None else (None, None)
         g = ("g", self.g) if self.g is not None else f
         return ("S", self.S, *f), ("T", self.T, *g)
-
-    @property
-    def rhs_maps(self) -> tuple[Optional[Mapping], Optional[Mapping]]:
-        """The (f, g) put in place of (x, y) on the right-hand side; None is the identity."""
-        (*_, f), (*_, g) = self.sides
-        return f, g
 
     def items(self):
         """(label, mapping) for S, T and whichever of f, g are present."""
@@ -368,7 +339,7 @@ class ViolationReport(Record):
 def _scalar_terms(space: MetricSpace, S, T, f, g, x: Point, y: Point):
     """Distance terms of the condition at one pair, with substitutions applied."""
     fx = f(x) if f is not None else x
-    gy = g(y) if g is not None else (f(y) if f is not None else y)
+    gy = g(y) if g is not None else y
     Sx = S(x)
     Ty = T(y)
     d = space.distance
@@ -423,26 +394,29 @@ def _pair_batch(space: MetricSpace, pair_source, maps: Optional[MappingSet] = No
     return pair_source.draw_pairs(space)
 
 
-def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray, wanted=ALL_TERMS):
+def _term_arrays(space: MetricSpace, maps: MappingSet, xs: np.ndarray, ys: np.ndarray, wanted=ALL_TERMS):
     """Vectorized condition terms at a batch of pairs, in :func:`_scalar_terms` order.
 
-    Finite points are index arrays and distances are table lookups;
-    Euclidean points carry coordinates on the last axis and distances are
-    norms.  ``f`` or ``g`` None stands for the identity.  Terms that depend
-    on one side only keep that side's shape and broadcast against the rest.
-    Of t1..t5 only those ``wanted`` are computed; the others are None.
+    ``maps.sides`` puts f(x) and g(y) in place of x and y, a None companion
+    the identity.  Finite points are index arrays and distances are table
+    lookups; Euclidean points carry coordinates on the last axis and
+    distances are norms.  Terms that depend on one side only keep that
+    side's shape and broadcast against the rest.  Of t1..t5 only those
+    ``wanted`` are computed, the others are None; so are f(x) and g(y).
     """
     if space.is_finite:
         D = space.table
 
         def dist(u, v):
             # an exhaustive block is an index column against an index row:
-            # gathering whole rows (or columns) and then the other axis beats
-            # scattered lookups, and the result is the same table entries
+            # gathering the smaller index set's whole rows (or columns), then
+            # the other axis, beats scattered lookups and copies at most n
+            # entries per index of the smaller set
             if u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1:
-                return D[u[:, 0]][:, v[0]]
+                r, c = u[:, 0], v[0]
+                return D[r][:, c] if len(r) <= len(c) else D[:, c][r]
             if u.ndim == v.ndim == 2 and u.shape[0] == 1 and v.shape[1] == 1:
-                return D[:, v[:, 0]][u[0]].T
+                return dist(u.T, v.T).T
             return D[u, v]
 
     else:
@@ -450,11 +424,13 @@ def _term_arrays(space: MetricSpace, S, T, f, g, xs: np.ndarray, ys: np.ndarray,
         def dist(u, v):
             return np.linalg.norm(u - v, axis=-1)
 
+    (_, S, _, f), (_, T, _, g) = maps.sides
+    alpha, beta, gamma, delta, L = wanted
     Sx = S.apply_many(xs)
     Ty = T.apply_many(ys)
-    fx = f.apply_many(xs) if f is not None else xs
-    gy = g.apply_many(ys) if g is not None else ys
-    alpha, beta, gamma, delta, L = wanted
+    # alpha, gamma, delta and L read f(x); beta, gamma, delta and L read g(y)
+    fx = f.apply_many(xs) if f is not None and (alpha or gamma or delta or L) else xs
+    gy = g.apply_many(ys) if g is not None and (beta or gamma or delta or L) else ys
     # t5 is the least of t1, t2, u1 and u2, so L needs all four
     t1 = dist(fx, Sx) if alpha or L else None
     t2 = dist(gy, Ty) if beta or L else None
@@ -492,8 +468,8 @@ def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray):
         yield tuple(p[r0 : r0 + step] if len(p) == rows else p for p in (xs, ys))
 
 
-def _margins(space: MetricSpace, S, T, f, g, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
-    """(xs, ys, margin, need, terms) for each row block of a pair batch.
+def _margins(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
+    """(xs, ys, margin, need, terms) for each row block of a pair batch under ``maps``.
 
     ``need`` is ``scale * lhs`` and the margin is ``need`` minus the
     right-hand side at ``coefs``: alpha*t1 + beta*t2 + gamma*t3 + delta*t4
@@ -501,7 +477,7 @@ def _margins(space: MetricSpace, S, T, f, g, batch, coefs, scale: float = 1.0, w
     :func:`_term_arrays` computed as ``wanted``; the others are None.
     """
     for xs, ys in _row_blocks(space, *batch):
-        lhs, *terms = _term_arrays(space, S, T, f, g, xs, ys, wanted)
+        lhs, *terms = _term_arrays(space, maps, xs, ys, wanted)
         need = lhs if scale == 1.0 else scale * lhs
         products = [coef * t for coef, t in zip(coefs, terms) if t is not None]
         margin = need - reduce(np.add, products) if products else need
@@ -532,7 +508,7 @@ def _evaluate_condition(space, maps: MappingSet, c, pair_source, tolerance) -> V
     coefs = c.as_tuple()
     wanted = tuple(v != 0.0 for v in coefs)
     batch = _pair_batch(space, pair_source, maps)
-    worst, at, count = _worst(_margins(space, maps.S, maps.T, *maps.rhs_maps, batch, coefs, wanted=wanted))
+    worst, at, count = _worst(_margins(space, maps, batch, coefs, wanted=wanted))
     pair = _pair_at(space, *at)
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
@@ -714,11 +690,10 @@ def synthesize_coefficients(
 
     # shortfalls this close to the worst are ties: the solve is no more exact than that
     ties = max(tolerance, 1e-9)
-    f, g = maps.rhs_maps
     batch = _pair_batch(space, pair_source)
 
     def margins(coefs):
-        return _margins(space, maps.S, maps.T, f, g, batch, coefs, 1.0 + cushion)
+        return _margins(space, maps, batch, coefs, 1.0 + cushion)
 
     def cuts(coefs, above):
         """Each block's ``CUT_ROWS`` largest-margin rows [t1, .., t5, need] with margin above ``above``."""

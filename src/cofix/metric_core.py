@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .records import Record, int_arg
+from .records import ArrayEq, Record, int_arg
 
 Point = Union[int, np.ndarray]
 
@@ -39,8 +39,8 @@ class Flavor(Enum):
     EUCLIDEAN_AFFINE = "euclidean_affine"
 
 
-@dataclass(frozen=True)
-class MetricSpace:
+@dataclass(frozen=True, eq=False)
+class MetricSpace(ArrayEq):
     """A metric space of one of the two supported flavors.
 
     Construct through :meth:`finite` or :meth:`euclidean`; the raw
@@ -74,18 +74,6 @@ class MetricSpace:
             object.__setattr__(self, "table", None)
         else:  # pragma: no cover - enum is closed
             raise DomainError(f"unknown flavor {self.flavor}")
-
-    def __eq__(self, other):
-        # the generated field-wise == would ask a boolean array for its truth value
-        return (
-            isinstance(other, MetricSpace)
-            and (self.flavor, self.dimension) == (other.flavor, other.dimension)
-            and (self.table is None or np.array_equal(self.table, other.table))
-        )
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which == already equates
-        return hash((self.flavor, self.dimension, None if self.table is None else (self.table + 0.0).tobytes()))
 
     @classmethod
     def finite(cls, table) -> "MetricSpace":
@@ -234,8 +222,10 @@ def _row_worst(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
         for j0 in range(0, n, TILE_COLS):
             cols = D[j0 : j0 + TILE_COLS]
             viol = tile[: len(block), : len(cols)]
-            np.subtract(block[:, None, :], block[:, j0 : j0 + len(cols), None], out=viol)
-            viol -= cols
+            # entries near the float range overflow to -inf here, which is never a violation
+            with np.errstate(over="ignore"):
+                np.subtract(block[:, None, :], block[:, j0 : j0 + len(cols), None], out=viol)
+                viol -= cols
             np.maximum(worst_here, viol.max(axis=(1, 2)), out=worst_here)
         worst[r0 : r0 + len(block)] = worst_here
     return worst
@@ -320,7 +310,8 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     ok = True
     if len(rows):
         i = int(rows[np.argmax(_row_worst(D, rows))])
-        viol = D[i][None, :] - D[i][:, None] - D
+        with np.errstate(over="ignore"):  # as in _row_worst: -inf is no violation
+            viol = D[i][None, :] - D[i][:, None] - D
         j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
         worst = float(viol[j, k])
         ok = worst <= tolerance

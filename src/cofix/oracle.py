@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -31,25 +30,19 @@ from .contraction import (
 )
 from .errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
 from .metric_core import MetricSpace, verify_metric_axioms
-from .records import Record, int_arg
+from .records import Record, ValueEnum, int_arg
 from .reduction import coincidence_points, is_weakly_compatible
 
 
-class MetricMode(Enum):
+class MetricMode(ValueEnum):
     UNIFORM = "uniform"
     INTEGER = "integer"
     EMBEDDED = "embedded"
 
-    def __str__(self):
-        return self.value
 
-
-class MappingMode(Enum):
+class MappingMode(ValueEnum):
     CONTRACTION_ANCHOR = "contraction_anchor"
     RANDOM = "random"
-
-    def __str__(self):
-        return self.value
 
 
 # distances are snapped to multiples of 2**-GRID_BITS and capped, so sums

@@ -9,7 +9,7 @@ A problem document has the shape
                    "T": {"type": "table", "table": [0, 0]}},
       "coefficients": {"alpha": 0, "beta": 0, "gamma": 0.5, "delta": 0, "L": 0},
       "pair_source": "exhaustive",
-      "solver": {"x0": 1, "tol": 1e-12, "max_iters": 10000},
+      "solver": {"x0": 1, "tol": 1e-12, "max_iters": 500},
       "metadata": {}
     }
 
@@ -48,6 +48,7 @@ from .contraction import (
 from .errors import CofixError, SchemaError
 from .metric_core import Flavor, MetricSpace
 from .records import as_int
+from .solver import MAX_ITERS
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class Problem:
     pair_source: PairSource = EXHAUSTIVE
     x0: Optional[object] = None
     tol: Optional[float] = None
-    max_iters: int = 10000
+    max_iters: int = MAX_ITERS
     metadata: dict = field(default_factory=dict)
 
     def start_point(self):
@@ -171,7 +172,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
             pair_source=pair_source,
             x0=x0,
             tol=space.slack(solver["tol"]) if solver.get("tol") is not None else None,
-            max_iters=as_int(solver.get("max_iters", 10000)),
+            max_iters=as_int(solver.get("max_iters", MAX_ITERS)),
             metadata=doc.get("metadata") or {},
         )
     except SchemaError:

@@ -6,7 +6,8 @@ nested records through their own ``to_dict``.  ``from_dict`` follows the
 type hints: None for ``Optional``, ``Cls(value)`` for enums, ``float()``
 and ``int()`` coercion (:func:`as_int` refuses a fractional float), typed
 tuples and records element by element, and lists to tuples for untyped
-values.  A missing key takes the field's default.
+values.  A missing key takes the field's default.  :class:`ValueEnum` and
+:class:`ArrayEq` state the text of an enum and the equality of arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +17,34 @@ import functools
 import typing
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
+
+
+class ValueEnum(Enum):
+    """An enum whose text is its value, as :class:`Record` encodes it."""
+
+    def __str__(self):
+        return self.value
+
+
+class ArrayEq:
+    """Field-wise ``==`` and hash for a ``@dataclass(frozen=True, eq=False)`` holding arrays.
+
+    Arrays compare by ``np.array_equal`` and hash as ``(v + 0).tobytes()``:
+    + 0 turns -0.0 into 0.0, which ``np.array_equal`` already equates.
+    """
+
+    def __eq__(self, other):
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self))
+        return isinstance(other, type(self)) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b for a, b in pairs
+        )
+
+    def __hash__(self):
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return hash(tuple((v + 0).tobytes() if isinstance(v, np.ndarray) else v for v in values))
 
 
 class Record:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import partial
 from typing import Optional, Union
 
@@ -51,8 +50,8 @@ from .errors import (
     RangeInclusionFailure,
 )
 from .metric_core import MetricSpace, Point
-from .records import Record
-from .solver import SolveReport, SolveStatus, picard_solve
+from .records import Record, ValueEnum
+from .solver import MAX_ITERS, SolveReport, SolveStatus, picard_solve
 
 
 @contextmanager
@@ -341,13 +340,10 @@ def require_lift_agreement(space: MetricSpace, z1: Point, z2: Point, *, tol: Opt
     return z1
 
 
-class PipelineStatus(Enum):
+class PipelineStatus(ValueEnum):
     COMMON_FIXED_POINT = "common_fixed_point"
     COINCIDENCE_ONLY = "coincidence_only"
     SOLVER_FAILED = "solver_failed"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -364,7 +360,7 @@ class PipelineOptions:
     """
 
     tol: Optional[float] = None
-    max_iters: int = 10000
+    max_iters: int = MAX_ITERS
     keep_trace: bool = False
     verify_hypotheses: bool = True
     pair_source: PairSource = EXHAUSTIVE

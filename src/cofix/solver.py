@@ -15,7 +15,6 @@ wrong limit when the hypotheses do not actually hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,16 +22,16 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .metric_core import MetricSpace, Point
 from .contraction import Coefficients, validate_coefficients
-from .records import Record
+from .records import Record, ValueEnum
+
+# the iteration cap of a solve that names none
+MAX_ITERS = 10000
 
 
-class SolveStatus(Enum):
+class SolveStatus(ValueEnum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
     RATE_VIOLATED = "rate_violated"
-
-    def __str__(self):
-        return self.value
 
 
 def rate_constant(c: Coefficients) -> float:
@@ -122,7 +121,7 @@ def picard_solve(
     x0: Point,
     *,
     tol: Optional[float] = None,
-    max_iters: int = 10000,
+    max_iters: int = MAX_ITERS,
     keep_trace: bool = True,
 ) -> SolveReport:
     """Run the alternating orbit from x0 and certify the limit.
@@ -223,12 +222,9 @@ def picard_solve(
     return finish(SolveStatus.MAX_ITERATIONS)
 
 
-class UniquenessVerdict(Enum):
+class UniquenessVerdict(ValueEnum):
     EQUAL = "equal"
     DISTINCT = "distinct"
-
-    def __str__(self):
-        return self.value
 
 
 def uniqueness_check(

@@ -235,25 +235,22 @@ class TestAffineMapping:
 
 class TestMappingSet:
     def test_arity_field_consistency(self, halving_map):
+        # an arity-k set holds exactly the first k of S, T, f and g; the message names them
         ident = identity_mapping(4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^three-mapping problems take S, T, f$"):
             MappingSet(S=halving_map, T=halving_map, arity=Arity.THREE)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^four-mapping problems take S, T, f, g$"):
             MappingSet(S=halving_map, T=halving_map, f=ident, arity=Arity.FOUR)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^four-mapping problems take S, T, f, g$"):
+            MappingSet(S=halving_map, T=halving_map, g=ident, arity=Arity.FOUR)
+        with pytest.raises(DomainError, match="^two-mapping problems take S, T$"):
             MappingSet(S=halving_map, T=halving_map, f=ident, arity=Arity.TWO)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^three-mapping problems take S, T, f$"):
             MappingSet(S=halving_map, T=halving_map, f=ident, g=ident, arity=Arity.THREE)
 
     def test_int_arity_promoted(self, halving_map):
         ms = MappingSet(S=halving_map, T=halving_map, arity=2)
         assert ms.arity is Arity.TWO
-
-    def test_rhs_maps_follow_the_arity(self, halving_map):
-        f, g = TableMapping([0, 0, 2, 2]), TableMapping([0, 1, 1, 2])
-        assert MappingSet(S=halving_map, T=halving_map).rhs_maps == (None, None)
-        assert MappingSet(S=halving_map, T=halving_map, f=f, arity=3).rhs_maps == (f, f)
-        assert MappingSet(S=halving_map, T=halving_map, f=f, g=g, arity=4).rhs_maps == (f, g)
 
     def test_sides_pair_each_mapping_with_its_companion(self, halving_map):
         S, T = halving_map, TableMapping([1, 1, 1, 1])
@@ -481,6 +478,10 @@ class TestConditionChecks:
         with pytest.raises(ExhaustiveOnInfinite):
             check_condition_two(space, half, half, Coefficients(0, 0, 0.5, 0))
 
+    def test_unknown_pair_source_raises(self, halving_space, halving_map):
+        with pytest.raises(DomainError, match="unknown pair source 'all'"):
+            check_condition_two(halving_space, halving_map, halving_map, Coefficients(0, 0, 0.5, 0), "all")
+
     def test_euclidean_sampled_boundary_case(self):
         space = MetricSpace.euclidean(1)
         half = AffineMapping([[0.5]], [0.0])
@@ -523,7 +524,7 @@ def reference_condition_report(space, maps, c, pair_source=EXHAUSTIVE, tolerance
     """
     c = validate_coefficients(c)
     tolerance = space.slack(tolerance)
-    f, g = maps.rhs_maps
+    (*_, f), (*_, g) = maps.sides
     sampled = isinstance(pair_source, SampledPairs)
     if sampled:
         xs, ys = pair_source.draw_pairs(space)
@@ -660,6 +661,36 @@ class TestGatheredGrid:
             monkeypatch.setattr(contraction, "BLOCK_PAIRS", 1)
         assert _report_json(check_condition(space, maps, c)) == _report_json(reference_condition_report(space, maps, c))
 
+    @pytest.mark.parametrize("constant_side", ["x", "y"])
+    def test_one_key_side_matches_fancy_indexing(self, constant_side):
+        # one side has a single key, so the gathers take the other axis first
+        n = 40
+        space = MetricSpace.finite(np.random.default_rng(11).integers(0, 4, size=(n, n)) / 4.0)
+        ident, zero = identity_mapping(n), TableMapping(np.zeros(n, dtype=int))
+        x_map, y_map = (zero, ident) if constant_side == "x" else (ident, zero)
+        maps = MappingSet(x_map, y_map, x_map, y_map, arity=4)
+        c = Coefficients(0.2, 0.1, 0.15, 0.1, 0.4)
+        assert _report_json(check_condition(space, maps, c)) == _report_json(reference_condition_report(space, maps, c))
+
+    def test_one_key_side_gathers_the_smaller_axis_first(self):
+        # T = g = 0 leave one y key, so a block holds every x key: gathering
+        # whole rows first copied a full table (7.6 MiB here) per cross term
+        n = 1000
+        rho = np.random.default_rng(0).uniform(0.5, 8.0, size=n)
+        rho[0] = 0.0
+        tab = np.maximum.outer(rho, rho)
+        np.fill_diagonal(tab, 0.0)
+        space = MetricSpace.finite(tab)
+        ident, zero = identity_mapping(n), TableMapping(np.zeros(n, dtype=int))
+        tracemalloc.start()
+        try:
+            rep = check_condition_four(space, ident, zero, ident, zero, Coefficients(0, 0, 0.5, 0, 0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.worst_pair, rep.pairs_checked) == ((530, 0), n * n)
+        assert peak < tab.nbytes / 10
+
     @pytest.mark.parametrize("arity", [2, 3, 4])
     def test_sampled_finite_report_matches_fancy_indexing(self, arity):
         n = 50
@@ -767,12 +798,13 @@ class TestPrunedKeyedCheck:
         assert repr(rep.worst_margin) == "-0.0"
 
     def test_overflowing_companion_of_zero_coefficients_drops_out(self):
-        # f(x) = 1e200 x overflows, but every coefficient is 0: the margin is the finite lhs, never 0 * inf
+        # f(x) = 1e200 x would overflow, but every coefficient is 0: f is never applied,
+        # and the margin is the finite lhs, never 0 * inf
         space, half = MetricSpace.euclidean(1), AffineMapping([[0.5]], [0.0])
         maps = MappingSet(half, half, AffineMapping([[1e200]], [0.0]), arity=3)
         src = SampledPairs(100, 1, (-1e120, 1e120))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             rep = check_condition(space, maps, Coefficients(0, 0, 0, 0), src)
         xs, ys = src.draw_pairs(space)
         k = int(np.argmax(np.abs(0.5 * xs - 0.5 * ys)))
@@ -994,6 +1026,12 @@ class TestSynthesis:
         # every margin of the halving instance is at most 0 at delta = 1/3; the first tie is the first pair
         assert exc_info.value.binding_pair == (0, 0)
 
+    def test_failed_highs_solve_is_infeasible(self, monkeypatch, halving_space, halving_map):
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: scipy.optimize.OptimizeResult(success=False))
+        with pytest.raises(Infeasible, match="^feasibility solve failed$") as exc_info:
+            synthesize_coefficients(halving_space, MappingSet(halving_map, halving_map))
+        assert exc_info.value.binding_pair is None
+
     def test_zero_tuple_holds_on_a_table_with_nan_margins(self):
         # d(S(x), T(y)) = -1e308 <= 0 at every pair, but 0 times an overflowed term made the check's
         # margins NaN; the failed re-verification then sought margins >= NaN - ties, found none: TypeError
@@ -1042,9 +1080,8 @@ def dense_two_phase_lp(space, maps, pair_source=EXHAUSTIVE, margin=0.05):
 def _dense_rows(space, maps, pair_source):
     """The batch (xs, ys, shape) with the LP's (pairs x 5) multipliers and its need vector."""
     slack = 0.0 if pair_source == EXHAUSTIVE else 0.02
-    f, g = maps.rhs_maps
     xs, ys = contraction._pair_batch(space, pair_source)
-    lhs, *terms = contraction._term_arrays(space, maps.S, maps.T, f, g, xs, ys)
+    lhs, *terms = contraction._term_arrays(space, maps, xs, ys)
     A = np.column_stack([np.broadcast_to(t, lhs.shape).reshape(-1) for t in terms])
     return (xs, ys, lhs.shape), A, (1.0 + slack) * lhs.reshape(-1)
 

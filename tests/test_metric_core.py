@@ -54,6 +54,10 @@ class TestFiniteSpace:
         assert path4.distance(3, 0) == 3.0
         assert path4.distance(2, 2) == 0.0
 
+    def test_finite_flavor_needs_a_table(self):
+        with pytest.raises(DomainError, match="needs a distance table"):
+            MetricSpace(Flavor.FINITE_EXPLICIT)
+
     def test_table_is_read_only(self, path4):
         with pytest.raises(ValueError):
             path4.table[0, 1] = 99.0

@@ -154,6 +154,10 @@ class TestSchemaRejections:
         with pytest.raises(SchemaError, match="space is missing required key 'flavor'"):
             load_problem(doc)
 
+    def test_block_must_be_an_object(self):
+        with pytest.raises(SchemaError, match="space must be an object, got int"):
+            load_problem(finite_doc(space=5))
+
     def test_unknown_space_flavor(self):
         doc = finite_doc(space={"flavor": "hyperbolic", "table": HALVING_TABLE})
         with pytest.raises(SchemaError, match="unknown space flavor 'hyperbolic'"):

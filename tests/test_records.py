@@ -35,7 +35,7 @@ from cofix import (
     verify_metric_axioms,
 )
 from cofix.oracle import oracle_summary, run_fuzz
-from cofix.records import Record
+from cofix.records import Record, ValueEnum
 
 LINE = MetricSpace.euclidean(2)
 HALF = AffineMapping(0.5 * np.eye(2), [0.5, -0.5])
@@ -105,6 +105,13 @@ def test_nested_records_keep_their_derived_keys(tmp_path, capsys):
     path.write_text(json.dumps(problem_to_dict(as_problem(inst))))
     assert cli.main(["check", str(path), "--format", "structured"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["axioms"]["passed"] is True
+
+
+def test_value_enums_print_their_values():
+    enums = ValueEnum.__subclasses__()
+    assert {cls.__name__ for cls in enums} == {"SolveStatus", "UniquenessVerdict", "PipelineStatus", "MetricMode", "MappingMode"}
+    for member in (m for cls in enums for m in cls):
+        assert str(member) == member.value
 
 
 def test_missing_required_key_raises_key_error_and_defaults_fill_in():

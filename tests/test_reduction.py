@@ -177,6 +177,8 @@ class TestCoincidenceScans:
         ms = MappingSet(S=half, T=half, arity=Arity.TWO)
         with pytest.raises(ExhaustiveOnInfinite):
             coincidence_points(MetricSpace.euclidean(1), ms)
+        with pytest.raises(ExhaustiveOnInfinite):
+            pair_coincidence_points(MetricSpace.euclidean(1), half, half)
 
     def test_roundtrip(self):
         sols = CoincidenceSolutions(points=(2,), values=(1,), consistent=True)

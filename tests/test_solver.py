@@ -145,6 +145,15 @@ class TestPicardSolve:
         assert rep.violation_index == 0
         assert rep.iterations == 2
 
+    def test_revisited_state_within_tolerance_converges(self):
+        # the gap 5e-13 lies above the stop threshold (1.1e-13 at k = 0.9) but
+        # within tol = 1e-12: the revisited state certifies the endpoint
+        space = MetricSpace.finite([[0.0, 5e-13], [5e-13, 0.0]])
+        swap = TableMapping([1, 0])
+        rep = picard_solve(space, swap, swap, Coefficients(0, 0, 0.9, 0), 0)
+        assert rep.status is SolveStatus.CONVERGED
+        assert (rep.iterations, rep.residuals, rep.violation_index) == (2, (5e-13, 5e-13), None)
+
     def test_stalled_orbit_with_bad_residuals(self):
         # S and T shuttle between two nearly identical points while T would
         # throw the endpoint far away: no gap or cycle step exceeds tol, so
