@@ -262,6 +262,29 @@ def _uncleared_rows(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~cleared)
 
 
+def _is_ultrametric(D: np.ndarray) -> bool:
+    """Does the table's upper triangle equal that of its single-linkage cophenetic matrix?
+
+    That matrix is the subdominant ultrametric, built in O(n^2) (Gower and
+    Ross, Applied Statistics 18, 1969; Mullner, arXiv:1109.2378), so for an
+    exactly symmetric table the answer is whether it is an ultrametric; the
+    caller checks the symmetry.  First a fixed set of up to 64 triples rejects
+    most other tables without importing scipy: in an ultrametric the two
+    largest sides of every triangle are equal.
+    """
+    n = D.shape[0]
+    i = np.arange(0, n, (n + 63) // 64)
+    j, k = (i + n // 3) % n, (i + 2 * n // 3) % n
+    sides = np.sort([D[i, j], D[j, k], D[k, i]], axis=0)
+    if not np.array_equal(sides[1], sides[2]):
+        return False
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    upper = squareform(D, checks=False)
+    return bool(np.array_equal(cophenet(linkage(upper, "single")), upper))
+
+
 def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     D = space.table
     n = space.n
@@ -277,6 +300,7 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     np.abs(scratch, out=scratch)
     i, j = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
     ok = bool(scratch[i, j] <= tolerance)
+    exactly_symmetric = bool(scratch[i, j] == 0.0)
     symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(scratch[i, j]))
 
     # strict positivity off the diagonal, exact comparison by design
@@ -302,10 +326,21 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     # repaired tables do): then e > 0 forces S[i, j] > D[i, j].  A cleared
     # row's worst is 0 <= tol, so a failing table's first worst row, and its
     # witness, still come from the exact scan; a passing one reports no witness.
+    # Ahead of the screen, under the same preconditions, an exactly symmetric
+    # table equal to its single-linkage cophenetic matrix U clears every row.
+    # U's entries are merge heights, copied from the table, so U == D is an
+    # exact comparison; over the upper triangle, with D symmetric, it makes D
+    # an ultrametric: a <= max(b, c) for every triple.  With b, c >= 0, a <= b
+    # gives fl(a - b) <= 0, and a <= c gives a - b <= c, so fl(a - b) <= c by
+    # monotone rounding; either way e <= 0.  Tables that are not ultrametrics,
+    # repaired and random ones among them, still take the screen.
     rows = np.arange(n)
     if n >= SCREEN_MIN_N and positivity.passed and not diag.any():
-        np.fill_diagonal(scratch, scratch[i, j])
-        rows = _uncleared_rows(D, scratch)
+        if exactly_symmetric and _is_ultrametric(D):
+            rows = rows[:0]
+        else:
+            np.fill_diagonal(scratch, scratch[i, j])
+            rows = _uncleared_rows(D, scratch)
     del scratch
     ok = True
     if len(rows):
@@ -339,8 +374,16 @@ def verify_metric_axioms(
     forces fl|d(i, k) - d(j, k)| >= d(i, j) by monotone rounding.  A tie
     still sends the row to the exact scan unless every difference of the
     table is exact (it lies on the ulp grid of a power of two >= its
-    maximum).  Reports are the same as from the full scan.  The failure
-    report names the violating pair or triple and the violation magnitude.
+    maximum).  Ahead of the screen, an exactly symmetric table is compared
+    with its single-linkage cophenetic matrix, its subdominant ultrametric,
+    in O(n^2): when they are equal the table is an ultrametric,
+    d(x, z) <= max(d(x, y), d(y, z)), and no row needs the screen or the
+    scan.  The gain is specific to ultrametric tables, such as the anchor
+    tables of :mod:`cofix.oracle`; a fixed set of triples turns most other
+    tables away before scipy is called, and repaired and random tables
+    still take the cubic screen.  Reports are the same as from the full
+    scan.  The failure report names the violating pair or triple and the
+    violation magnitude.
 
     Euclidean spaces need no check, since a norm induces a metric: the
     report is ``"analytic"``, four passing checks with no witness, and

@@ -512,6 +512,65 @@ def test_screened_reports_equal_the_unscreened_scan(family, n, seed, tol):
     assert screened.to_dict() == reference_verify_finite(tab, tol).to_dict()
 
 
+def _ultrametric_case(case, n, seed):
+    """An ultrametric at a scale from 1e-7 to 1e300, or one edited to be asymmetric or not ultrametric.
+
+    ``"one_triple"`` raises d(i, j) of the three points of least rho above
+    their largest rho, and no further than every other rho: the triple
+    (i, j, k) alone has a side longer than the other two.  Raised past
+    d(i, k) + d(k, j) it breaks the triangle inequality as well.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** int(rng.integers(-7, 301))
+    if case == "one_triple":
+        rho = rng.uniform(8.0, 16.0, n) * scale
+        i, j, k = rng.choice(n, size=3, replace=False)
+        rho[[i, j, k]] = rng.uniform(1.0, 2.0, 3) * scale
+    else:
+        rho = rng.uniform(0.5, 8.0, n) * scale
+    tab = np.maximum.outer(rho, rho)
+    np.fill_diagonal(tab, 0.0)
+    if case == "nudged":
+        i, j = rng.choice(n, size=2, replace=False)
+        tab[i, j] = tab[j, i] = np.nextafter(tab[i, j], np.inf if rng.random() < 0.5 else -np.inf)
+    elif case == "asymmetric":
+        # the upper triangle alone stays an ultrametric
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        tab[j, i] = rng.choice([np.nextafter(tab[i, j], np.inf), np.nextafter(tab[i, j], -np.inf), 3.0 * tab[i, j], 0.25 * tab[i, j]])
+    elif case == "one_triple":
+        top = rho[[i, j, k]].max()
+        tab[i, j] = tab[j, i] = rng.choice([np.nextafter(top, np.inf), 1.5 * top, 3.0 * top])
+    return tab
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(["ultrametric", "nudged", "asymmetric", "one_triple"]),
+    n=st.integers(min_value=3, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+)
+def test_certified_reports_equal_the_unscreened_scan(case, n, seed, tol):
+    tab = _ultrametric_case(case, n, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_core, "SCREEN_MIN_N", 3)
+        certified = verify_metric_axioms(MetricSpace.finite(tab), tolerance=tol)
+    assert certified.to_dict() == reference_verify_finite(tab, tol).to_dict()
+
+
+def _calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to record each call's first argument, and return that list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 @pytest.fixture
 def scanned_rows(monkeypatch):
     """The rows the exact triangle scan visits, in call order."""
@@ -527,14 +586,28 @@ def scanned_rows(monkeypatch):
 
 
 class TestScreenPath:
-    def test_anchor_ultrametric_scans_no_row(self, scanned_rows):
+    def test_anchor_ultrametric_scans_no_row(self, scanned_rows, monkeypatch):
+        screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
         assert verify_metric_axioms(MetricSpace.finite(_ultrametric(np.random.default_rng(300), 300))).passed
-        assert scanned_rows == []
+        assert (screened, scanned_rows) == ([], [])
 
-    def test_repaired_table_scans_no_row(self, scanned_rows):
-        D = metric_closure_repair(np.random.default_rng(200).uniform(0.1, 8.0, (200, 200)))  # its own guard is screened
-        assert verify_metric_axioms(MetricSpace.finite(D), tolerance=0.0).passed
-        assert scanned_rows == []
+    def test_nudged_anchor_falls_back_to_the_screen(self, monkeypatch):
+        tab = _nudged(np.random.default_rng(300), _ultrametric(np.random.default_rng(300), 300), 1)
+        screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
+        rep = verify_metric_axioms(MetricSpace.finite(tab))
+        assert len(screened) == 1
+        assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
+
+    def test_repaired_table_scans_no_row(self, scanned_rows, monkeypatch):
+        import scipy.cluster.hierarchy
+
+        linked = _calls(monkeypatch, scipy.cluster.hierarchy, "linkage")
+        screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
+        for n in (200, 300):
+            D = metric_closure_repair(np.random.default_rng(n).uniform(0.1, 8.0, (n, n)))  # its own guard is screened
+            assert verify_metric_axioms(MetricSpace.finite(D), tolerance=0.0).passed
+        # the fixed triples reject both tables, and the repairs' own guards, before scipy builds a linkage
+        assert (len(screened), linked, scanned_rows) == (4, [], [])
 
     def test_inexact_ties_are_scanned(self, scanned_rows):
         # collinear points off any dyadic grid: d(i, k) = d(i, j) + d(j, k) up to rounding
