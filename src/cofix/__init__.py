@@ -81,7 +81,6 @@ from .reduction import (
     injective_restriction,
     is_weakly_compatible,
     lift_to_common_fixed_point,
-    pair_coincidence_points,
     require_lift_agreement,
     solve_four,
     solve_four_coincidence,

@@ -236,6 +236,15 @@ def _inverted(m: AffineMapping, invert, name: str) -> AffineMapping:
 Mapping = Union[TableMapping, AffineMapping]
 
 
+def _validate_labelled(space: MetricSpace, labelled) -> None:
+    """Validate each (label, mapping) against ``space``; DomainError("mapping <label>: ...") names the first misfit."""
+    for label, m in labelled:
+        try:
+            m.validate(space)
+        except DomainError as exc:
+            raise DomainError(f"mapping {label}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class MappingSet:
     """The mappings of one problem: an arity-k set holds exactly the first k of S, T, f and g."""
@@ -253,11 +262,7 @@ class MappingSet:
             raise DomainError(f"{arity.name.lower()}-mapping problems take {', '.join('STfg'[:arity])}")
 
     def validate(self, space: MetricSpace) -> "MappingSet":
-        for label, m in self.items():
-            try:
-                m.validate(space)
-            except DomainError as exc:
-                raise DomainError(f"mapping {label}: {exc}") from exc
+        _validate_labelled(space, self.items())
         return self
 
     @property
@@ -740,13 +745,12 @@ def synthesize_coefficients(
     largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
     res, rows = cutting_plane(phase1, largest_lhs, lambda r: r.x[-1])
     if not res.success:
-        raise Infeasible("feasibility solve failed", binding_pair=None, margin=MARGIN)
+        raise Infeasible("feasibility solve failed")
     if res.x[-1] > ties:
         pair, excess, count = most_binding(res.x[:5])
         raise Infeasible(
             f"no coefficient tuple covers all {count} pairs; most binding pair {pair} lacks {excess:.6g}",
             binding_pair=pair,
-            margin=MARGIN,
         )
 
     res2, _ = cutting_plane(phase2, rows, lambda r: 0.0)
@@ -754,9 +758,9 @@ def synthesize_coefficients(
     for bump in (0.0, tolerance, 16.0 * tolerance):
         coefs = np.maximum(np.asarray(attempt, dtype=float), 0.0)
         if bump:
-            coefs = np.minimum(coefs * (1.0 + bump) + bump, [0.999, 0.999, 0.999, 0.499, np.inf])
-            if budget_row @ coefs >= 1.0 - MARGIN / 2.0:
-                continue
+            # the attempt meets the 1 - MARGIN budget row up to HiGHS's tolerance and bump <= 16 * slack
+            # <= 1.6e-8, so the weight sum stays below 0.9502, well inside validate_coefficients' bounds
+            coefs = coefs * (1.0 + bump) + bump
         candidate = validate_coefficients(Coefficients(*[float(v) for v in coefs]))
         report = check_condition(space, maps, candidate, pair_source, tolerance)
         if report.satisfied:
@@ -765,5 +769,4 @@ def synthesize_coefficients(
     raise Infeasible(
         f"solved tuple failed re-verification; most binding pair {pair} lacks {excess:.6g}",
         binding_pair=pair,
-        margin=MARGIN,
     )

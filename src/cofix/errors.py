@@ -55,12 +55,11 @@ class ConditionViolated(CofixError):
 
 
 class Infeasible(CofixError):
-    """No valid coefficient tuple covers the supplied pairs."""
+    """No valid coefficient tuple covers the supplied pairs; ``binding_pair`` binds hardest (None if the solve failed)."""
 
-    def __init__(self, message: str, *, binding_pair=None, margin: float | None = None):
+    def __init__(self, message: str, *, binding_pair=None):
         super().__init__(message)
         self.binding_pair = binding_pair
-        self.margin = margin
 
 
 class NonInvertibleMapping(CofixError):

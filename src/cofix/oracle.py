@@ -130,10 +130,8 @@ def oracle_summary(space: MetricSpace, maps: MappingSet) -> OracleResult:
     classes: tuple[CoincidenceClass, ...] = ()
     if maps.arity >= Arity.THREE:
         scan = coincidence_points(space, maps)
-        grouped: dict = {}
-        for p, v in zip(scan.points, scan.values):
-            grouped.setdefault(int(v), []).append(int(p))
-        classes = tuple(CoincidenceClass(value=v, points=tuple(sorted(set(ps)))) for v, ps in sorted(grouped.items()))
+        pts, vals = np.array(scan.points, dtype=int), np.array(scan.values, dtype=int)
+        classes = tuple(CoincidenceClass(value=v, points=tuple(np.unique(pts[vals == v]).tolist())) for v in sorted(set(scan.values)))
     return OracleResult(common_fixed_points=common, fixed_points=fixed, coincidence_classes=classes)
 
 

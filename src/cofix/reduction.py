@@ -35,6 +35,7 @@ from .contraction import (
     TableMapping,
     ViolationReport,
     _inverted,
+    _validate_labelled,
     check_condition,
     check_range_inclusions,
 )
@@ -181,11 +182,9 @@ def induce(space: MetricSpace, maps: MappingSet) -> InducedPair:
 class CoincidenceSolutions(Record):
     """Exhaustive scan of coincidence points and the values they share.
 
-    For three mappings, ``points`` holds every x with S(x) = T(x) = f(x)
-    and ``values`` the corresponding f(x).  For four mappings the scan is
-    pairwise: every x with S(x) = f(x) contributes f(x), every x with
-    T(x) = g(x) contributes g(x).  ``consistent`` says all collected
-    values name the same point, which the contractive condition guarantees.
+    ``points`` and ``values`` run group by group, as :func:`coincidence_points`
+    forms the groups.  ``consistent`` says all collected values name the
+    same point, which the contractive condition guarantees.
     """
 
     points: tuple
@@ -193,34 +192,26 @@ class CoincidenceSolutions(Record):
     consistent: bool
 
 
-def pair_coincidence_points(space: MetricSpace, A: TableMapping, B: TableMapping) -> tuple[int, ...]:
-    """All x in a finite universe with A(x) = B(x)."""
-    if not space.is_finite:
-        raise ExhaustiveOnInfinite("coincidence scans need a finite universe")
-    return tuple(int(x) for x in np.flatnonzero(A.table == B.table))
-
-
 def coincidence_points(space: MetricSpace, maps: MappingSet) -> CoincidenceSolutions:
-    """Scan a finite universe for coincidence points of a mapping set."""
+    """Scan a finite universe for coincidence points of a mapping set.
+
+    Each mapping of ``maps.sides`` joins the group of its companion: [S, T]
+    for two mappings, [f, S, T] for three, [f, S] and [g, T] for four.  A
+    point is a coincidence point of a group where all its tables agree, and
+    its value is the first table's: S(x) = T(x) = f(x) yields f(x).
+    """
     if not space.is_finite:
         raise ExhaustiveOnInfinite("coincidence scans need a finite universe")
     maps.validate(space)
-    if maps.arity == Arity.TWO:
-        pts = pair_coincidence_points(space, maps.S, maps.T)
-        vals = tuple(maps.S(x) for x in pts)
-    elif maps.arity == Arity.THREE:
-        pts = tuple(
-            int(x)
-            for x in np.flatnonzero((maps.S.table == maps.f.table) & (maps.T.table == maps.f.table))
-        )
-        vals = tuple(maps.f(x) for x in pts)
-    else:
-        sf = pair_coincidence_points(space, maps.S, maps.f)
-        tg = pair_coincidence_points(space, maps.T, maps.g)
-        pts = sf + tg
-        vals = tuple(maps.f(x) for x in sf) + tuple(maps.g(x) for x in tg)
-    consistent = len(set(vals)) <= 1
-    return CoincidenceSolutions(points=pts, values=vals, consistent=consistent)
+    groups: dict = {}
+    for _, m, tag, companion in maps.sides:
+        groups.setdefault(tag, [] if companion is None else [companion]).append(m)
+    pts, vals = [], []
+    for first, *rest in groups.values():
+        hits = np.flatnonzero(np.logical_and.reduce([first.table == m.table for m in rest]))
+        pts += hits.tolist()
+        vals += first.table[hits].tolist()
+    return CoincidenceSolutions(points=tuple(pts), values=tuple(vals), consistent=len(set(vals)) <= 1)
 
 
 @dataclass(frozen=True)
@@ -238,19 +229,26 @@ class WeakCompatibility(Record):
     checked: int = 0
 
 
-def _affine_coincidence_basis(A: AffineMapping, B: AffineMapping, tol: float):
-    """Particular solution, nullspace basis and condition number of A(x) = B(x), or None."""
+def _affine_commutation(space: MetricSpace, A: AffineMapping, B: AffineMapping, tol: float):
+    """(checked, witness) of A and B on the affine subspace where A(x) = B(x); (0, None) when it is empty."""
     M = A.matrix - B.matrix
     rhs = B.offset - A.offset
     x0, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     # one step of iterative refinement: lstsq alone left x0 up to 300·eps·|x0| off
     x0 += np.linalg.lstsq(M, rhs - M @ x0, rcond=None)[0]
     if np.linalg.norm(M @ x0 - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
-        return None
+        return 0, None
     _, s, vt = np.linalg.svd(M)
     rank = int(np.sum(s > max(s[0], 1.0) * 1e-12)) if s.size else 0
     null = vt[rank:].T
-    return x0, null, s[0] / s[rank - 1] if rank else 1.0
+    cond = s[0] / s[rank - 1] if rank else 1.0
+    ab, ba = A(B(x0)), B(A(x0))
+    # x0 solves a linear system, so its rounding is amplified by the condition number
+    if space.distance(ab, ba) > space.slack(tol, ab, ba, scale=cond * float(np.linalg.norm(x0))):
+        return 1, tuple(x0.tolist())
+    moved = np.abs((A.matrix @ B.matrix - B.matrix @ A.matrix) @ null).max(axis=0)
+    fails = moved.size and float(moved.max()) > tol
+    return 1 + null.shape[1], (tuple((x0 + null[:, int(np.argmax(moved))]).tolist()) if fails else None)
 
 
 def is_weakly_compatible(
@@ -261,45 +259,24 @@ def is_weakly_compatible(
     names: tuple[str, str] = ("S", "f"),
     tol: Optional[float] = None,
 ) -> WeakCompatibility:
-    """Check that A and B commute wherever they coincide.
+    """Check that A and B commute wherever they coincide, after validating both (``names`` names a misfit).
 
-    Finite spaces scan every coincidence point exactly.  For affine
-    mappings the coincidence set is an affine subspace; commutation is an
-    affine identity on it, so checking one particular solution plus the
-    action of the commutator on the nullspace directions settles it.
+    Finite spaces test every coincidence point exactly; the first that fails
+    is the witness.  For affine mappings the coincidence set is an affine
+    subspace; commutation is an affine identity on it, so checking one
+    particular solution plus the action of the commutator on the nullspace
+    directions settles it.  Either flavor yields ``checked`` and ``witness``,
+    and one verdict is built from them.
     """
+    _validate_labelled(space, zip(names, (A, B)))
     tol = space.slack(tol)
     if space.is_finite:
-        pts = pair_coincidence_points(space, A, B)
-        if not pts:
-            return WeakCompatibility(pair=names, compatible=True, vacuous=True, checked=0)
-        for x in pts:
-            if A(B(x)) != B(A(x)):
-                return WeakCompatibility(pair=names, compatible=False, vacuous=False, witness=int(x), checked=len(pts))
-        return WeakCompatibility(pair=names, compatible=True, vacuous=False, checked=len(pts))
-
-    basis = _affine_coincidence_basis(A, B, tol)
-    if basis is None:
-        return WeakCompatibility(pair=names, compatible=True, vacuous=True, checked=0)
-    x0, null, cond = basis
-    ab, ba = A(B(x0)), B(A(x0))
-    # x0 solves a linear system, so its rounding is amplified by the condition number
-    if space.distance(ab, ba) > space.slack(tol, ab, ba, scale=cond * float(np.linalg.norm(x0))):
-        return WeakCompatibility(
-            pair=names, compatible=False, vacuous=False, witness=tuple(float(v) for v in x0), checked=1
-        )
-    commutator = A.matrix @ B.matrix - B.matrix @ A.matrix
-    if null.size and float(np.abs(commutator @ null).max()) > tol:
-        bad = int(np.argmax(np.abs(commutator @ null).max(axis=0)))
-        witness = x0 + null[:, bad]
-        return WeakCompatibility(
-            pair=names,
-            compatible=False,
-            vacuous=False,
-            witness=tuple(float(v) for v in witness),
-            checked=1 + null.shape[1],
-        )
-    return WeakCompatibility(pair=names, compatible=True, vacuous=False, checked=1 + null.shape[1])
+        pts = np.flatnonzero(A.table == B.table)
+        bad = pts[A.table[B.table[pts]] != B.table[A.table[pts]]]
+        checked, witness = pts.size, (int(bad[0]) if bad.size else None)
+    else:
+        checked, witness = _affine_commutation(space, A, B, tol)
+    return WeakCompatibility(pair=names, compatible=witness is None, vacuous=not checked, witness=witness, checked=checked)
 
 
 def lift_to_common_fixed_point(
@@ -317,6 +294,7 @@ def lift_to_common_fixed_point(
     companion(v), and both must land back on v, up to ``space.slack``.
     Returns v; raises LiftMismatch naming whichever check failed.
     """
+    _validate_labelled(space, (("primary", primary), ("companion", companion)))
     space._check_point(u)
     v = companion(u)
     w, cv = primary(v), companion(v)

@@ -11,7 +11,18 @@ import warnings
 import numpy as np
 import pytest
 
-from cofix import InstanceRecipe, MetricMode, as_problem, cli, generate_instance, load_problem, problem_to_dict
+from cofix import (
+    Arity,
+    FuzzSummary,
+    InstanceRecipe,
+    MappingMode,
+    MetricMode,
+    as_problem,
+    cli,
+    generate_instance,
+    load_problem,
+    problem_to_dict,
+)
 
 HALVING_TABLE = [
     [0.0, 1.0, 3.0, 7.0],
@@ -652,6 +663,23 @@ class TestFuzz:
         assert data["tallies"]["generated"] == 4
         assert data["mismatch_seeds"] == []
         assert data["arity"] == 3
+
+    def test_mismatch_seeds_are_listed_and_exit_one(self, monkeypatch, capsys):
+        summary = FuzzSummary(
+            count=3,
+            seed=0,
+            arity=Arity.THREE,
+            metric_mode=MetricMode.UNIFORM,
+            mapping_mode=MappingMode.CONTRACTION_ANCHOR,
+            n_range=(4, 16),
+            tallies={"generated": 3},
+            mismatch_seeds=(2,),
+        )
+        monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: summary)
+        assert cli.main(["fuzz", "--count", "3", "--arity", "3"]) == cli.EXIT_FAILED
+        out = capsys.readouterr().out
+        assert "  MISMATCH seeds: [2]" in out
+        assert "mismatches: none" not in out
 
     def test_zero_count_exits_schema(self, capsys):
         assert cli.main(["fuzz", "--count", "0"]) == cli.EXIT_SCHEMA

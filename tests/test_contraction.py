@@ -971,7 +971,6 @@ class TestSynthesis:
         with pytest.raises(Infeasible) as exc_info:
             synthesize_coefficients(space, ms)
         assert exc_info.value.binding_pair == (1, 2)
-        assert exc_info.value.margin == 0.05
 
     def test_sampled_euclidean_synthesis_verifies_off_sample(self):
         space = MetricSpace.euclidean(1)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from cofix import (
     Arity,
+    AxiomCheck,
+    AxiomReport,
     Coefficients,
     CoincidenceReport,
     InstanceRecipe,
@@ -38,7 +40,7 @@ from cofix import (
     verify_metric_axioms,
 )
 from cofix import oracle
-from cofix.errors import CofixError, DomainError, ExhaustiveOnInfinite
+from cofix.errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
 
 PATH3_TABLE = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 
@@ -122,6 +124,13 @@ class TestMetricClosureRepair:
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
             metric_closure_repair(np.zeros((2, 3)))
+
+    def test_failed_verification_names_check_and_witness(self, monkeypatch):
+        # the closure always yields a metric, so only a broken verification reaches this guard
+        failing = AxiomReport(checks=(AxiomCheck("triangle", False, (0, 1, 2), 0.5),), mode="exhaustive", tolerance=0.0)
+        monkeypatch.setattr(oracle, "verify_metric_axioms", lambda *args, **kwargs: failing)
+        with pytest.raises(RepairFailure, match=r"repair left the table invalid: triangle fails at \(0, 1, 2\)"):
+            metric_closure_repair(PATH3_TABLE)
 
     def test_result_always_passes_exact_verification(self):
         rng = np.random.default_rng(7)

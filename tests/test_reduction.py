@@ -1,11 +1,14 @@
 """Sections, induced pairs, weak compatibility, lifting, and the pipelines."""
 
+import itertools
 import json
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofix import (
     AffineMapping,
@@ -21,6 +24,7 @@ from cofix import (
     PipelineOptions,
     PipelineStatus,
     SampledPairs,
+    SolveReport,
     SolveStatus,
     TableMapping,
     WeakCompatibility,
@@ -32,7 +36,6 @@ from cofix import (
     injective_restriction,
     is_weakly_compatible,
     lift_to_common_fixed_point,
-    pair_coincidence_points,
     require_lift_agreement,
     solve_four,
     solve_four_coincidence,
@@ -169,16 +172,11 @@ class TestCoincidenceScans:
         assert sols.values == (1, 1, 0, 0)
         assert not sols.consistent
 
-    def test_pairwise_helper(self):
-        assert pair_coincidence_points(PATH3, DEGRADE_S, DEGRADE_F) == (2,)
-
     def test_needs_finite_space(self):
         half = AffineMapping([[0.5]], [0.0])
         ms = MappingSet(S=half, T=half, arity=Arity.TWO)
         with pytest.raises(ExhaustiveOnInfinite):
             coincidence_points(MetricSpace.euclidean(1), ms)
-        with pytest.raises(ExhaustiveOnInfinite):
-            pair_coincidence_points(MetricSpace.euclidean(1), half, half)
 
     def test_roundtrip(self):
         sols = CoincidenceSolutions(points=(2,), values=(1,), consistent=True)
@@ -240,6 +238,77 @@ class TestWeakCompatibility:
     def test_roundtrip(self):
         wc = is_weakly_compatible(PATH3, DEGRADE_S, DEGRADE_F, names=("S", "f"))
         assert WeakCompatibility.from_dict(json.loads(json.dumps(wc.to_dict()))) == wc
+
+
+def reference_coincidence_points(maps):
+    """(points, values) by the scan's former arity branches: S = T, S = T = f, then S = f and T = g."""
+    S, T = maps.S.table, maps.T.table
+    if maps.arity == Arity.TWO:
+        pts = [int(x) for x in np.flatnonzero(S == T)]
+        return tuple(pts), tuple(int(S[x]) for x in pts)
+    f = maps.f.table
+    if maps.arity == Arity.THREE:
+        pts = [int(x) for x in np.flatnonzero((S == f) & (T == f))]
+        return tuple(pts), tuple(int(f[x]) for x in pts)
+    g = maps.g.table
+    sf = [int(x) for x in np.flatnonzero(S == f)]
+    tg = [int(x) for x in np.flatnonzero(T == g)]
+    return tuple(sf + tg), tuple(int(f[x]) for x in sf) + tuple(int(g[x]) for x in tg)
+
+
+def reference_weak_compatibility(A, B):
+    """(compatible, witness, checked) by walking the coincidence points one at a time."""
+    pts = [x for x in range(A.n) if A(x) == B(x)]
+    for x in pts:
+        if A(B(x)) != B(A(x)):
+            return False, x, len(pts)
+    return True, None, len(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), arity=st.sampled_from([2, 3, 4]))
+def test_scans_match_the_per_point_references(data, n, arity):
+    # a narrow range of table values makes coincidences, and failures to commute, common
+    values = st.integers(0, data.draw(st.integers(0, n - 1)))
+    tables = [TableMapping(data.draw(st.lists(values, min_size=n, max_size=n))) for _ in range(arity)]
+    space = MetricSpace.finite(np.ones((n, n)) - np.eye(n))
+    sols = coincidence_points(space, MappingSet(*tables, arity=arity))
+    pts, vals = reference_coincidence_points(MappingSet(*tables, arity=arity))
+    assert (sols.points, sols.values, sols.consistent) == (pts, vals, len(set(vals)) <= 1)
+    assert all(type(v) is int for v in sols.points + sols.values)
+    for A, B in itertools.permutations(tables, 2):
+        wc = is_weakly_compatible(space, A, B)
+        compatible, witness, checked = reference_weak_compatibility(A, B)
+        assert (wc.compatible, wc.witness, wc.checked, wc.vacuous) == (compatible, witness, checked, checked == 0)
+        assert witness is None or type(wc.witness) is int
+
+
+HALF = AffineMapping([[0.5]], [0.0])
+
+
+class TestHelpersValidateTheirMappings:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: is_weakly_compatible(PATH3, TableMapping([1, 1, 1]), TableMapping([1, 7, 1])), "mapping f: .*outside"),
+            (lambda: is_weakly_compatible(PATH3, TableMapping([0, 5, 2]), identity_mapping(3)), "mapping S: .*outside"),
+            (
+                lambda: is_weakly_compatible(PATH3, TableMapping([0, 1]), identity_mapping(3), names=("T", "g")),
+                "mapping T: .*2 entries for a universe of 3",
+            ),
+            (lambda: is_weakly_compatible(MetricSpace.euclidean(1), TableMapping([0]), HALF), "mapping S: .*finite spaces only"),
+            (lambda: is_weakly_compatible(PATH3, identity_mapping(3), HALF), "mapping f: .*Euclidean spaces only"),
+            (
+                lambda: lift_to_common_fixed_point(PATH3, TableMapping([0, 1]), identity_mapping(3), 1),
+                "mapping primary: .*2 entries",
+            ),
+            (lambda: lift_to_common_fixed_point(PATH3, identity_mapping(3), TableMapping([0, 3, 1]), 1), "mapping companion: "),
+        ],
+        ids=["off-universe", "off-universe-first", "short-table", "table-on-R1", "affine-on-finite", "lift-short", "lift-companion"],
+    )
+    def test_misfit_mapping_is_refused(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
 
 
 class TestLifting:
@@ -346,6 +415,18 @@ class TestThreeMappingPipeline:
         opts = PipelineOptions(verify_hypotheses=False)
         with pytest.raises(NonUniqueCoincidence) as exc_info:
             solve_three(PATH3, ident, ident, ident, Coefficients(0, 0, 0.3, 0), options=opts)
+        assert exc_info.value.stage == "coincidence"
+
+    def test_pulled_back_point_off_the_coincidence_set_is_refused(self, monkeypatch):
+        # a solve claiming convergence at image point 0, which the induced pair sends
+        # to 1: the section pulls it back to x = 0, where S(0) = 1 but f(0) = 0
+        def converged_at_zero(space, S, T, c, x0, **kwargs):
+            return SolveReport(SolveStatus.CONVERGED, point=0, residuals=(0.0, 0.0), iterations=0, rate=0.5, tolerance=0.0)
+
+        monkeypatch.setattr(reduction, "picard_solve", converged_at_zero)
+        opts = PipelineOptions(verify_hypotheses=False)
+        with pytest.raises(NonUniqueCoincidence, match="pulled-back point is not a coincidence point") as exc_info:
+            solve_pipeline(PATH3, DEGRADE_THREE, Coefficients(0, 0, 0, 0), options=opts)
         assert exc_info.value.stage == "coincidence"
 
     def test_solver_failure_status(self):
