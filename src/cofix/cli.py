@@ -12,6 +12,7 @@ detected, 2 when the input could not be understood.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -228,6 +229,7 @@ def _cmd_fuzz(args) -> int:
     return EXIT_OK if summary.clean else EXIT_FAILED
 
 
+@functools.cache  # one parser per process; parse_args returns a fresh Namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cofix",

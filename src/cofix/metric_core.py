@@ -119,29 +119,37 @@ class MetricSpace(ArrayEq):
         return 0 if self.is_finite else np.zeros(self.dimension)
 
     def contains(self, p: Point) -> bool:
-        if self.is_finite:
-            return isinstance(p, (int, np.integer)) and 0 <= int(p) < self.n
-        arr = np.asarray(p, dtype=float)
-        return arr.shape == (self.dimension,) and bool(np.all(np.isfinite(arr)))
+        try:
+            self._check_point(p)
+        except DomainError:
+            return False
+        return True
 
     def _check_point(self, p: Point) -> Point:
-        if not self.contains(p):
-            raise DomainError(f"point {p!r} is outside the universe of this {self.flavor.value} space")
-        return int(p) if self.is_finite else np.asarray(p, dtype=float)
+        """The point's computational form, an int or a float m-vector; DomainError off the universe."""
+        if self.is_finite:
+            if isinstance(p, (int, np.integer)) and 0 <= int(p) < self.n:
+                return int(p)
+        else:
+            arr = np.asarray(p, dtype=float)
+            if arr.shape == (self.dimension,) and np.isfinite(arr).all():
+                return arr
+        raise DomainError(f"point {p!r} is outside the universe of this {self.flavor.value} space")
 
-    def distance(self, a: Point, b: Point) -> float:
-        a = self._check_point(a)
-        b = self._check_point(b)
+    def _distance(self, a: Point, b: Point) -> float:
+        """Distance of checked points; on R^m bit for bit np.linalg.norm(a - b), sqrt(x.dot(x)) of a 1-D float."""
         if self.is_finite:
             return float(self.table[a, b])
-        return float(np.linalg.norm(a - b))
+        d = a - b
+        return float(np.sqrt(d.dot(d)))
+
+    def distance(self, a: Point, b: Point) -> float:
+        return self._distance(self._check_point(a), self._check_point(b))
 
     def canonicalize(self, p: Point):
         """Plain-Python form of a point (int, or tuple of floats) for reports."""
         p = self._check_point(p)
-        if self.is_finite:
-            return int(p)
-        return tuple(float(v) for v in p)
+        return p if self.is_finite else tuple(float(v) for v in p)
 
     def materialize(self, p) -> Point:
         """Inverse of :meth:`canonicalize`: rebuild the computational form."""

@@ -60,9 +60,10 @@ def metric_closure_repair(table: np.ndarray) -> np.ndarray:
     matrix is symmetrized by the entrywise minimum, and Floyd–Warshall
     (Floyd 1962, CACM "Algorithm 97") replaces every entry by its shortest
     path length in place, one intermediate point at a time, with a single
-    n x n scratch array.  On the grid every intermediate sum is exact, so
-    the resulting table satisfies the triangle inequality with zero
-    tolerance.  Off-diagonal entries below ``MIN_SEPARATION`` are lifted
+    n x n scratch array.  It runs on the grid's integers (entries times
+    2**20) in uint32: they are at most 2**30, so no sum of two wraps, and
+    dividing back is exact.  The table satisfies the triangle inequality
+    with zero tolerance.  Off-diagonal entries below ``MIN_SEPARATION`` are lifted
     by a uniform grid-aligned shift, which keeps the table closed.  A
     final axiom verification guards the construction and raises
     :class:`RepairFailure` if anything slipped through; with the grid in
@@ -78,10 +79,12 @@ def metric_closure_repair(table: np.ndarray) -> np.ndarray:
     np.fill_diagonal(D, 0.0)
 
     n = D.shape[0]
-    via = np.empty_like(D)
+    G = (D * scale).astype(np.uint32)
+    via = np.empty_like(G)
     for k in range(n):
-        np.add(D[:, k, None], D[None, k, :], out=via)
-        np.minimum(D, via, out=D)
+        np.add(G[:, k, None], G[None, k, :], out=via)
+        np.minimum(G, via, out=G)
+    np.divide(G, scale, out=D)
 
     off = ~np.eye(n, dtype=bool)
     if n > 1:

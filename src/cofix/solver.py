@@ -142,7 +142,7 @@ def picard_solve(
     validate_coefficients(c)
     if max_iters < 1:
         raise DomainError(f"need at least one iteration, got {max_iters}")
-    space._check_point(x0)
+    x0 = space._check_point(x0)
     tol = space.slack(tol)
     if tol == 0.0:
         raise DomainError("tolerance must be positive, got 0")
@@ -150,7 +150,7 @@ def picard_solve(
     k = rate_constant(c)
     pts = [x0]
     steps: list[float] = []
-    seen: dict = {(space.canonicalize(x0), 0): 0} if space.is_finite else {}
+    seen: dict = {(x0, 0): 0} if space.is_finite else {}
     violation: Optional[int] = None
     current = x0
 
@@ -176,50 +176,51 @@ def picard_solve(
             violation_index=violation,
         )
 
-    while len(pts) - 1 < max_iters:
-        mapping = S if (len(pts) - 1) % 2 == 0 else T
-        nxt = mapping(current)
-        space._check_point(nxt)
-        gap = float(space.distance(current, nxt))
-        steps.append(gap)
-        pts.append(nxt)
-        current = nxt
+    # an overflowing iterate is refused by the domain check, so numpy's warning adds nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(pts) - 1 < max_iters:
+            mapping = S if (len(pts) - 1) % 2 == 0 else T
+            nxt = space._check_point(mapping(current))
+            gap = space._distance(current, nxt)
+            steps.append(gap)
+            pts.append(nxt)
+            current = nxt
 
-        if len(steps) >= 2 and steps[-1] > k * steps[-2] + slack:
-            violation = len(steps) - 1
-            return finish(SolveStatus.RATE_VIOLATED)
+            if len(steps) >= 2 and steps[-1] > k * steps[-2] + slack:
+                violation = len(steps) - 1
+                return finish(SolveStatus.RATE_VIOLATED)
 
-        if len(steps) == 1 or gap <= threshold:
-            # the radius bounds the orbit's magnitudes from here on; a step's
-            # rounding is damped only at rate k, so the computed orbit drifts up
-            # to 1 / (1 - k) times it from the exact one, a gap twice that
-            scale = 2.0 / (1.0 - k) * (float(np.linalg.norm(current)) + 2.0 * gap / (1.0 - k))
-            slack = space.slack(tol, scale=scale)
-            # largest gap that still pins the limit within tol, since the
-            # geometric tail after a gap g contributes at most g * k / (1 - k),
-            # or that rounding cannot tell from zero
-            threshold = space.slack(tol * (1.0 - k) / max(k, tol), scale=scale)
+            if len(steps) == 1 or gap <= threshold:
+                # the radius bounds the orbit's magnitudes from here on; a step's
+                # rounding is damped only at rate k, so the computed orbit drifts up
+                # to 1 / (1 - k) times it from the exact one, a gap twice that
+                scale = 2.0 / (1.0 - k) * (float(np.linalg.norm(current)) + 2.0 * gap / (1.0 - k))
+                slack = space.slack(tol, scale=scale)
+                # largest gap that still pins the limit within tol, since the
+                # geometric tail after a gap g contributes at most g * k / (1 - k),
+                # or that rounding cannot tell from zero
+                threshold = space.slack(tol * (1.0 - k) / max(k, tol), scale=scale)
 
-        if gap <= threshold:
-            res = residuals_at(current)
-            if max(res) <= slack:
-                return finish(SolveStatus.CONVERGED, res)
-
-        if space.is_finite:
-            key = (space.canonicalize(current), (len(pts) - 1) % 2)
-            if key in seen:
-                start = seen[key]
-                window = steps[start:]
-                if max(window, default=0.0) > slack:
-                    violation = start + window.index(max(window))
-                    return finish(SolveStatus.RATE_VIOLATED)
+            if gap <= threshold:
                 res = residuals_at(current)
                 if max(res) <= slack:
                     return finish(SolveStatus.CONVERGED, res)
-                return finish(SolveStatus.RATE_VIOLATED, res)
-            seen[key] = len(pts) - 1
 
-    return finish(SolveStatus.MAX_ITERATIONS)
+            if space.is_finite:
+                key = (current, (len(pts) - 1) % 2)
+                if key in seen:
+                    start = seen[key]
+                    window = steps[start:]
+                    if max(window, default=0.0) > slack:
+                        violation = start + window.index(max(window))
+                        return finish(SolveStatus.RATE_VIOLATED)
+                    res = residuals_at(current)
+                    if max(res) <= slack:
+                        return finish(SolveStatus.CONVERGED, res)
+                    return finish(SolveStatus.RATE_VIOLATED, res)
+                seen[key] = len(pts) - 1
+
+        return finish(SolveStatus.MAX_ITERATIONS)
 
 
 class UniquenessVerdict(ValueEnum):

@@ -458,6 +458,66 @@ class TestSolve:
         assert data["status"] == "converged"
         assert data["point"] == 0
 
+    def test_overflowing_iterate_prints_the_input_error_alone(self, tmp_path, capsys):
+        # S(x0) = 1e310 overflows to inf; the domain check refuses it, and
+        # numpy's "overflow encountered in matmul" warning used to come first
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 1},
+            "mappings": {
+                "arity": 2,
+                "S": {"type": "affine", "matrix": [[1e300]], "offset": [0.0]},
+                "T": {"type": "affine", "matrix": [[0.5]], "offset": [0.0]},
+            },
+            "coefficients": {**GAMMA_HALF, "gamma": 0.6},
+            "solver": {"x0": [1e10]},
+        }
+        path = write_doc(tmp_path, "overflow.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", path]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: point array([inf]) is outside the universe of this euclidean_affine space\n"
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call still parses afresh."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_argparse_error_leaves_no_state(self, halving_file, capsys):
+        cli.build_parser.cache_clear()
+        assert cli.main(["check", halving_file, "--format", "structured"]) == cli.EXIT_OK
+        alone = capsys.readouterr().out
+        for bad in (["check", halving_file, "--x0", "1"], ["check", halving_file, "--format", "xml"], ["nonsense"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == cli.EXIT_SCHEMA
+            capsys.readouterr()
+            assert cli.main(["check", halving_file, "--format", "structured"]) == cli.EXIT_OK
+            assert capsys.readouterr().out == alone
+
+    def test_flags_do_not_carry_over(self, halving_file, capsys):
+        assert cli.main(["solve", halving_file, "--trace", "--x0", "0", "--format", "structured"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["trace"] is not None
+        assert cli.main(["solve", halving_file, "--format", "structured"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["trace"] is None and data["iterations"] == 4  # from the document's x0 = 3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["solve4", "--help"]])
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        fresh = cli.build_parser.__wrapped__()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        expected = capsys.readouterr().out
+        assert expected.startswith("usage: cofix " + " ".join(argv[:-1]).strip())
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == expected
+
 
 class TestSolveHigher:
     def test_three_mapping_pipeline(self, three_file, capsys):

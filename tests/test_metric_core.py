@@ -220,6 +220,49 @@ class TestEuclideanSpace:
     def test_integral_float_dimension_is_accepted(self):
         assert MetricSpace.euclidean(3.0).dimension == 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 16), data=st.data())
+    def test_distance_is_numpy_norm_bit_for_bit(self, m, data):
+        # magnitudes 1e-150 to 1e150, mixed within a vector: squares stay finite
+        coord = st.builds(lambda mant, e: mant * 10.0**e, st.floats(-1.0, 1.0), st.integers(-150, 150))
+        a, b = (np.array(data.draw(st.lists(coord, min_size=m, max_size=m))) for _ in range(2))
+        sp = MetricSpace.euclidean(m)
+        expected = float(np.linalg.norm(a - b))
+        assert sp.distance(a, b).hex() == expected.hex()
+        assert sp._distance(a, b).hex() == expected.hex()
+
+
+class TestPointRule:
+    """``contains`` and ``_check_point`` state one rule: a point is in or it raises DomainError."""
+
+    FINITE_POINTS = [
+        (0, True), (3, True), (np.int64(2), True), (np.int32(1), True), (np.uint8(3), True),
+        (4, False), (-1, False), (np.int64(4), False), (np.int64(-1), False), (10**30, False),
+        (1.5, False), (2.0, False), (np.float64(1.0), False), ("1", False), (None, False),
+        ([1], False), (np.array(1), False),
+    ]
+    EUCLIDEAN_POINTS = [
+        ([0.0, 1.0], True), ((1.0, -2.0), True), (np.array([1, 2]), True), ([1e308, -1e308], True),
+        ([np.nan, 0.0], False), ([0.0, np.inf], False), ([-np.inf, 0.0], False), ([np.nan, np.inf], False),
+        (np.zeros(3), False), (np.zeros((2, 1)), False), (np.zeros((1, 2)), False), (1.0, False), ([], False),
+    ]
+
+    @pytest.mark.parametrize("finite, p, inside", [(True, *c) for c in FINITE_POINTS] + [(False, *c) for c in EUCLIDEAN_POINTS])
+    def test_contains_and_check_agree(self, path4, finite, p, inside):
+        sp = path4 if finite else MetricSpace.euclidean(2)
+        assert sp.contains(p) is inside
+        if inside:
+            checked = sp._check_point(p)
+            if sp.is_finite:
+                assert type(checked) is int and checked == int(p)
+            else:
+                assert checked.dtype == np.float64 and np.array_equal(checked, np.asarray(p, dtype=float))
+        else:
+            message = f"point {p!r} is outside the universe of this {sp.flavor.value} space"
+            with pytest.raises(DomainError) as exc_info:
+                sp._check_point(p)
+            assert str(exc_info.value) == message
+
 
 class TestAxiomChecks:
     def test_valid_table_passes(self, path4):

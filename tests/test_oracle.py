@@ -151,6 +151,19 @@ class TestMetricClosureRepair:
             raw[(mask >= 0.03) & (mask < 0.035)] = -np.inf
             assert np.array_equal(metric_closure_repair(raw), squaring_closure(raw)), (k, n)
 
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_grid_top_matches_the_squaring_closure(self, n):
+        # raw 1e9 and inf clip to 1024, 2**30 grid units: two such entries sum
+        # to exactly 2**31, where int32 would wrap and uint32 does not
+        rng = np.random.default_rng(n)
+        raw = np.where(rng.random((n, n)) < 0.5, 1e9, np.inf)
+        top = metric_closure_repair(raw)
+        assert np.array_equal(top, squaring_closure(raw))
+        assert np.array_equal(top, 1024.0 * (1 - np.eye(n)))
+        # a few short edges among the top ones: paths mix top and short sums
+        raw[rng.random((n, n)) < 0.1] = rng.uniform(0.0, 1023.0)
+        assert np.array_equal(metric_closure_repair(raw), squaring_closure(raw))
+
     def test_memory_stays_quadratic(self):
         raw = np.random.default_rng(3).uniform(0.1, 8.0, size=(300, 300))
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """Alternating Picard iteration, rate guards, and the uniqueness check."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,49 @@ class TestPicardSolve:
         escape = lambda x: np.array([np.nan])  # noqa: E731
         with pytest.raises(DomainError):
             picard_solve(space, escape, escape, Coefficients(0, 0, 0.5, 0), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", [1, 2, 7])
+    def test_non_finite_iterate_is_refused_at_its_step(self, bad, step):
+        # each produced point is checked once, before its gap is taken: the
+        # orbit stops at the step that produced the point, with its message
+        produced = []
+
+        def halve(x):
+            y = 0.5 * np.asarray(x) + np.array([0.0, 1.0])
+            if len(produced) + 1 == step:
+                y[1] = bad
+            produced.append(y)
+            return y
+
+        with pytest.raises(DomainError) as exc_info:
+            picard_solve(MetricSpace.euclidean(2), halve, halve, Coefficients(0, 0, 0.5, 0), [3.0, -4.0])
+        assert len(produced) == step
+        assert str(exc_info.value) == f"point {produced[-1]!r} is outside the universe of this euclidean_affine space"
+
+    @pytest.mark.parametrize("bad", [4, -1, np.int64(9), 1.5, 2.0, None])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_off_universe_index_is_refused_at_its_step(self, halving_space, bad, step):
+        produced = []
+
+        def descend(x):
+            y = bad if len(produced) + 1 == step else max(int(x) - 1, 0)
+            produced.append(y)
+            return y
+
+        with pytest.raises(DomainError) as exc_info:
+            picard_solve(halving_space, descend, descend, Coefficients(0, 0, 0.5, 0), 3)
+        assert len(produced) == step
+        assert str(exc_info.value) == f"point {bad!r} is outside the universe of this finite_explicit space"
+
+    def test_overflowing_iterate_warns_nothing(self):
+        # the domain check refuses the overflowed point; numpy's overflow warning told nothing more
+        space = MetricSpace.euclidean(1)
+        S, T = AffineMapping([[1e300]], [0.0]), AffineMapping([[0.5]], [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"point array\(\[inf\]\) is outside the universe"):
+                picard_solve(space, S, T, Coefficients(0, 0, 0.6, 0), np.array([1e10]))
 
     def test_report_roundtrip(self, halving_space, halving_map):
         rep = picard_solve(halving_space, halving_map, halving_map, Coefficients(0, 0, 0.5, 0), 3)
