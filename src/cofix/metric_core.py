@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -84,7 +85,7 @@ class MetricSpace(ArrayEq):
     def euclidean(cls, dimension: int) -> "MetricSpace":
         return cls(flavor=Flavor.EUCLIDEAN_AFFINE, dimension=dimension)
 
-    @property
+    @cached_property
     def is_finite(self) -> bool:
         return self.flavor is Flavor.FINITE_EXPLICIT
 
@@ -136,15 +137,25 @@ class MetricSpace(ArrayEq):
                 return arr
         raise DomainError(f"point {p!r} is outside the universe of this {self.flavor.value} space")
 
-    def _distance(self, a: Point, b: Point) -> float:
-        """Distance of checked points; on R^m bit for bit np.linalg.norm(a - b), sqrt(x.dot(x)) of a 1-D float."""
+    def _step(self, a: Point, p) -> tuple[Point, float]:
+        """(p checked, its distance from the checked point a); DomainError if p is off the universe.
+
+        On R^m the distance is sqrt(d · d), d = a - p, bit for bit np.linalg.norm(d).  As a is finite, a finite
+        d · d makes p finite; only a non-finite one needs the point rule, which may pass p at an overflowed distance.
+        """
         if self.is_finite:
-            return float(self.table[a, b])
-        d = a - b
-        return float(np.sqrt(d.dot(d)))
+            p = self._check_point(p)
+            return p, float(self.table[a, p])
+        arr, dd = np.asarray(p, dtype=float), math.inf
+        if arr.shape == a.shape:
+            d = a - arr
+            dd = d.dot(d)
+        if not math.isfinite(dd):
+            arr = self._check_point(p)
+        return arr, math.sqrt(dd)
 
     def distance(self, a: Point, b: Point) -> float:
-        return self._distance(self._check_point(a), self._check_point(b))
+        return self._step(self._check_point(a), b)[1]
 
     def canonicalize(self, p: Point):
         """Plain-Python form of a point (int, or tuple of floats) for reports."""

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .metric_core import MetricSpace, Point
 from .contraction import Coefficients, validate_coefficients
-from .records import Record, ValueEnum
+from .records import Record, ValueEnum, int_arg
 
 # the iteration cap of a solve that names none
 MAX_ITERS = 10000
@@ -140,6 +140,7 @@ def picard_solve(
     Hypothesis failures surface as report statuses, not exceptions.
     """
     validate_coefficients(c)
+    max_iters = int_arg("max_iters", max_iters)
     if max_iters < 1:
         raise DomainError(f"need at least one iteration, got {max_iters}")
     x0 = space._check_point(x0)
@@ -178,19 +179,17 @@ def picard_solve(
 
     # an overflowing iterate is refused by the domain check, so numpy's warning adds nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(pts) - 1 < max_iters:
-            mapping = S if (len(pts) - 1) % 2 == 0 else T
-            nxt = space._check_point(mapping(current))
-            gap = space._distance(current, nxt)
+        for i in range(1, max_iters + 1):
+            # points[i] comes from S on odd i and from T on even i
+            current, gap = space._step(current, (S if i % 2 else T)(current))
             steps.append(gap)
-            pts.append(nxt)
-            current = nxt
+            pts.append(current)
 
-            if len(steps) >= 2 and steps[-1] > k * steps[-2] + slack:
-                violation = len(steps) - 1
+            if i >= 2 and gap > k * steps[-2] + slack:
+                violation = i - 1
                 return finish(SolveStatus.RATE_VIOLATED)
 
-            if len(steps) == 1 or gap <= threshold:
+            if i == 1 or gap <= threshold:
                 # the radius bounds the orbit's magnitudes from here on; a step's
                 # rounding is damped only at rate k, so the computed orbit drifts up
                 # to 1 / (1 - k) times it from the exact one, a gap twice that
@@ -207,7 +206,7 @@ def picard_solve(
                     return finish(SolveStatus.CONVERGED, res)
 
             if space.is_finite:
-                key = (current, (len(pts) - 1) % 2)
+                key = (current, i % 2)
                 if key in seen:
                     start = seen[key]
                     window = steps[start:]
@@ -218,7 +217,7 @@ def picard_solve(
                     if max(res) <= slack:
                         return finish(SolveStatus.CONVERGED, res)
                     return finish(SolveStatus.RATE_VIOLATED, res)
-                seen[key] = len(pts) - 1
+                seen[key] = i
 
         return finish(SolveStatus.MAX_ITERATIONS)
 

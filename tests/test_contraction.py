@@ -44,6 +44,7 @@ from cofix.errors import (
     NonInvertibleMapping,
 )
 from cofix.oracle import InstanceRecipe, MappingMode, MetricMode, generate_instance
+from cofix.problem import Problem, problem_to_dict
 
 # labels 0, 1, 3, 7 with the absolute-difference metric; the step map
 # 7 -> 3 -> 1 -> 0 -> 0 satisfies the two-mapping condition with gamma = 1/2
@@ -176,6 +177,27 @@ class TestAffineMapping:
         batch = m.apply_many(pts)
         for i in range(10):
             assert np.allclose(batch[i], m(pts[i]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 16), rows=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1), strided=st.booleans())
+    def test_apply_many_is_the_broadcast_product_bit_for_bit(self, m, rows, seed, strided):
+        rng = np.random.default_rng(seed)
+        A = AffineMapping(rng.normal(size=(m, m)), rng.normal(size=m) * 10.0 ** rng.integers(-8, 9, size=m))
+        # a sampled check's points are views of its (N, 2, m) draw
+        pts = rng.uniform(-1.0, 1.0, size=(rows, 2, m))[:, 0, :] if strided else rng.uniform(-1.0, 1.0, size=(rows, m))
+        assert A.apply_many(pts).tobytes() == (pts @ A.matrix.T + A.offset).tobytes()
+        assert A.apply_many(pts[0]).tobytes() == (pts[0] @ A.matrix.T + A.offset).tobytes()
+
+    def test_cached_transpose_is_not_a_field(self):
+        rng = np.random.default_rng(4)
+        matrix, offset = rng.normal(size=(3, 3)), rng.normal(size=3)
+        a, b = AffineMapping(matrix, offset), AffineMapping(matrix, offset)
+        assert a._mt.flags.c_contiguous and not a._mt.flags.writeable and np.array_equal(a._mt, matrix.T)
+        object.__setattr__(b, "_mt", np.zeros((3, 3)))
+        assert "_mt" not in {f.name for f in dataclasses.fields(AffineMapping)}
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        doc = [problem_to_dict(Problem(MetricSpace.euclidean(3), MappingSet(m, m), Coefficients(0, 0, 0.5, 0))) for m in (a, b)]
+        assert doc[0] == doc[1]
 
     def test_inverse_roundtrip(self):
         m = AffineMapping([[2.0, 0.0], [0.0, 4.0]], [1.0, 2.0])
@@ -741,7 +763,7 @@ def generated_cases(draw):
 @st.composite
 def euclidean_cases(draw):
     """Affine maps on R^m, some stretching points past every float's reach."""
-    m, arity = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    m, arity = draw(st.integers(1, 16)), draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stretch = draw(st.sampled_from([1.0, 1.0, 1e100, 1e200]))
     maps = [AffineMapping(rng.normal(size=(m, m)) * (stretch if k == 2 else 1.0), rng.normal(size=m)) for k in range(arity)]
@@ -789,6 +811,15 @@ class TestPrunedKeyedCheck:
         S, T = (AffineMapping(0.5 * rng.normal(size=(3, 3)), lam * rng.normal(size=3)) for _ in range(2))
         maps, src = MappingSet(S, T), SampledPairs(5000, 1, (-lam, lam))
         self._assert_same_reports(MetricSpace.euclidean(3), maps, src, (False, False, True, False, False), None)
+
+    @pytest.mark.parametrize("m", [8, 16, 127, 129, 257])
+    def test_wide_euclidean_reports_equal_the_reference(self, m):
+        # norms of 8 or more coordinates sum in numpy's 8 lanes, of more than 128 in halves too
+        rng = np.random.default_rng(m)
+        maps = MappingSet(*(AffineMapping(rng.normal(size=(m, m)) / np.sqrt(m), rng.normal(size=m)) for _ in range(4)), arity=4)
+        src = SampledPairs(3000, m, (-10.0, 10.0))
+        for pattern in [(True,) * 5, (False, False, True, False, False)]:
+            self._assert_same_reports(MetricSpace.euclidean(m), maps, src, pattern, None)
 
     @pytest.mark.parametrize("src", [EXHAUSTIVE, SampledPairs(5, 0)], ids=["exhaustive", "sampled"])
     def test_negative_zero_table_reports_the_lhs(self, src):
@@ -862,6 +893,33 @@ class TestPrunedKeyedCheck:
         zero = TableMapping(np.zeros(n, dtype=int))
         rep = check_condition_three(space, zero, zero, zero, Coefficients(0, 0, 0.5, 0))
         assert (rep.pairs_checked, rep.worst_pair) == (n * n, (0, 0))
+
+
+# entries a sum of columns may meet: signed zeros, subnormals, infinities and NaN
+SPECIAL_ENTRIES = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, np.finfo(float).tiny])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 300),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.sampled_from([16, 600]),
+    special=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    negative_zero_row=st.booleans(),
+)
+def test_column_sum_is_numpys_reduction_bit_for_bit(m, rows, seed, decades, special, negative_zero_row):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1.0, 1.0, size=(rows, m)) * 10.0 ** rng.integers(-decades // 2, decades // 2, size=(rows, m))
+    mask = rng.random((rows, m)) < special
+    d[mask] = rng.choice(SPECIAL_ENTRIES, size=int(mask.sum()))
+    if negative_zero_row:
+        d[0] = -0.0
+    with np.errstate(all="ignore"):
+        expected = np.add.reduce(d, axis=-1)
+        got = contraction._column_sum([d[:, j].copy() for j in range(m)])
+    assert got.shape == expected.shape
+    assert ((got.view(np.int64) == expected.view(np.int64)) | (np.isnan(got) & np.isnan(expected))).all()
 
 
 class TestCheckValidatesMappings:
@@ -996,19 +1054,39 @@ class TestSynthesis:
 
     @staticmethod
     def _failing_checks(failures):
-        """A check_condition whose first ``failures`` reports read unsatisfied, and the tuples it was asked about."""
+        """A condition evaluation whose first ``failures`` reports read unsatisfied, and the tuples it was asked about."""
         asked = []
+        evaluate = contraction._evaluate_condition
 
         def check(space, maps, c, *args):
             asked.append(c)
-            report = check_condition(space, maps, c, *args)
+            report = evaluate(space, maps, c, *args)
             return dataclasses.replace(report, satisfied=False) if len(asked) <= failures else report
 
         return check, asked
 
+    @pytest.mark.parametrize("failures", [0, 2])
+    def test_sampled_synthesis_draws_its_sample_once(self, monkeypatch, failures):
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        space, S = MetricSpace.euclidean(2), AffineMapping(0.9 * rotation, [1.0, -2.0])
+        maps, src = MappingSet(S, S), SampledPairs(3000, 5, (-5.0, 5.0))
+        evaluate = contraction._evaluate_condition
+        check, asked = self._failing_checks(failures)
+        monkeypatch.setattr(contraction, "_evaluate_condition", check)
+        draw = SampledPairs.draw_pairs
+        with patch.object(SampledPairs, "draw_pairs", autospec=True, side_effect=draw) as draws:
+            c = synthesize_coefficients(space, maps, src)
+        # the passes and every re-verification read the one draw
+        assert draws.call_count == 1 and len(asked) == failures + 1
+        # re-verifying on fresh draws of the source returns the same tuple
+        monkeypatch.setattr(contraction, "_evaluate_condition", lambda *args: check(*args[:5]))
+        asked.clear()
+        assert synthesize_coefficients(space, maps, src) == c
+        assert evaluate(space, maps, c, src, space.slack()).satisfied
+
     def test_a_failed_reverification_retries_a_bumped_tuple(self, monkeypatch, halving_space, halving_map):
         check, asked = self._failing_checks(1)
-        monkeypatch.setattr(contraction, "check_condition", check)
+        monkeypatch.setattr(contraction, "_evaluate_condition", check)
         c = synthesize_coefficients(halving_space, MappingSet(halving_map, halving_map))
         first, bumped = asked
         tol = halving_space.slack()
@@ -1018,7 +1096,7 @@ class TestSynthesis:
 
     def test_tuple_failing_every_reverification_is_infeasible(self, monkeypatch, halving_space, halving_map):
         check, asked = self._failing_checks(3)
-        monkeypatch.setattr(contraction, "check_condition", check)
+        monkeypatch.setattr(contraction, "_evaluate_condition", check)
         with pytest.raises(Infeasible, match="solved tuple failed re-verification") as exc_info:
             synthesize_coefficients(halving_space, MappingSet(halving_map, halving_map))
         assert len(asked) == 3

@@ -229,7 +229,8 @@ class TestEuclideanSpace:
         sp = MetricSpace.euclidean(m)
         expected = float(np.linalg.norm(a - b))
         assert sp.distance(a, b).hex() == expected.hex()
-        assert sp._distance(a, b).hex() == expected.hex()
+        point, gap = sp._step(a, b)
+        assert gap.hex() == expected.hex() and point is b
 
 
 class TestPointRule:

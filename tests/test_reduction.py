@@ -335,6 +335,14 @@ class TestLifting:
         with pytest.raises(LiftDisagreement):
             require_lift_agreement(PATH3, 0, 1)
 
+    def test_options_take_max_iters_by_the_integer_rule(self):
+        space, maps, x0 = _scaled_problem(0, 2, 1.0, 3)
+        with pytest.raises(DomainError) as exc_info:
+            solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, PipelineOptions(max_iters=2.5, verify_hypotheses=False))
+        assert str(exc_info.value) == "[solve] max_iters must be an integer, got 2.5"
+        rep = solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, PipelineOptions(max_iters="400", verify_hypotheses=False))
+        assert rep.status is PipelineStatus.COMMON_FIXED_POINT
+
     @pytest.mark.parametrize("lam", [1.0, 1e2, 1e4])
     def test_lift_allows_the_residual_of_the_solve(self, lam):
         # the solved point lies within r / (1 - k) of the limit, and the lifted

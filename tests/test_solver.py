@@ -204,6 +204,40 @@ class TestPicardSolve:
         with pytest.raises(DomainError):
             picard_solve(halving_space, halving_map, halving_map, c, 0, max_iters=0)
 
+    @pytest.mark.parametrize(
+        "max_iters, expected",
+        [(2.5, "max_iters must be an integer, got 2.5"), ("3", 3), (0, "need at least one iteration, got 0"), (3.0, 3)],
+    )
+    def test_max_iters_takes_the_integer_rule(self, max_iters, expected):
+        half = AffineMapping([[0.5]], [0.0])
+
+        def solve():
+            return picard_solve(MetricSpace.euclidean(1), half, half, Coefficients(0, 0, 0.6, 0), [1.0], max_iters=max_iters)
+
+        if isinstance(expected, str):
+            with pytest.raises(DomainError) as exc_info:
+                solve()
+            assert str(exc_info.value) == expected
+        else:
+            rep = solve()
+            assert (rep.iterations, rep.status) == (expected, SolveStatus.MAX_ITERATIONS)
+
+    def test_list_iterates_pass_and_misshapen_ones_are_refused(self):
+        space, c = MetricSpace.euclidean(2), Coefficients(0, 0, 0.5, 0)
+        half = AffineMapping(0.5 * np.eye(2), np.zeros(2))
+        as_list = lambda x: [0.5 * v for v in x]  # noqa: E731
+        assert picard_solve(space, as_list, as_list, c, [3.0, -4.0]) == picard_solve(space, half, half, c, [3.0, -4.0])
+        for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], np.zeros((2, 1)), None):
+            with pytest.raises(DomainError) as exc_info:
+                picard_solve(space, lambda x: bad, half, c, [3.0, -4.0])
+            assert str(exc_info.value) == f"point {bad!r} is outside the universe of this euclidean_affine space"
+
+    def test_overflowing_gap_of_finite_iterates_is_taken_as_infinite(self):
+        # 1e200 and -1e200 are both finite, but d · d = 4e400 overflows: the point passes, its gap is inf
+        flip = AffineMapping([[-1.0]], [0.0])
+        rep = picard_solve(MetricSpace.euclidean(1), flip, flip, Coefficients(0, 0, 0.5, 0), [1e200], max_iters=1)
+        assert rep.trace.points == ((1e200,), (-1e200,)) and rep.trace.steps == (np.inf,)
+
     def test_escaping_mapping_is_rejected(self):
         space = MetricSpace.euclidean(1)
         escape = lambda x: np.array([np.nan])  # noqa: E731
