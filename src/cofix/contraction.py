@@ -19,10 +19,11 @@ table on finite spaces; on Euclidean ones, norms built one coordinate column at
 a time, their squares summed in ``np.linalg.norm``'s order (``_column_sum``).
 The exhaustive grid is the same call with the index column and row broadcast
 against each other, so substituting the identity for f (or f for g) reproduces
-the lower-arity report exactly; its lookups gather the whole table rows or
-columns of the smaller index set, then the other axis.  Checks feed the batch
-to the evaluator in row blocks of about ``BLOCK_PAIRS`` pairs, so their scratch
-memory stays bounded at any table size.  ``check_condition`` picks the named
+the lower-arity report exactly; its lookups read an ascending run of
+consecutive indices as a table slice, and otherwise gather the whole table
+rows or columns of the smaller index set, then the other axis.  Checks feed
+the batch to the evaluator in row blocks of about ``BLOCK_PAIRS`` pairs, so
+their scratch memory stays bounded at any table size.  ``check_condition`` picks the named
 check that matches a mapping set's arity.  ``synthesize_coefficients`` solves
 its LPs by cutting planes, with a pass over the same blocks as the separation step.
 
@@ -37,6 +38,29 @@ S(x), the condition reads x only through the key (S(x), f(x)) and y
 through (T(y), g(y)): the exhaustive grid keeps the least x and the least
 y of each key.  These ascend, so its first worst pair is the full grid's.
 With two mappings the key is x.
+
+Bound first.  Every coefficient is >= 0, and on a table without negative
+entries so is every term.  The margin is M = need - ((((p1 + p2) + p3) +
+p4) + p5) over the products p = coefficient * term that it takes, and
+rounding is monotone: adding p4 or p5 in [0, inf] never lowers a rounded
+sum, and subtracting a larger sum never raises the difference.  So P =
+need - ((p1 + p2) + p3), without the delta and L products, is an upper
+bound, M <= P, exactly in floating point; where P is NaN or +inf, M may be
+anything.  The exhaustive check (``_worst``) evaluates its first block in
+full, then gathers the delta and L terms only at the pairs where ``not (P <
+worst)``, worst the running worst: that keeps NaN and ties.  Every other
+pair keeps its P, strictly below the worst, so it can never become the
+worst, and the report is the one of the full evaluation byte for byte.  A
+table with a negative entry (``MetricSpace.nonnegative``, recorded when
+the table is built) turns the bound off, as does a Euclidean batch;
+synthesis's cut pass takes all five terms at every pair.  On an n=2500
+arity-4 anchor instance the delta and L terms then reach about 0.1% of the
+pairs after the first block.  In process, best of 3 in each of 4
+alternating rounds on a 2-CPU x86-64 host (CPython 3.11, numpy 2.4), with
+the table slices and the one margin buffer, before -> after: the checks of
+one ``large_finite`` cycle 67-92 -> 43-59 ms, n=1500 at arity 4 22-30 ->
+9-12 ms, n=2500 at arity 2 36-51 -> 28-38 ms and at arity 4 72-94 ->
+24-32 ms.
 """
 
 from __future__ import annotations
@@ -69,6 +93,12 @@ BLOCK_PAIRS = 1 << 16
 # reuse them from block to block, where 2**16-pair blocks (4 MiB arrays at
 # m=8) were mapped in afresh, page by page, on every check
 EUCLIDEAN_BLOCK_PAIRS = 1 << 11
+
+# AffineMapping.apply_many adds the offset column by column up to this dimension, in one broadcast add
+# above it: a broadcast row runs an m-long inner loop per point, which costs more than m column passes
+# while m is small.  Per 2,048-point block with the matmul (2-CPU x86-64, numpy 2.4), column/broadcast:
+# 9/16 us at m=2, 15/18 at m=4, 19/19 at m=5, 39/21 at m=8.  Either way each entry takes the same IEEE add.
+OFFSET_COLUMNS = 4
 
 # which of the terms t1..t5 to compute: by default all five
 ALL_TERMS = (True,) * 5
@@ -204,11 +234,13 @@ class AffineMapping(ArrayEq):
 
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
         """Apply to a stack of points, shape (N, m) -> (N, m): ``pts @ matrix.T + offset``, bit for bit."""
-        # gemm sums alike over either layout of the matrix, gemv (numpy's way with one row) does not; the
-        # offset goes in column by column, as a broadcast row runs an m-long inner loop per point
+        # gemm sums alike over either layout of the matrix, gemv (numpy's way with one row) does not
         out = pts @ (self._mt if pts.ndim == 2 and len(pts) > 1 else self.matrix.T)
-        for j, b in enumerate(self.offset):
-            out[..., j] += b
+        if self.dimension > OFFSET_COLUMNS:
+            out += self.offset
+        else:
+            for j, b in enumerate(self.offset):
+                out[..., j] += b
         return out
 
     def inverse(self) -> "AffineMapping":
@@ -423,6 +455,13 @@ def _column_sum(cols: list) -> np.ndarray:
     return reduce(np.add, cols[n - n % 8 :], 0.0 + ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
+def _run(idx: np.ndarray) -> Optional[slice]:
+    """The slice of an ascending run of consecutive indices, or None for any other index array."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1 and (np.diff(idx) == 1).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return None
+
+
 def _term_arrays(space: MetricSpace, maps: MappingSet, xs: np.ndarray, ys: np.ndarray, wanted=ALL_TERMS):
     """Vectorized condition terms at a batch of pairs, in :func:`_scalar_terms` order.
 
@@ -430,19 +469,25 @@ def _term_arrays(space: MetricSpace, maps: MappingSet, xs: np.ndarray, ys: np.nd
     the identity.  Finite points are index arrays and distances are table
     lookups; Euclidean points carry coordinates on the last axis and
     distances are norms.  Terms that depend on one side only keep that
-    side's shape and broadcast against the rest.  Of t1..t5 only those
-    ``wanted`` are computed, the others are None; so are f(x) and g(y).
+    side's shape and broadcast against the rest; a term may be a read-only
+    view of the table.  Of t1..t5 only those ``wanted`` are computed, the
+    others are None; so are f(x) and g(y).
     """
     if space.is_finite:
         D = space.table
 
         def dist(u, v):
-            # an exhaustive block is an index column against an index row:
-            # gathering the smaller index set's whole rows (or columns), then
-            # the other axis, beats scattered lookups and copies at most n
+            # an exhaustive block is an index column against an index row: an
+            # ascending run of consecutive indices reads the table through a
+            # slice, with no gather, and through a view alone where both are;
+            # else gathering the smaller index set's whole rows (or columns),
+            # then the other axis, beats scattered lookups and copies at most n
             # entries per index of the smaller set
             if u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1:
                 r, c = u[:, 0], v[0]
+                rs, cs = _run(r), _run(c)
+                if rs is not None or cs is not None:
+                    return D[r if rs is None else rs, c if cs is None else cs]
                 return D[r][:, c] if len(r) <= len(c) else D[:, c][r]
             if u.ndim == v.ndim == 2 and u.shape[0] == 1 and v.shape[1] == 1:
                 return dist(u.T, v.T).T
@@ -501,6 +546,32 @@ def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray):
         yield tuple(p[r0 : r0 + step] if len(p) == rows else p for p in (xs, ys))
 
 
+def _margin(need: np.ndarray, coefs, terms) -> np.ndarray:
+    """``need`` minus alpha*t1 + beta*t2 + gamma*t3 + delta*t4 + L*t5 over the ``terms`` not None, in a fresh array.
+
+    The products are summed left to right into one buffer of the batch's
+    shape, which then takes ``need`` minus the sum: the IEEE operations of
+    ``need - reduce(np.add, products)``.  Without any term it holds ``need``.
+    Terms may be read-only table views, so nothing is written into them.
+    """
+    out = None
+    for coef, t in zip(coefs, terms):
+        if t is None:
+            continue
+        if out is None:
+            out = np.multiply(coef, t, out=np.empty(need.shape))
+        else:
+            np.add(out, coef * t, out=out)
+    return need.copy() if out is None else np.subtract(need, out, out=out)
+
+
+def _block_margin(space: MetricSpace, maps: MappingSet, xs, ys, coefs, scale: float, wanted):
+    """(margin, need, terms) of one block of pairs: ``need`` is ``scale * lhs``, ``terms`` t1..t5 as ``wanted``."""
+    lhs, *terms = _term_arrays(space, maps, xs, ys, wanted)
+    need = lhs if scale == 1.0 else scale * lhs
+    return _margin(need, coefs, terms), need, terms
+
+
 def _margins(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
     """(xs, ys, margin, need, terms) for each row block of a pair batch under ``maps``.
 
@@ -510,21 +581,43 @@ def _margins(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 
     :func:`_term_arrays` computed as ``wanted``; the others are None.
     """
     for xs, ys in _row_blocks(space, *batch):
-        lhs, *terms = _term_arrays(space, maps, xs, ys, wanted)
-        need = lhs if scale == 1.0 else scale * lhs
-        products = [coef * t for coef, t in zip(coefs, terms) if t is not None]
-        margin = need - reduce(np.add, products) if products else need
-        yield xs, ys, margin, need, terms
+        yield (xs, ys, *_block_margin(space, maps, xs, ys, coefs, scale, wanted))
 
 
-def _worst(margins):
-    """The worst margin, where it sits as ``(xs, ys, shape, flat)``, and the pair count.
+def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
+    """The worst margin over the row blocks of a pair batch, where it sits as ``(xs, ys, shape, flat)``, and the pair count.
 
     A NaN margin outranks every number; ties, NaN or not, go to the first
     pair in the batch's flat order.
+
+    Bound first (see the module docstring): when every delta and L product
+    the margin takes lies in [0, inf], a positive coefficient times a term
+    of a table without negative entries, the margin P without them is at
+    least the full margin M wherever P is a number below +inf.  After the
+    first block, a block computes P at every pair and M only where ``not (P
+    < worst)``, worst the running worst; elsewhere it keeps P, strictly
+    below the worst, which M, at most P, can then neither beat nor tie.
     """
+    tail = wanted[3:]
+    bounded = (
+        space.is_finite
+        and space.nonnegative
+        and any(tail)
+        and all(coef > 0.0 for coef, w in zip(coefs[3:], tail) if w)
+    )
+    head = wanted[:3] + (False, False)
     worst, at, count = None, None, 0
-    for xs, ys, margin, *_ in margins:
+    for xs, ys in _row_blocks(space, *batch):
+        if bounded and worst is not None:
+            margin = _block_margin(space, maps, xs, ys, coefs, scale, head)[0]
+            near = np.flatnonzero(~(margin < worst))
+            if near.size:
+                # the pairs that may reach the worst, as index arrays: the same evaluator on them alone
+                at_near = np.unravel_index(near, margin.shape)
+                points = (np.broadcast_to(p, margin.shape)[at_near] for p in (xs, ys))
+                margin[at_near] = _block_margin(space, maps, *points, coefs, scale, wanted)[0]
+        else:
+            margin = _block_margin(space, maps, xs, ys, coefs, scale, wanted)[0]
         # argmax finds a block's first NaN, if it holds one
         flat = int(np.argmax(margin))
         # a NaN worst stays; NaN or more replaces a number, strictly: on a tie the earlier block keeps the worst pair
@@ -541,7 +634,7 @@ def _evaluate_condition(space, maps: MappingSet, c, pair_source, tolerance, batc
     coefs = c.as_tuple()
     wanted = tuple(v != 0.0 for v in coefs)
     batch = _pair_batch(space, pair_source, maps) if batch is None else batch
-    worst, at, count = _worst(_margins(space, maps, batch, coefs, wanted=wanted))
+    worst, at, count = _worst(space, maps, batch, coefs, wanted=wanted)
     pair = _pair_at(space, *at)
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(
@@ -739,7 +832,7 @@ def synthesize_coefficients(
 
     def most_binding(coefs):
         """The first pair within ``ties`` of the worst shortfall, or the first NaN one; the worst; the pair count."""
-        worst, _, count = _worst(margins(coefs))
+        worst, _, count = _worst(space, maps, batch, coefs, 1.0 + cushion)
         for xs, ys, margin, *_ in margins(coefs):
             hits = np.flatnonzero(np.isnan(margin) | (margin >= worst - ties))
             if hits.size:

@@ -46,7 +46,9 @@ class MetricSpace(ArrayEq):
 
     Construct through :meth:`finite` or :meth:`euclidean`; the raw
     constructor performs only structural validation.  Whether two points
-    are the same is decided by :meth:`slack`.
+    are the same is decided by :meth:`slack`.  ``nonnegative`` (not a
+    field) records that no distance is below 0: no table entry is, and a
+    norm never is.
     """
 
     flavor: Flavor
@@ -63,9 +65,11 @@ class MetricSpace(ArrayEq):
             if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] < 1:
                 raise DomainError(f"distance table must be square and non-empty, got shape {tab.shape}")
             # min and max propagate NaN and reach any infinity without an n x n mask
-            if not np.isfinite([tab.min(), tab.max()]).all():
+            lo = tab.min()
+            if not np.isfinite([lo, tab.max()]).all():
                 raise DomainError("distance table contains non-finite entries")
             object.__setattr__(self, "table", tab)
+            object.__setattr__(self, "nonnegative", bool(lo >= 0.0))
             object.__setattr__(self, "dimension", None)
         elif self.flavor is Flavor.EUCLIDEAN_AFFINE:
             dimension = int_arg("dimension", self.dimension)
@@ -73,6 +77,7 @@ class MetricSpace(ArrayEq):
                 raise DomainError(f"Euclidean space needs a positive dimension, got {self.dimension}")
             object.__setattr__(self, "dimension", dimension)
             object.__setattr__(self, "table", None)
+            object.__setattr__(self, "nonnegative", True)
         else:  # pragma: no cover - enum is closed
             raise DomainError(f"unknown flavor {self.flavor}")
 

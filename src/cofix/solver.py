@@ -14,6 +14,7 @@ wrong limit when the hypotheses do not actually hold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -136,8 +137,9 @@ def picard_solve(
     (point, parity) state exposes cycles the ratio guard is too slack to
     see.  Each test allows ``space.slack`` at 2 / (1 - k) times the orbit's
     a-priori radius ||x|| + 2 * d(x, next x) / (1 - k) around its current
-    point x, taken at the start and whenever the stop test fires.
-    Hypothesis failures surface as report statuses, not exceptions.
+    point x, taken at the start and whenever the stop test fires; a radius
+    that overflows raises DomainError, and a NaN or infinite residual never
+    passes.  Hypothesis failures surface as report statuses, not exceptions.
     """
     validate_coefficients(c)
     max_iters = int_arg("max_iters", max_iters)
@@ -157,6 +159,10 @@ def picard_solve(
 
     def residuals_at(z) -> tuple[float, float]:
         return (float(space.distance(z, S(z))), float(space.distance(z, T(z))))
+
+    def certified(res) -> bool:
+        # a NaN or infinite residual passes no slack
+        return all(math.isfinite(r) and r <= slack for r in res)
 
     def finish(status: SolveStatus, residuals=None) -> SolveReport:
         d0 = steps[0] if steps else 0.0
@@ -194,6 +200,9 @@ def picard_solve(
                 # rounding is damped only at rate k, so the computed orbit drifts up
                 # to 1 / (1 - k) times it from the exact one, a gap twice that
                 scale = 2.0 / (1.0 - k) * (float(np.linalg.norm(current)) + 2.0 * gap / (1.0 - k))
+                if not math.isfinite(scale):
+                    # an infinite slack would pass any gap and residual, so nothing could be certified
+                    raise DomainError(f"the orbit's a-priori radius overflows at iterate {i}")
                 slack = space.slack(tol, scale=scale)
                 # largest gap that still pins the limit within tol, since the
                 # geometric tail after a gap g contributes at most g * k / (1 - k),
@@ -202,7 +211,7 @@ def picard_solve(
 
             if gap <= threshold:
                 res = residuals_at(current)
-                if max(res) <= slack:
+                if certified(res):
                     return finish(SolveStatus.CONVERGED, res)
 
             if space.is_finite:
@@ -214,7 +223,7 @@ def picard_solve(
                         violation = start + window.index(max(window))
                         return finish(SolveStatus.RATE_VIOLATED)
                     res = residuals_at(current)
-                    if max(res) <= slack:
+                    if certified(res):
                         return finish(SolveStatus.CONVERGED, res)
                     return finish(SolveStatus.RATE_VIOLATED, res)
                 seen[key] = i

@@ -458,6 +458,21 @@ class TestSolve:
         assert data["status"] == "converged"
         assert data["point"] == 0
 
+    @pytest.mark.parametrize("matrix, x0", [(-1.0, 1e200), (0.5, 1e155), (0.5, 1e200), (0.5, 1e308)])
+    def test_overflowing_radius_exits_schema(self, tmp_path, capsys, matrix, x0):
+        # these orbits were reported "converged" at x1 with residuals (inf, inf)
+        m = {"type": "affine", "matrix": [[matrix]], "offset": [0.0]}
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 1},
+            "mappings": {"arity": 2, "S": m, "T": m},
+            "coefficients": {**GAMMA_HALF, "gamma": 0.6},
+            "solver": {"x0": [x0]},
+        }
+        assert cli.main(["solve", write_doc(tmp_path, "far.json", doc)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: the orbit's a-priori radius overflows at iterate 1\n"
+
     def test_overflowing_iterate_prints_the_input_error_alone(self, tmp_path, capsys):
         # S(x0) = 1e310 overflows to inf; the domain check refuses it, and
         # numpy's "overflow encountered in matmul" warning used to come first

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 import warnings
 from unittest.mock import patch
@@ -748,6 +749,18 @@ def table_cases(draw):
 
 
 @st.composite
+def tied_table_cases(draw):
+    """Tables without a negative entry, so the bound-first check runs, drawn from a few values so that many margins tie."""
+    n = draw(st.integers(1, 12))
+    entries = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0, 2.0), (-0.0, 0.0, 1.0), (0.0, 1.0, 1e308)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = MetricSpace.finite(rng.choice(entries, size=(n, n)))
+    arity = draw(st.integers(2, 4))
+    maps = [TableMapping(rng.integers(0, draw(st.integers(1, n)), size=n)) for _ in range(arity)]
+    return space, MappingSet(*maps, arity=arity)
+
+
+@st.composite
 def generated_cases(draw):
     recipe = InstanceRecipe(
         seed=draw(st.integers(0, 10**6)),
@@ -786,13 +799,13 @@ class TestPrunedKeyedCheck:
                 expected = _report_json(reference_condition_report(space, maps, c, src))
                 assert _report_json(check_condition(space, maps, c, src)) == expected
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
-        case=st.one_of(table_cases(), generated_cases()),
+        case=st.one_of(table_cases(), tied_table_cases(), generated_cases()),
         sampled=st.booleans(),
         seed=st.integers(0, 1000),
         pattern=st.sampled_from(ZERO_PATTERNS),
-        block=st.sampled_from([None, 1, 7]),
+        block=st.sampled_from([None, 1, 3, 7]),
     )
     def test_finite_reports_equal_the_reference(self, case, sampled, seed, pattern, block):
         space, maps = case
@@ -893,6 +906,100 @@ class TestPrunedKeyedCheck:
         zero = TableMapping(np.zeros(n, dtype=int))
         rep = check_condition_three(space, zero, zero, zero, Coefficients(0, 0, 0.5, 0))
         assert (rep.pairs_checked, rep.worst_pair) == (n * n, (0, 0))
+
+
+def _anchor_four(n, seed=0):
+    """An arity-4 anchor instance: d = max(rho x, rho y) around point 0 (rho 0), a non-injective f = g,
+    and S, T descending within f(X) to points of at most half the rho; (0, 0, 1/2, 0, 1/2) holds."""
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.5, 8.0, n)
+    rho[0] = 0.0
+    table = np.maximum.outer(rho, rho)
+    np.fill_diagonal(table, 0.0)
+    f = rng.integers(0, n, n)
+    f[0], f[2] = 0, f[1]
+    targets = np.unique(f)
+    order = targets[np.argsort(rho[targets], kind="stable")]
+    at = np.searchsorted(rho[order], rho / 2.0, side="right") - 1
+    S, T = TableMapping(order[at][f]), TableMapping(order[np.maximum(at - 1, 0)][f])
+    return table, MappingSet(S, T, TableMapping(f), TableMapping(f), arity=4), Coefficients(0, 0, 0.5, 0, 0.5)
+
+
+class TestBoundFirst:
+    """The delta and L terms are computed only where the margin without them reaches the running worst."""
+
+    @staticmethod
+    def _tail_pairs(monkeypatch):
+        """Count the pairs of every evaluator call that computes the delta or L terms."""
+        evaluate, tally = contraction._term_arrays, [0]
+
+        def spy(space, maps, xs, ys, wanted=contraction.ALL_TERMS):
+            if wanted[3] or wanted[4]:
+                tally[0] += math.prod(np.broadcast_shapes(xs.shape, ys.shape))
+            return evaluate(space, maps, xs, ys, wanted)
+
+        monkeypatch.setattr(contraction, "_term_arrays", spy)
+        return tally
+
+    @staticmethod
+    def _grid_pairs(space, maps):
+        xs, ys = contraction._pair_batch(space, EXHAUSTIVE, maps)
+        return xs.size * ys.size
+
+    def test_tail_terms_touch_few_pairs_on_the_anchor(self, monkeypatch):
+        table, maps, c = _anchor_four(2500)
+        space = MetricSpace.finite(table)
+        tally = self._tail_pairs(monkeypatch)
+        rep = check_condition(space, maps, c)
+        # the first block is evaluated in full, then about 0.1% of the pairs
+        assert tally[0] <= 0.05 * self._grid_pairs(space, maps)
+        assert (rep.worst_pair, rep.worst_margin, rep.pairs_checked) == ((0, 0), 0.0, 2500**2)
+        # the same report with the bound off
+        object.__setattr__(space, "nonnegative", False)
+        assert _report_json(check_condition(space, maps, c)) == _report_json(rep)
+
+    def test_negative_entry_turns_the_bound_off(self, monkeypatch):
+        table, maps, c = _anchor_four(600)
+        table[5, 7] = -1.0
+        space = MetricSpace.finite(table)
+        tally = self._tail_pairs(monkeypatch)
+        rep = check_condition(space, maps, c)
+        assert tally[0] == self._grid_pairs(space, maps)
+        assert _report_json(rep) == _report_json(reference_condition_report(space, maps, c))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    def test_overflowing_tail_term_on_a_nonnegative_table(self, block):
+        # d(1, 2) + d(2, 1) = 2e308 overflows: where delta multiplies it the margin is -inf,
+        # below every bound, and the other pairs decide the worst in every block layout
+        big = 1e308
+        space, ident = MetricSpace.finite([[0, 1, 1], [1, 0, big], [1, big, 0]]), identity_mapping(3)
+        c = Coefficients(0, 0, 0.5, 0.2, 0.5)
+        with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = check_condition(space, MappingSet(ident, ident), c)
+            assert _report_json(rep) == _report_json(reference_condition_report(space, MappingSet(ident, ident), c))
+
+    def test_consecutive_index_runs_read_the_table_as_a_view(self):
+        # the arity-2 grid's rows and columns are runs: d(x, y) is a view of the table
+        space = MetricSpace.finite(np.arange(36.0).reshape(6, 6))
+        ident, idx = identity_mapping(6), np.arange(6)
+        gamma_only = (False, False, True, False, False)
+        lhs, _, _, t3, _, _ = contraction._term_arrays(space, MappingSet(ident, ident), idx[1:4, None], idx[None, 2:], gamma_only)
+        for t in (lhs, t3):
+            assert np.shares_memory(t, space.table) and np.array_equal(t, space.table[1:4, 2:])
+        # a run on one side only slices that axis; the other is gathered
+        rows = TableMapping([4, 0, 5, 1, 2, 3])
+        lhs = contraction._term_arrays(space, MappingSet(rows, ident), idx[:3, None], idx[None, 2:], gamma_only)[0]
+        assert np.array_equal(lhs, space.table[[4, 0, 5]][:, 2:])
+        lhs = contraction._term_arrays(space, MappingSet(ident, rows), idx[2:5, None], idx[None, :3], gamma_only)[0]
+        assert np.array_equal(lhs, space.table[2:5][:, [4, 0, 5]])
+
+    @pytest.mark.parametrize(
+        "idx, run",
+        [([3], slice(3, 4)), ([0, 1, 2], slice(0, 3)), ([2, 1, 0], None), ([0, 2, 1, 3], None), ([0, 0], None), ([], None)],
+    )
+    def test_run_detection(self, idx, run):
+        assert contraction._run(np.array(idx, dtype=np.int64)) == run
 
 
 # entries a sum of columns may meet: signed zeros, subnormals, infinities and NaN

@@ -130,6 +130,12 @@ class TestFiniteSpace:
         assert tab.flags.writeable
         assert not np.shares_memory(MetricSpace.finite(tab).table, tab)
 
+    @pytest.mark.parametrize("table, nonnegative", [(PATH4, True), ([[-0.0]], True), ([[0.0, -1.0], [2.0, 0.0]], False)])
+    def test_table_sign_is_recorded(self, table, nonnegative):
+        # -0.0 is no negative entry; a norm is never negative
+        assert MetricSpace.finite(table).nonnegative is nonnegative
+        assert MetricSpace.euclidean(2).nonnegative is True
+
 
 class TestSpaceEquality:
     def test_finite_spaces_compare_by_table_values(self, path4):

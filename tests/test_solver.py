@@ -234,9 +234,34 @@ class TestPicardSolve:
 
     def test_overflowing_gap_of_finite_iterates_is_taken_as_infinite(self):
         # 1e200 and -1e200 are both finite, but d · d = 4e400 overflows: the point passes, its gap is inf
-        flip = AffineMapping([[-1.0]], [0.0])
-        rep = picard_solve(MetricSpace.euclidean(1), flip, flip, Coefficients(0, 0, 0.5, 0), [1e200], max_iters=1)
-        assert rep.trace.points == ((1e200,), (-1e200,)) and rep.trace.steps == (np.inf,)
+        with np.errstate(over="ignore"):
+            point, gap = MetricSpace.euclidean(1)._step(np.array([1e200]), np.array([-1e200]))
+        assert point.tolist() == [-1e200] and gap == np.inf
+
+    @pytest.mark.parametrize(
+        "matrix, x0",
+        [(-1.0, 1e200), (0.5, 1e155), (0.5, 1e200), (0.5, 1e308)],
+        ids=["flip-1e200", "half-1e155", "half-1e200", "half-1e308"],
+    )
+    def test_overflowing_radius_is_refused_not_certified(self, matrix, x0):
+        # the first gap's d · d overflows, so the a-priori radius is inf: an inf slack
+        # and threshold passed the inf residuals, and the orbit was "converged" at x1
+        m = AffineMapping([[matrix]], [0.0])
+        with pytest.raises(DomainError, match="a-priori radius overflows at iterate 1"):
+            picard_solve(MetricSpace.euclidean(1), m, m, Coefficients(0, 0, 0.6, 0), [x0])
+
+    def test_orbit_below_the_overflow_still_converges(self):
+        half = AffineMapping([[0.5]], [0.0])
+        rep = picard_solve(MetricSpace.euclidean(1), half, half, Coefficients(0, 0, 0.6, 0), [1e150], keep_trace=False)
+        assert (rep.status, rep.point, rep.iterations) == (SolveStatus.CONVERGED, (5.690262398681798e-10,), 529)
+
+    def test_infinite_residual_never_passes(self):
+        # S fixes z = 1e154 and T flips it: the first gap is 0 and z · z = 1e308 is finite,
+        # so is the radius, but d(z, T z)^2 = 4e308 overflows to inf; the orbit is not certified
+        ident, flip = AffineMapping([[1.0]], [0.0]), AffineMapping([[-1.0]], [0.0])
+        rep = picard_solve(MetricSpace.euclidean(1), ident, flip, Coefficients(0, 0, 0.6, 0), [1e154])
+        assert rep.status != SolveStatus.CONVERGED
+        assert rep.trace.steps[0] == 0.0 and np.inf in rep.trace.steps
 
     def test_escaping_mapping_is_rejected(self):
         space = MetricSpace.euclidean(1)
