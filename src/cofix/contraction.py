@@ -25,14 +25,16 @@ rows or columns of the smaller index set, then the other axis.  Checks feed
 the batch to the evaluator in row blocks of about ``BLOCK_PAIRS`` pairs, so
 their scratch memory stays bounded at any table size.  ``check_condition`` picks the named
 check that matches a mapping set's arity.  ``synthesize_coefficients`` solves
-its LPs by cutting planes, with a pass over the same blocks as the separation step.
+its one LP twice by cutting planes, with a pass over the same blocks as the separation step.
 
 A check takes the lhs and only the terms with a nonzero coefficient, in
-the order alpha, beta, gamma, delta, L: as in the paper, a zero
-coefficient drops its term, so an overflowing term it multiplies leaves
-no NaN behind (synthesis's LP rows take all five).  Without any term the
-margin is the lhs itself.  A NaN margin outranks every number, and the
-first NaN in pair order is the worst in any block layout.  And as the
+the order alpha, beta, gamma, delta, L, and so do the scalar ``rhs_*``: as
+in the paper, a zero coefficient drops its term, so an overflowing term it
+multiplies leaves no NaN behind (synthesis's LP rows take all five).  An
+overflow is a value, not a warning: each check and each synthesis runs
+under one ``np.errstate``.  Without any term the margin is the lhs itself.
+A NaN margin outranks every number, and the first NaN in pair order is
+the worst in any block layout.  And as the
 paper gets three and four mappings from maps induced on f(X), G(f(x)) =
 S(x), the condition reads x only through the key (S(x), f(x)) and y
 through (T(y), g(y)): the exhaustive grid keeps the least x and the least
@@ -55,17 +57,13 @@ table with a negative entry (``MetricSpace.nonnegative``, recorded when
 the table is built) turns the bound off, as does a Euclidean batch;
 synthesis's cut pass takes all five terms at every pair.  On an n=2500
 arity-4 anchor instance the delta and L terms then reach about 0.1% of the
-pairs after the first block.  In process, best of 3 in each of 4
-alternating rounds on a 2-CPU x86-64 host (CPython 3.11, numpy 2.4), with
-the table slices and the one margin buffer, before -> after: the checks of
-one ``large_finite`` cycle 67-92 -> 43-59 ms, n=1500 at arity 4 22-30 ->
-9-12 ms, n=2500 at arity 2 36-51 -> 28-38 ms and at arity 4 72-94 ->
-24-32 ms.
+pairs after the first block.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial, reduce
@@ -112,13 +110,16 @@ MARGIN = 0.05
 
 @dataclass(frozen=True)
 class Coefficients(Record):
-    """A tuple (alpha, beta, gamma, delta, L) for the contractive conditions."""
+    """A tuple (alpha, beta, gamma, delta, L) for the contractive conditions; a tuple out of bounds raises BoundViolation."""
 
     alpha: float
     beta: float
     gamma: float
     delta: float
     L: float = 0.0
+
+    def __post_init__(self):
+        validate_coefficients(self)
 
     @property
     def weight_sum(self) -> float:
@@ -396,8 +397,8 @@ def _scalar_terms(space: MetricSpace, S, T, f, g, x: Point, y: Point):
 
 
 def _rhs(c: Coefficients, terms) -> float:
-    _, t1, t2, t3, t4, t5 = terms
-    return c.alpha * t1 + c.beta * t2 + c.gamma * t3 + c.delta * t4 + c.L * t5
+    # alpha*t1 + .. + L*t5 left to right over the nonzero coefficients, as a check takes them: 0 * inf is no NaN
+    return reduce(operator.add, (coef * t for coef, t in zip(c.as_tuple(), terms[1:]) if coef != 0.0), 0.0)
 
 
 def rhs_two(c: Coefficients, space: MetricSpace, S, T, x: Point, y: Point) -> float:
@@ -572,18 +573,6 @@ def _block_margin(space: MetricSpace, maps: MappingSet, xs, ys, coefs, scale: fl
     return _margin(need, coefs, terms), need, terms
 
 
-def _margins(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
-    """(xs, ys, margin, need, terms) for each row block of a pair batch under ``maps``.
-
-    ``need`` is ``scale * lhs`` and the margin is ``need`` minus the
-    right-hand side at ``coefs``: alpha*t1 + beta*t2 + gamma*t3 + delta*t4
-    + L*t5, with ``terms`` t1..t5, summed in that order over the terms
-    :func:`_term_arrays` computed as ``wanted``; the others are None.
-    """
-    for xs, ys in _row_blocks(space, *batch):
-        yield (xs, ys, *_block_margin(space, maps, xs, ys, coefs, scale, wanted))
-
-
 def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
     """The worst margin over the row blocks of a pair batch, where it sits as ``(xs, ys, shape, flat)``, and the pair count.
 
@@ -607,29 +596,30 @@ def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.
     )
     head = wanted[:3] + (False, False)
     worst, at, count = None, None, 0
-    for xs, ys in _row_blocks(space, *batch):
-        if bounded and worst is not None:
-            margin = _block_margin(space, maps, xs, ys, coefs, scale, head)[0]
-            near = np.flatnonzero(~(margin < worst))
-            if near.size:
-                # the pairs that may reach the worst, as index arrays: the same evaluator on them alone
-                at_near = np.unravel_index(near, margin.shape)
-                points = (np.broadcast_to(p, margin.shape)[at_near] for p in (xs, ys))
-                margin[at_near] = _block_margin(space, maps, *points, coefs, scale, wanted)[0]
-        else:
-            margin = _block_margin(space, maps, xs, ys, coefs, scale, wanted)[0]
-        # argmax finds a block's first NaN, if it holds one
-        flat = int(np.argmax(margin))
-        # a NaN worst stays; NaN or more replaces a number, strictly: on a tie the earlier block keeps the worst pair
-        if worst is None or not (math.isnan(worst) or margin.flat[flat] <= worst):
-            worst, at = float(margin.flat[flat]), (xs, ys, margin.shape, flat)
-        count += margin.size
+    # a term or sum that overflows near the float range is an inf or NaN margin, ranked as such
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xs, ys in _row_blocks(space, *batch):
+            if bounded and worst is not None:
+                margin = _block_margin(space, maps, xs, ys, coefs, scale, head)[0]
+                near = np.flatnonzero(~(margin < worst))
+                if near.size:
+                    # the pairs that may reach the worst, as index arrays: the same evaluator on them alone
+                    at_near = np.unravel_index(near, margin.shape)
+                    points = (np.broadcast_to(p, margin.shape)[at_near] for p in (xs, ys))
+                    margin[at_near] = _block_margin(space, maps, *points, coefs, scale, wanted)[0]
+            else:
+                margin = _block_margin(space, maps, xs, ys, coefs, scale, wanted)[0]
+            # argmax finds a block's first NaN, if it holds one
+            flat = int(np.argmax(margin))
+            # a NaN worst stays; NaN or more replaces a number, strictly: on a tie the earlier block keeps the worst pair
+            if worst is None or not (math.isnan(worst) or margin.flat[flat] <= worst):
+                worst, at = float(margin.flat[flat]), (xs, ys, margin.shape, flat)
+            count += margin.size
     return worst, at, count
 
 
 def _evaluate_condition(space, maps: MappingSet, c, pair_source, tolerance, batch=None) -> ViolationReport:
     maps.validate(space)
-    c = validate_coefficients(c)
     tolerance = space.slack(tolerance)
     coefs = c.as_tuple()
     wanted = tuple(v != 0.0 for v in coefs)
@@ -788,14 +778,16 @@ def synthesize_coefficients(
 ) -> Coefficients:
     """Find coefficients making the arity-matched condition hold on the source.
 
-    Solves a linear feasibility problem in (alpha, beta, gamma, delta, L):
-    one covering constraint per pair plus the weight-sum budget
-    alpha + beta + gamma + 2*delta <= 1 - ``MARGIN``.  A first elastic
-    solve measures feasibility and identifies the most binding pair; a
-    second solve picks the smallest feasible tuple by coefficient sum.
-    Sampled sources get a relative cushion, (1 + 0.02) * lhs <= rhs, that
-    makes their certificates robust off-sample; exhaustive ones get none.
-    The returned tuple is re-verified with the matching check at
+    Solves one linear program in (alpha, beta, gamma, delta, L), each at least
+    0: a covering row need <= alpha*t1 + beta*t2 + gamma*t3 + delta*t4 + L*t5
+    per pair and the budget alpha + beta + gamma + 2*delta <= 1 - ``MARGIN``.
+    Its two solves differ only in an elastic column and the objective.  The
+    first adds an excess s >= -1 to every covering row and minimizes it: an
+    optimum above the ties allowance means no tuple covers every pair, and the
+    most binding pair is reported.  The second drops s and minimizes the
+    coefficient sum.  Sampled sources get a relative cushion, need = 1.02 *
+    lhs, that makes their certificates robust off-sample; exhaustive ones get
+    none.  The returned tuple is re-verified with the matching check at
     ``space.slack()`` before being handed back; failure to re-verify raises
     :class:`Infeasible` like any other infeasibility, with the most binding
     pair attached.
@@ -812,84 +804,78 @@ def synthesize_coefficients(
 
     maps.validate(space)
     sampled = isinstance(pair_source, SampledPairs)
-    cushion = 0.02 if sampled else 0.0
+    scale = 1.02 if sampled else 1.0
     tolerance = space.slack()
 
     # shortfalls this close to the worst are ties: the solve is no more exact than that
     ties = max(tolerance, 1e-9)
     batch = _pair_batch(space, pair_source)
 
-    def margins(coefs):
-        return _margins(space, maps, batch, coefs, 1.0 + cushion)
-
     def cuts(coefs, above):
         """Each block's ``CUT_ROWS`` largest-margin rows [t1, .., t5, need] with margin above ``above``."""
-        for _, _, margin, need, terms in margins(coefs):
+        for xs, ys in _row_blocks(space, *batch):
+            margin, need, terms = _block_margin(space, maps, xs, ys, coefs, scale, ALL_TERMS)
             m = margin.reshape(-1)
             top = np.argpartition(m, -CUT_ROWS)[-CUT_ROWS:] if m.size > CUT_ROWS else np.arange(m.size)
             idx = np.unravel_index(top[m[top] > above], margin.shape)
             yield np.column_stack([np.broadcast_to(t, margin.shape)[idx] for t in (*terms, need)])
 
-    def most_binding(coefs):
-        """The first pair within ``ties`` of the worst shortfall, or the first NaN one; the worst; the pair count."""
-        worst, _, count = _worst(space, maps, batch, coefs, 1.0 + cushion)
-        for xs, ys, margin, *_ in margins(coefs):
+    def infeasible(coefs, reason: str) -> Infeasible:
+        """``reason`` ({count}: the pair count) as Infeasible, naming the first pair within ``ties`` of the worst or NaN."""
+        worst, _, count = _worst(space, maps, batch, coefs, scale)
+        for xs, ys in _row_blocks(space, *batch):
+            margin = _block_margin(space, maps, xs, ys, coefs, scale, ALL_TERMS)[0]
             hits = np.flatnonzero(np.isnan(margin) | (margin >= worst - ties))
             if hits.size:
-                return _pair_at(space, xs, ys, margin.shape, int(hits[0])), worst, count
+                pair = _pair_at(space, xs, ys, margin.shape, int(hits[0]))
+                message = f"{reason.format(count=count)}; most binding pair {pair} lacks {worst:.6g}"
+                return Infeasible(message, binding_pair=pair)
 
-    budget_row = np.array([1.0, 1.0, 1.0, 2.0, 0.0])
+    # the elastic solve's variables are the five coefficients, then s
+    budget_row = np.array([1.0, 1.0, 1.0, 2.0, 0.0, 0.0])
     bounds = [(0.0, 1.0)] * 4 + [(0.0, None), (-1.0, None)]
 
-    def phase1(rows):
-        # minimize the elastic excess s with  need - A@coefs <= s
-        A_ub = np.vstack([np.column_stack([-rows[:, :5], -np.ones(len(rows))]), np.append(budget_row, 0.0)])
+    def solve(rows, elastic: bool):
+        """The LP on the working set ``rows`` ([t1, .., t5, need]): need - A@coefs <= s, s = 0 unless ``elastic``."""
+        k = 6 if elastic else 5
+        covering = np.column_stack([-rows[:, :5], -np.ones((len(rows), k - 5))])
+        A_ub = np.vstack([covering, budget_row[:k]])
         b_ub = np.append(-rows[:, 5], 1.0 - MARGIN)
-        return linprog(c=np.array([0, 0, 0, 0, 0, 1.0]), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        # the elastic solve minimizes s, the other the coefficient sum
+        objective = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]) if elastic else np.ones(5)
+        return linprog(c=objective, A_ub=A_ub, b_ub=b_ub, bounds=bounds[:k], method="highs")
 
-    def phase2(rows):
-        # smallest feasible tuple by coefficient sum
-        A_ub = np.vstack([-rows[:, :5], budget_row])
-        b_ub = np.append(-rows[:, 5], 1.0 - MARGIN)
-        return linprog(c=np.ones(5), A_ub=A_ub, b_ub=b_ub, bounds=bounds[:5], method="highs")
-
-    def cutting_plane(solve, rows, bound):
-        """Solve on the working set ``rows`` ([A | need]) until a pass over all pairs adds no new row."""
+    def cutting_plane(rows, elastic: bool):
+        """Solve on the working set ``rows`` until a pass over all pairs adds no new row."""
         while True:
-            res = solve(rows)
+            res = solve(rows, elastic)
             if not res.success:
                 return res, rows
-            grown = np.unique(np.vstack([rows, *cuts(res.x[:5], bound(res) + tolerance)]), axis=0)
+            # a row joins when its shortfall exceeds the optimum's, s or 0, by more than the tolerance
+            above = (res.x[-1] if elastic else 0.0) + tolerance
+            grown = np.unique(np.vstack([rows, *cuts(res.x[:5], above)]), axis=0)
             if len(grown) == len(rows):
                 return res, rows
             rows = grown
 
-    largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
-    res, rows = cutting_plane(phase1, largest_lhs, lambda r: r.x[-1])
-    if not res.success:
-        raise Infeasible("feasibility solve failed")
-    if res.x[-1] > ties:
-        pair, excess, count = most_binding(res.x[:5])
-        raise Infeasible(
-            f"no coefficient tuple covers all {count} pairs; most binding pair {pair} lacks {excess:.6g}",
-            binding_pair=pair,
-        )
+    # an overflowing term makes an inf or NaN row or margin, which the solves and reports handle
+    with np.errstate(over="ignore", invalid="ignore"):
+        largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
+        res, rows = cutting_plane(largest_lhs, elastic=True)
+        if not res.success:
+            raise Infeasible("feasibility solve failed")
+        if res.x[-1] > ties:
+            raise infeasible(res.x[:5], "no coefficient tuple covers all {count} pairs")
 
-    res2, _ = cutting_plane(phase2, rows, lambda r: 0.0)
-    attempt = res2.x if res2.success else res.x[:5]
-    for bump in (0.0, tolerance, 16.0 * tolerance):
-        coefs = np.maximum(np.asarray(attempt, dtype=float), 0.0)
-        if bump:
+        res2, _ = cutting_plane(rows, elastic=False)
+        attempt = np.maximum(np.asarray(res2.x if res2.success else res.x[:5], dtype=float), 0.0)
+        for bump in (0.0, tolerance, 16.0 * tolerance):
             # the attempt meets the 1 - MARGIN budget row up to HiGHS's tolerance and bump <= 16 * slack
-            # <= 1.6e-8, so the weight sum stays below 0.9502, well inside validate_coefficients' bounds
-            coefs = coefs * (1.0 + bump) + bump
-        candidate = validate_coefficients(Coefficients(*[float(v) for v in coefs]))
-        # the sample drawn once; an exhaustive check keeps its keyed grid
-        report = _evaluate_condition(space, maps, candidate, pair_source, tolerance, batch if sampled else None)
-        if report.satisfied:
-            return candidate
-    pair, excess, _ = most_binding(np.maximum(np.asarray(attempt, dtype=float), 0.0))
-    raise Infeasible(
-        f"solved tuple failed re-verification; most binding pair {pair} lacks {excess:.6g}",
-        binding_pair=pair,
-    )
+            # <= 1.6e-8, so the weight sum stays below 0.9502, well inside the bounds Coefficients checks
+            coefs = attempt * (1.0 + bump) + bump if bump else attempt
+            candidate = Coefficients(*[float(v) for v in coefs])
+            # the sample drawn once; an exhaustive check keeps its keyed grid
+            report = _evaluate_condition(space, maps, candidate, pair_source, tolerance, batch if sampled else None)
+            if report.satisfied:
+                return candidate
+        raise infeasible(attempt, "solved tuple failed re-verification")

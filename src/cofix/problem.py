@@ -43,7 +43,6 @@ from .contraction import (
     PairSource,
     SampledPairs,
     TableMapping,
-    validate_coefficients,
 )
 from .errors import CofixError, SchemaError
 from .metric_core import Flavor, MetricSpace
@@ -155,9 +154,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
         space = _space_from_dict(_require(doc, "space", "problem"))
         maps = _maps_from_dict(_require(doc, "mappings", "problem"))
         maps.validate(space)
-        coefficients = validate_coefficients(
-            Coefficients.from_dict(_require(doc, "coefficients", "problem"))
-        )
+        coefficients = Coefficients.from_dict(_require(doc, "coefficients", "problem"))
         pair_source = _pair_source_from_dict(doc.get("pair_source"))
         solver = doc.get("solver") or {}
         if not isinstance(solver, dict):

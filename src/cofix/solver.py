@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .metric_core import MetricSpace, Point
-from .contraction import Coefficients, validate_coefficients
+from .contraction import Coefficients
 from .records import Record, ValueEnum, int_arg
 
 # the iteration cap of a solve that names none
@@ -42,7 +42,6 @@ def rate_constant(c: Coefficients) -> float:
     Always strictly below 1 for valid coefficients; L plays no role because
     the minimum term vanishes on consecutive orbit pairs.
     """
-    validate_coefficients(c)
     k_odd = (c.alpha + c.gamma + c.delta) / (1.0 - c.beta - c.delta)
     k_even = (c.beta + c.gamma + c.delta) / (1.0 - c.alpha - c.delta)
     return max(k_odd, k_even)
@@ -141,7 +140,6 @@ def picard_solve(
     that overflows raises DomainError, and a NaN or infinite residual never
     passes.  Hypothesis failures surface as report statuses, not exceptions.
     """
-    validate_coefficients(c)
     max_iters = int_arg("max_iters", max_iters)
     if max_iters < 1:
         raise DomainError(f"need at least one iteration, got {max_iters}")
@@ -257,7 +255,6 @@ def uniqueness_check(
     otherwise the premise of the comparison is void and a PreconditionError
     is raised.
     """
-    validate_coefficients(c)
     space._check_point(z1)
     space._check_point(z2)
     slack = space.slack(tol, z1, z2)

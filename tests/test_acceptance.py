@@ -241,13 +241,13 @@ def test_criterion_7_rejections_and_violation_reports_are_faithful():
             raw = rng.uniform(0.05, 1.0, size=4)
             target = rng.uniform(1.0 + 1e-9, 1.3)
             scale = target / (raw[0] + raw[1] + raw[2] + 2.0 * raw[3])
-            bad = Coefficients(*(raw * scale), L=float(rng.uniform(0.0, 2.0)))
+            # the tuple is checked when it is built
             with pytest.raises(BoundViolation):
-                validate_coefficients(bad)
+                Coefficients(*(raw * scale), L=float(rng.uniform(0.0, 2.0)))
             rejected += 1
-        for boundary in (Coefficients(0.5, 0.25, 0.15, 0.05), Coefficients(1.0, 0.0, 0.0, 0.0)):
+        for boundary in ((0.5, 0.25, 0.15, 0.05), (1.0, 0.0, 0.0, 0.0)):
             with pytest.raises(BoundViolation):
-                validate_coefficients(boundary)
+                Coefficients(*boundary)
             rejected += 1
         assert rejected == 202
 

@@ -214,6 +214,23 @@ class TestCheck:
         condition = json.loads(out, parse_constant=pytest.fail)["condition"]
         assert (condition["worst_margin"], condition["worst_pair"], err) == (0.0, [0, 0], "")
 
+    def test_overflowing_delta_term_prints_no_warning(self, tmp_path, capsys):
+        # at (1, 2) delta multiplies d(2, 1) + d(1, 2) = 2e308, which overflowed with a RuntimeWarning on stderr;
+        # the margin there is -inf, and (0, 1) is the worst pair: 1 - 0.5 * 1 - 0.2 * (1 + 1)
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": [[0, 1, 1], [1, 0, 1e308], [1, 1e308, 0]]},
+            "mappings": table_maps(2, S=[0, 1, 2], T=[0, 1, 2]),
+            "coefficients": {"alpha": 0, "beta": 0, "gamma": 0.5, "delta": 0.2, "L": 0},
+        }
+        path = write_doc(tmp_path, "delta.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # d(1, 2) = 1e308 breaks the triangle inequality, so the check fails
+            assert cli.main(["check", path, "--format", "structured"]) == cli.EXIT_FAILED
+        out, err = capsys.readouterr()
+        data = json.loads(out, parse_constant=pytest.fail)
+        assert (data["axioms"]["passed"], data["condition"]["worst_pair"], err) == (False, [0, 1], "")
+
     def test_missing_file_exits_schema(self, capsys):
         assert cli.main(["check", "/no/such/file.json"]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("schema error:")

@@ -95,19 +95,20 @@ class TestCoefficients:
     @pytest.mark.parametrize(
         "bad",
         [
-            Coefficients(1.0, 0.0, 0.0, 0.0),
-            Coefficients(-0.1, 0.0, 0.0, 0.0),
-            Coefficients(0.0, 1.5, 0.0, 0.0),
-            Coefficients(0.0, 0.0, 0.0, -0.2),
-            Coefficients(0.0, 0.0, 0.0, 0.0, -1.0),
-            Coefficients(0.5, 0.3, 0.2, 0.0),  # weight sum exactly 1
-            Coefficients(0.3, 0.3, 0.0, 0.3),  # weight sum 1.2 via doubled delta
-            Coefficients(float("nan"), 0.0, 0.0, 0.0),
+            (1.0, 0.0, 0.0, 0.0),
+            (-0.1, 0.0, 0.0, 0.0),
+            (0.0, 1.5, 0.0, 0.0),
+            (0.0, 0.0, 0.0, -0.2),
+            (0.0, 0.0, 0.0, 0.0, -1.0),
+            (0.5, 0.3, 0.2, 0.0),  # weight sum exactly 1
+            (0.3, 0.3, 0.0, 0.3),  # weight sum 1.2 via doubled delta
+            (float("nan"), 0.0, 0.0, 0.0),
         ],
     )
-    def test_validate_rejects_out_of_bound_tuples(self, bad):
+    def test_construction_rejects_out_of_bound_tuples(self, bad):
+        # a tuple is checked when it is built: no out-of-bound Coefficients exists
         with pytest.raises(BoundViolation):
-            validate_coefficients(bad)
+            Coefficients(*bad)
 
     def test_weight_sum_just_below_one_is_fine(self):
         validate_coefficients(Coefficients(0.5, 0.3, 0.199, 0.0))
@@ -372,6 +373,18 @@ class TestScalarRhs:
         c = Coefficients(0.0, 0.0, 0.0, 0.0, 0.5)
         assert rhs_two(c, PATH4, const1, const1, 0, 3) == pytest.approx(0.5)
 
+    def test_zero_coefficient_drops_an_overflowing_term(self):
+        # at (1, 1) alpha, beta and delta are 0 but d(1, 0) + d(1, 0) = 2e308 overflows: 0 * inf was a NaN rhs,
+        # where the check, which drops the term, reads the margin 0 - 0.5 * d(1, 1) = 0
+        big = 1e308
+        space, zero = MetricSpace.finite([[0, big, 1], [big, 0, big], [1, big, 0]]), TableMapping([0, 0, 0])
+        c = Coefficients(0, 0, 0.5, 0)
+        assert rhs_two(c, space, zero, zero, 1, 1) == 0.0
+        for x, y in itertools.product(range(3), repeat=2):
+            lhs = space.distance(zero(x), zero(y))
+            assert lhs - rhs_two(c, space, zero, zero, x, y) == -0.5 * space.distance(x, y)
+        assert check_condition_two(space, zero, zero, c).worst_margin == 0.0
+
 
 class TestConditionChecks:
     def test_halving_satisfied_with_zero_margin(self, halving_space, halving_map):
@@ -562,20 +575,22 @@ def reference_condition_report(space, maps, c, pair_source=EXHAUSTIVE, tolerance
     pairs = rows * (1 if sampled else space.n)
     step = max(1, block * rows // pairs)
     margins = []
-    for r0 in range(0, rows, step):
-        bx = xs[r0 : r0 + step]
-        by = ys[r0 : r0 + step] if sampled else ys
-        Sx, Ty = maps.S.apply_many(bx), maps.T.apply_many(by)
-        fx = bx if f is None else f.apply_many(bx)
-        gy = by if g is None else g.apply_many(by)
-        t1, t2, t3, u1, u2 = dist(fx, Sx), dist(gy, Ty), dist(fx, gy), dist(gy, Sx), dist(fx, Ty)
-        terms = (t1, t2, t3, u1 + u2, np.minimum(np.minimum(t1, t2), np.minimum(u1, u2)))
-        rhs = None
-        for coef, t in zip(c.as_tuple(), terms):
-            if coef != 0.0:
-                rhs = coef * t if rhs is None else rhs + coef * t
-        margin = dist(Sx, Ty) if rhs is None else dist(Sx, Ty) - rhs
-        margins.append(np.broadcast_to(margin, (len(bx),) if sampled else (len(bx), space.n)).reshape(-1))
+    # terms near the float range overflow to inf or NaN on purpose: the library must rank them alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, rows, step):
+            bx = xs[r0 : r0 + step]
+            by = ys[r0 : r0 + step] if sampled else ys
+            Sx, Ty = maps.S.apply_many(bx), maps.T.apply_many(by)
+            fx = bx if f is None else f.apply_many(bx)
+            gy = by if g is None else g.apply_many(by)
+            t1, t2, t3, u1, u2 = dist(fx, Sx), dist(gy, Ty), dist(fx, gy), dist(gy, Sx), dist(fx, Ty)
+            terms = (t1, t2, t3, u1 + u2, np.minimum(np.minimum(t1, t2), np.minimum(u1, u2)))
+            rhs = None
+            for coef, t in zip(c.as_tuple(), terms):
+                if coef != 0.0:
+                    rhs = coef * t if rhs is None else rhs + coef * t
+            margin = dist(Sx, Ty) if rhs is None else dist(Sx, Ty) - rhs
+            margins.append(np.broadcast_to(margin, (len(bx),) if sampled else (len(bx), space.n)).reshape(-1))
     margins = np.concatenate(margins)
     # argmax returns the first NaN if there is one, else the first largest
     flat = int(np.argmax(margins))
@@ -792,7 +807,7 @@ class TestPrunedKeyedCheck:
     def _assert_same_reports(space, maps, src, pattern, block):
         c = _coefficients(pattern)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS), patch.object(
                 contraction, "EUCLIDEAN_BLOCK_PAIRS", block or contraction.EUCLIDEAN_BLOCK_PAIRS
             ):
@@ -866,7 +881,7 @@ class TestPrunedKeyedCheck:
         c = Coefficients(0, 0, 0.5, 0)
         for block in (1, 3, 9, None):
             with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.simplefilter("error")
                 rep = check_condition(space, maps, c)
                 assert _report_json(rep) == _report_json(reference_condition_report(space, maps, c))
             assert (rep.worst_pair, rep.worst_margin) == ((1, 0), 5e307)
@@ -879,7 +894,7 @@ class TestPrunedKeyedCheck:
         space, ident = MetricSpace.finite([[0, 1, 1], [1, -big, big], [1, big, 0]]), identity_mapping(3)
         c = Coefficients(0, 0, 0, 0.25, 2.0)
         with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             rep = check_condition(space, MappingSet(ident, ident), c)
         assert rep.worst_pair == (1, 2)
         assert np.isnan(rep.worst_margin) and not rep.satisfied
@@ -892,9 +907,10 @@ class TestPrunedKeyedCheck:
         maps = MappingSet(half, half, AffineMapping([[1e200]], [0.0]), arity=3)
         src = SampledPairs(40, 0, (-1e108, 2.5e108))
         with warnings.catch_warnings(), patch.object(contraction, "EUCLIDEAN_BLOCK_PAIRS", block or contraction.EUCLIDEAN_BLOCK_PAIRS):
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             rep = check_condition(space, maps, Coefficients(0, 0, 0.5, 0), src)
-            xs, ys = src.draw_pairs(space)
+        xs, ys = src.draw_pairs(space)
+        with np.errstate(over="ignore"):
             k = int(np.flatnonzero(np.isinf(1e200 * xs[:, 0]) & np.isinf(1e200 * ys[:, 0]))[0])
         assert rep.worst_pair == ((float(xs[k, 0]),), (float(ys[k, 0]),))
         assert np.isnan(rep.worst_margin)
@@ -975,7 +991,7 @@ class TestBoundFirst:
         space, ident = MetricSpace.finite([[0, 1, 1], [1, 0, big], [1, big, 0]]), identity_mapping(3)
         c = Coefficients(0, 0, 0.5, 0.2, 0.5)
         with warnings.catch_warnings(), patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             rep = check_condition(space, MappingSet(ident, ident), c)
             assert _report_json(rep) == _report_json(reference_condition_report(space, MappingSet(ident, ident), c))
 
@@ -1222,7 +1238,7 @@ class TestSynthesis:
         z = TableMapping([0, 0])
         space, maps = MetricSpace.finite([[-1e308, 1e308], [-1e308, -1e308]]), MappingSet(z, z, z, arity=3)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             c = synthesize_coefficients(space, maps)
         assert c == Coefficients(0, 0, 0, 0, 0)
         assert check_condition(space, maps, c).satisfied
@@ -1235,7 +1251,7 @@ class TestSynthesis:
         )
         tables = ([1, 2, 1, 1, 2], [2, 0, 1, 2, 1], [3, 3, 2, 2, 3], [2, 3, 1, 2, 1])
         with warnings.catch_warnings(), pytest.raises(Infeasible, match="lacks nan") as exc_info:
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             synthesize_coefficients(space, MappingSet(*map(TableMapping, tables), arity=4))
         assert exc_info.value.binding_pair == (0, 0)
 
