@@ -14,9 +14,10 @@ A stored table can break the metric axioms, so :func:`verify_metric_axioms`
 scans it; on R^m they hold by theorem (a norm induces a metric) and it
 reports them analytically, drawing nothing.
 
-All value objects here are immutable after construction: tables are stored
-as read-only arrays and the dataclasses are frozen.  Every operation is a
-pure function of its inputs, so concurrent use needs no locking.
+A finite space keeps a read-only view of a float64 table and converts any
+other table once; the caller must not write to a float64 table afterwards,
+since finiteness and ``nonnegative`` are taken at construction.  The
+dataclasses are frozen and operations pure, so concurrency needs no locks.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ class Flavor(Enum):
 class MetricSpace(ArrayEq):
     """A metric space of one of the two supported flavors.
 
-    Construct through :meth:`finite` or :meth:`euclidean`; the raw
-    constructor performs only structural validation.  Whether two points
-    are the same is decided by :meth:`slack`.  ``nonnegative`` (not a
-    field) records that no distance is below 0: no table entry is, and a
-    norm never is.
+    :meth:`finite` and :meth:`euclidean` fill in the flavor for the raw
+    constructor, which keeps a float64 table as a read-only view that the
+    caller must not write to, and converts any other table.  :meth:`slack`
+    decides whether two points are the same.  ``nonnegative`` (not a field)
+    says no distance is below 0; it turns on the bound-first check.
     """
 
     flavor: Flavor
@@ -59,7 +60,6 @@ class MetricSpace(ArrayEq):
         if self.flavor is Flavor.FINITE_EXPLICIT:
             if self.table is None:
                 raise DomainError("finite space needs a distance table")
-            # a read-only view: no copy of a float64 table, and the caller's flags stay
             tab = np.asarray(self.table, dtype=float).view()
             tab.setflags(write=False)
             if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] < 1:
@@ -83,8 +83,8 @@ class MetricSpace(ArrayEq):
 
     @classmethod
     def finite(cls, table) -> "MetricSpace":
-        """Build a finite space from a copy of a square distance table (any array-like)."""
-        return cls(flavor=Flavor.FINITE_EXPLICIT, table=np.array(table, dtype=float))
+        """A finite space on a square distance table: a float64 array is shared read-only, anything else converted."""
+        return cls(flavor=Flavor.FINITE_EXPLICIT, table=table)
 
     @classmethod
     def euclidean(cls, dimension: int) -> "MetricSpace":

@@ -69,7 +69,7 @@ def metric_closure_repair(table: np.ndarray) -> np.ndarray:
     :class:`RepairFailure` if anything slipped through; with the grid in
     place that indicates a bug rather than a hard input.
     """
-    D = np.array(table, dtype=float)
+    D = np.asarray(table, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise DomainError(f"need a square table, got shape {D.shape}")
     scale = float(2**GRID_BITS)

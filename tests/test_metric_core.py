@@ -25,6 +25,11 @@ from cofix import (
 )
 from cofix.errors import DomainError
 
+# the two ways to build a finite space, which follow one ownership rule
+BOTH_CONSTRUCTORS = pytest.mark.parametrize(
+    "build", [MetricSpace.finite, lambda t: MetricSpace(Flavor.FINITE_EXPLICIT, table=t)], ids=["finite", "raw"]
+)
+
 # path-graph metric on four points
 PATH4 = [
     [0.0, 1.0, 2.0, 3.0],
@@ -80,12 +85,14 @@ class TestFiniteSpace:
         with pytest.raises(DomainError):
             MetricSpace(Flavor.FINITE_EXPLICIT, table=tab)
 
-    def test_finiteness_check_allocates_no_table_sized_mask(self):
+    @BOTH_CONSTRUCTORS
+    def test_finiteness_check_allocates_no_table_sized_mask(self, build):
         n = 4000
-        tab = np.ones((n, n))  # 122 MiB; an n x n boolean mask would be 15.3 MiB
+        # 122 MiB, which neither constructor copies; an n x n boolean mask would be 15.3 MiB
+        tab = np.ones((n, n))
         tracemalloc.start()
         try:
-            MetricSpace(Flavor.FINITE_EXPLICIT, table=tab)
+            build(tab)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -119,16 +126,19 @@ class TestFiniteSpace:
         assert sp.table.dtype == np.float64
         assert verify_metric_axioms(sp).to_dict() == verify_metric_axioms(path4).to_dict()
 
-    def test_table_is_stored_read_only_on_both_paths(self):
+    @BOTH_CONSTRUCTORS
+    def test_table_is_stored_read_only_on_both_paths(self, build):
+        # one rule: a float64 table is shared as a read-only view, and the caller's array stays writable
         tab = np.array(PATH4)
-        raw = MetricSpace(Flavor.FINITE_EXPLICIT, table=tab)
-        assert not raw.table.flags.writeable
-        assert not MetricSpace.finite(tab).table.flags.writeable
-        # the raw constructor shares the caller's float64 table without a copy,
-        # and leaves the caller's own array writable
-        assert np.shares_memory(raw.table, tab)
-        assert tab.flags.writeable
-        assert not np.shares_memory(MetricSpace.finite(tab).table, tab)
+        sp = build(tab)
+        assert np.shares_memory(sp.table, tab)
+        assert not sp.table.flags.writeable and tab.flags.writeable
+        # anything else becomes a private float64 array
+        for other in (PATH4, np.array(PATH4, dtype=np.int64), np.array(PATH4, dtype=np.float32)):
+            sp = build(other)
+            assert sp.table.dtype == np.float64 and not sp.table.flags.writeable
+            assert not np.shares_memory(sp.table, other)
+            assert np.array_equal(sp.table, tab)
 
     @pytest.mark.parametrize("table, nonnegative", [(PATH4, True), ([[-0.0]], True), ([[0.0, -1.0], [2.0, 0.0]], False)])
     def test_table_sign_is_recorded(self, table, nonnegative):
