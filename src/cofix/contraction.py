@@ -58,6 +58,22 @@ the table is built) turns the bound off, as does a Euclidean batch;
 synthesis's cut pass takes all five terms at every pair.  On an n=2500
 arity-4 anchor instance the delta and L terms then reach about 0.1% of the
 pairs after the first block.
+
+One triangle.  When S == T, both sides share a companion h (the identity,
+or f == g), alpha == beta and the table is exactly symmetric
+(``MetricSpace.symmetric``), the pair (y, x) reads the terms of (x, y)
+with t1 and t2 swapped and u1 and u2 swapped, and every other distance
+mirrored: d(Sy, Sx) = d(Sx, Sy), d(hy, hx) = d(hx, hy).  Since alpha*t1 +
+beta*t2 and u1 + u2 are the same IEEE sums either way round, the mirror's
+margin equals the pair's, or both are NaN; a signed zero may differ, which
+no comparison sees.  The keyed grid has the same keys on both sides, so it
+is square.  Its first worst pair in flat order then lies on or above the
+diagonal: one below it would have an equal mirror in an earlier row.  So
+the exhaustive check (``_mirrored``) evaluates row blocks [r0, r1) against
+the columns [r0, n) only, about half the pairs, and reports the same worst
+pair and margin, bit for bit, as the full grid; ``pairs_checked`` still
+counts all n^2.  Synthesis keeps the full grid: its LP rows see t1 and t2
+apart.
 """
 
 from __future__ import annotations
@@ -91,6 +107,10 @@ BLOCK_PAIRS = 1 << 16
 # reuse them from block to block, where 2**16-pair blocks (4 MiB arrays at
 # m=8) were mapped in afresh, page by page, on every check
 EUCLIDEAN_BLOCK_PAIRS = 1 << 11
+
+# rows of a block of the upper-half grid at most: the pairs it evaluates below
+# the diagonal, about rows^2 / 2, stay few against the n * rows of the block
+UPPER_BLOCK_ROWS = 64
 
 # AffineMapping.apply_many adds the offset column by column up to this dimension, in one broadcast add
 # above it: a broadcast row runs an m-long inner loop per point, which costs more than m column passes
@@ -530,21 +550,26 @@ def _pair_at(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, shape: tuple, f
     return point(xs), point(ys)
 
 
-def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray):
+def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, upper: bool = False):
     """Slices of a pair batch along its first axis, about ``BLOCK_PAIRS`` pairs each.
 
     Euclidean batches take ``EUCLIDEAN_BLOCK_PAIRS`` pairs per slice instead.
 
     Points that span the batch's rows are sliced; the exhaustive grid's
     index row is shared by every block.  The blocks' flat orders, one after
-    another, are the batch's flat order.
+    another, are the batch's flat order.  With ``upper``, a square grid's
+    block of rows [r0, r1), at most ``UPPER_BLOCK_ROWS`` of them, takes only
+    the columns [r0, n): the blocks then cover the pairs on and above the
+    diagonal, in the grid's flat order.
     """
     shape = np.broadcast_shapes(xs.shape, ys.shape)[: None if space.is_finite else -1]
     rows = shape[0]
     block = BLOCK_PAIRS if space.is_finite else EUCLIDEAN_BLOCK_PAIRS
     step = max(1, block * rows // math.prod(shape))
+    step = min(step, UPPER_BLOCK_ROWS) if upper else step
     for r0 in range(0, rows, step):
-        yield tuple(p[r0 : r0 + step] if len(p) == rows else p for p in (xs, ys))
+        bx, by = (p[r0 : r0 + step] if len(p) == rows else p for p in (xs, ys))
+        yield bx, by[:, r0:] if upper else by
 
 
 def _margin(need: np.ndarray, coefs, terms) -> np.ndarray:
@@ -573,11 +598,12 @@ def _block_margin(space: MetricSpace, maps: MappingSet, xs, ys, coefs, scale: fl
     return _margin(need, coefs, terms), need, terms
 
 
-def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS):
+def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS, upper=False):
     """The worst margin over the row blocks of a pair batch, where it sits as ``(xs, ys, shape, flat)``, and the pair count.
 
     A NaN margin outranks every number; ties, NaN or not, go to the first
-    pair in the batch's flat order.
+    pair in the batch's flat order.  ``upper`` visits only the pairs on and
+    above the diagonal of a square grid (see :func:`_mirrored`).
 
     Bound first (see the module docstring): when every delta and L product
     the margin takes lies in [0, inf], a positive coefficient times a term
@@ -598,7 +624,7 @@ def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.
     worst, at, count = None, None, 0
     # a term or sum that overflows near the float range is an inf or NaN margin, ranked as such
     with np.errstate(over="ignore", invalid="ignore"):
-        for xs, ys in _row_blocks(space, *batch):
+        for xs, ys in _row_blocks(space, *batch, upper):
             if bounded and worst is not None:
                 margin = _block_margin(space, maps, xs, ys, coefs, scale, head)[0]
                 near = np.flatnonzero(~(margin < worst))
@@ -618,13 +644,28 @@ def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.
     return worst, at, count
 
 
+def _mirrored(space: MetricSpace, maps: MappingSet, coefs, pair_source) -> bool:
+    """Does the exhaustive grid's margin at (x, y) equal its margin at (y, x), or both read NaN?
+
+    See "One triangle" in the module docstring.  The cheap tests go first.
+    """
+    (_, S, _, f), (_, T, _, g) = maps.sides
+    return (
+        not isinstance(pair_source, SampledPairs)
+        and coefs[0] == coefs[1]
+        and (S is T or S == T)
+        and (f is g or f == g)
+        and space.symmetric
+    )
+
+
 def _evaluate_condition(space, maps: MappingSet, c, pair_source, tolerance, batch=None) -> ViolationReport:
     maps.validate(space)
     tolerance = space.slack(tolerance)
     coefs = c.as_tuple()
     wanted = tuple(v != 0.0 for v in coefs)
     batch = _pair_batch(space, pair_source, maps) if batch is None else batch
-    worst, at, count = _worst(space, maps, batch, coefs, wanted=wanted)
+    worst, at, count = _worst(space, maps, batch, coefs, wanted=wanted, upper=_mirrored(space, maps, coefs, pair_source))
     pair = _pair_at(space, *at)
     sampled = isinstance(pair_source, SampledPairs)
     return ViolationReport(

@@ -16,8 +16,9 @@ reports them analytically, drawing nothing.
 
 A finite space keeps a read-only view of a float64 table and converts any
 other table once; the caller must not write to a float64 table afterwards,
-since finiteness and ``nonnegative`` are taken at construction.  The
-dataclasses are frozen and operations pure, so concurrency needs no locks.
+since finiteness and ``nonnegative`` are taken at construction and
+``symmetric`` at its first use.  The dataclasses are frozen and operations
+pure, so concurrency needs no locks.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .records import ArrayEq, Record, int_arg
 
 Point = Union[int, np.ndarray]
 
+# MetricSpace.symmetric compares a table with its transpose in tiles of this many rows and columns
+SYMMETRY_TILE = 256
+
 
 class Flavor(Enum):
     FINITE_EXPLICIT = "finite_explicit"
@@ -50,6 +54,9 @@ class MetricSpace(ArrayEq):
     caller must not write to, and converts any other table.  :meth:`slack`
     decides whether two points are the same.  ``nonnegative`` (not a field)
     says no distance is below 0; it turns on the bound-first check.
+    ``symmetric`` says the table equals its transpose exactly; it is
+    decided once, on first use, and lets the axiom check and the exhaustive
+    condition check read one triangle of the table.
     """
 
     flavor: Flavor
@@ -93,6 +100,23 @@ class MetricSpace(ArrayEq):
     @cached_property
     def is_finite(self) -> bool:
         return self.flavor is Flavor.FINITE_EXPLICIT
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Does d(x, y) == d(y, x) hold exactly for every pair?  Always on R^m, where a norm induces the metric.
+
+        A table is compared with its transpose in ``SYMMETRY_TILE``-square
+        tiles, each above the diagonal against its mirror below, so no n x n
+        temporary is made; the first unequal tile ends the comparison.
+        """
+        if not self.is_finite:
+            return True
+        D, t = self.table, SYMMETRY_TILE
+        return all(
+            np.array_equal(D[i0 : i0 + t, j0 : j0 + t], D[j0 : j0 + t, i0 : i0 + t].T)
+            for i0 in range(0, self.n, t)
+            for j0 in range(i0, self.n, t)
+        )
 
     @property
     def n(self) -> int:
@@ -286,14 +310,14 @@ def _uncleared_rows(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~cleared)
 
 
-def _is_ultrametric(D: np.ndarray) -> bool:
-    """Does the table's upper triangle equal that of its single-linkage cophenetic matrix?
+def _is_ultrametric(D: np.ndarray, upper: np.ndarray) -> bool:
+    """Does the table's condensed upper triangle ``upper`` equal that of its single-linkage cophenetic matrix?
 
     That matrix is the subdominant ultrametric, built in O(n^2) (Gower and
     Ross, Applied Statistics 18, 1969; Mullner, arXiv:1109.2378), so for an
     exactly symmetric table the answer is whether it is an ultrametric; the
     caller checks the symmetry.  First a fixed set of up to 64 triples rejects
-    most other tables without importing scipy: in an ultrametric the two
+    most other tables without building a linkage: in an ultrametric the two
     largest sides of every triangle are equal.
     """
     n = D.shape[0]
@@ -303,10 +327,16 @@ def _is_ultrametric(D: np.ndarray) -> bool:
     if not np.array_equal(sides[1], sides[2]):
         return False
     from scipy.cluster.hierarchy import cophenet, linkage
-    from scipy.spatial.distance import squareform
 
-    upper = squareform(D, checks=False)
     return bool(np.array_equal(cophenet(linkage(upper, "single")), upper))
+
+
+def _condensed_pair(k: int, n: int) -> tuple[int, int]:
+    """The pair (i, j), i < j, at index ``k`` of the condensed upper triangle of an n x n table."""
+    r = np.arange(n)
+    starts = r * n - r * (r + 1) // 2  # the index of (i, i + 1)
+    i = int(np.searchsorted(starts, k, side="right")) - 1
+    return i, int(k - starts[i]) + i + 1
 
 
 def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
@@ -318,21 +348,38 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     ok = bool(diag[i] <= tolerance)
     identity = AxiomCheck("identity", ok, None if ok else (i,), 0.0 if ok else float(diag[i]))
 
-    # one n x n scratch: |D - D^T|, then D with a +inf diagonal, then the screen's X
-    scratch = np.empty(D.shape)
-    np.subtract(D, D.T, out=scratch)
-    np.abs(scratch, out=scratch)
-    i, j = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
-    ok = bool(scratch[i, j] <= tolerance)
-    exactly_symmetric = bool(scratch[i, j] == 0.0)
-    symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(scratch[i, j]))
+    # An exactly symmetric table passes symmetry with no witness, and its
+    # condensed upper triangle feeds positivity and the ultrametric test.
+    # The first least entry of that triangle is the first least off-diagonal
+    # entry of the whole table in row-major order: one below the diagonal
+    # would have an equal mirror above it, in an earlier row.  Below
+    # SCREEN_MIN_N points no scipy is imported, and the full path runs.
+    condensed = n >= SCREEN_MIN_N and space.symmetric
+    scratch = upper = None
+    if condensed:
+        from scipy.spatial.distance import squareform
+
+        symmetry = AxiomCheck("symmetry", True, None, 0.0)
+        upper = squareform(D, checks=False)
+        k = int(np.argmin(upper))
+        i, j = _condensed_pair(k, n)
+        least = float(upper[k])
+    else:
+        # one n x n scratch: |D - D^T|, then D with a +inf diagonal, then the screen's X
+        scratch = np.empty(D.shape)
+        np.subtract(D, D.T, out=scratch)
+        np.abs(scratch, out=scratch)
+        i, j = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
+        ok = bool(scratch[i, j] <= tolerance)
+        symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(scratch[i, j]))
+        np.copyto(scratch, D)
+        np.fill_diagonal(scratch, np.inf)
+        i, j = np.unravel_index(int(np.argmin(scratch)), scratch.shape)
+        least = float(scratch[i, j])
 
     # strict positivity off the diagonal, exact comparison by design
-    np.copyto(scratch, D)
-    np.fill_diagonal(scratch, np.inf)
-    i, j = np.unravel_index(int(np.argmin(scratch)), scratch.shape)
-    ok = bool(scratch[i, j] > 0.0)
-    positivity = AxiomCheck("positivity", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(-scratch[i, j]))
+    ok = least > 0.0
+    positivity = AxiomCheck("positivity", ok, None if ok else (int(i), int(j)), 0.0 if ok else -least)
 
     # The triangle scan's value for (i, j, k) is e = fl(fl(a - b) - c), with
     # a = D[i, k], b = D[i, j], c = D[j, k]; only each i's worst is kept, and
@@ -358,13 +405,17 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     # gives fl(a - b) <= 0, and a <= c gives a - b <= c, so fl(a - b) <= c by
     # monotone rounding; either way e <= 0.  Tables that are not ultrametrics,
     # repaired and random ones among them, still take the screen.
+    screened = n >= SCREEN_MIN_N and positivity.passed and not diag.any()
+    certified = screened and condensed and _is_ultrametric(D, upper)
+    del upper  # freed ahead of the screen's and the witness's n x n arrays
     rows = np.arange(n)
-    if n >= SCREEN_MIN_N and positivity.passed and not diag.any():
-        if exactly_symmetric and _is_ultrametric(D):
-            rows = rows[:0]
-        else:
-            np.fill_diagonal(scratch, scratch[i, j])
-            rows = _uncleared_rows(D, scratch)
+    if certified:
+        rows = rows[:0]
+    elif screened:
+        if scratch is None:
+            scratch = np.array(D)
+        np.fill_diagonal(scratch, least)
+        rows = _uncleared_rows(D, scratch)
     del scratch
     ok = True
     if len(rows):
@@ -391,6 +442,11 @@ def verify_metric_axioms(
 
     Finite spaces are checked exhaustively (positivity uses exact
     comparison; the other axioms allow ``tolerance`` slack, default 0).
+    From ``SCREEN_MIN_N`` points on, an exactly symmetric table
+    (:attr:`MetricSpace.symmetric`) takes the condensed path: symmetry
+    passes without a pass over the table, and one condensed upper triangle
+    serves the positivity check and the ultrametric certificate below,
+    with the full table's witnesses.
     From ``SCREEN_MIN_N`` points on, when the diagonal is exactly 0 and
     positivity holds, the triangle check first screens rows with scipy's
     Chebyshev distance: row i is clean when max_k fl|d(i, k) - d(j, k)| is

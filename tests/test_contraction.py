@@ -11,7 +11,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cofix import (
@@ -1018,6 +1018,105 @@ class TestBoundFirst:
         assert contraction._run(np.array(idx, dtype=np.int64)) == run
 
 
+# variants of a mirrored case: symmetric with S == T, alpha == beta and one companion, or one of them broken
+MIRROR_VARIANTS = ("mirrored", "mirrored", "ulp", "lower", "alpha_beta", "maps", "companion")
+
+
+@st.composite
+def mirrored_cases(draw):
+    """(space, maps, coefficients, variant): a symmetric table read by S == T through one companion, alpha == beta.
+
+    The tables tie often, and may hold -0.0 (facing 0.0 across the
+    diagonal), entries near 1e308 and, with -1e308, margins inf - inf =
+    NaN.  ``variant`` "ulp" moves one entry one ulp off its mirror,
+    "lower" raises one entry below the diagonal to 3, "alpha_beta" makes
+    beta differ from alpha, "maps" T from S and "companion" (four
+    mappings) g from f: the check must then take the full grid.
+    """
+    variant = draw(st.sampled_from(MIRROR_VARIANTS))
+    n = draw(st.integers(1 if variant == "mirrored" else 2, 12))
+    entries = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0, 2.0), (-0.0, 0.0, 1.0), (0.0, 1.0, 1e308), (0.0, 1.0, 1e308, -1e308)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.choice(entries, size=(n, n))
+    table = np.where(np.triu(np.ones((n, n), dtype=bool)), raw, raw.T)
+    # a zero may face a zero of the other sign across the diagonal, which symmetry equates
+    table[np.tril(table == 0.0, -1) & (rng.random((n, n)) < 0.5)] *= -1.0
+    if variant == "ulp":
+        i, j = rng.choice(n, size=2, replace=False)
+        table[i, j] = np.nextafter(table[i, j], np.inf)
+    elif variant == "lower":
+        i, j = sorted(rng.choice(n, size=2, replace=False), reverse=True)
+        table[i, j] = 3.0
+    arity = 4 if variant == "companion" else draw(st.integers(2, 4))
+    # few distinct values per map, so that many x share a key
+    S, f = (TableMapping(rng.integers(0, draw(st.integers(1, n)), size=n)) for _ in range(2))
+    # the same mapping object or an equal one
+    T = S if draw(st.booleans()) else TableMapping(S.table.copy())
+    g = f if draw(st.booleans()) else TableMapping(f.table.copy())
+    if variant == "maps":
+        T = TableMapping((S.table + 1) % n)
+    elif variant == "companion":
+        g = TableMapping((f.table + 1) % n)
+    maps = MappingSet(S, T, *[f, g][: arity - 2], arity=arity)
+    alpha = draw(st.sampled_from([0.0, 0.1]))
+    beta = (0.15 - alpha) if variant == "alpha_beta" else alpha
+    c = Coefficients(alpha, beta, draw(st.sampled_from([0.0, 0.2])), draw(st.sampled_from([0.0, 0.1])), draw(st.sampled_from([0.0, 0.7, 2.0])))
+    return MetricSpace.finite(table), maps, c, variant
+
+
+class TestOneTriangle:
+    """A mirrored exhaustive grid is evaluated on and above its diagonal only, with the full grid's report."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=mirrored_cases(), block=st.sampled_from([None, 1, 3, 7]))
+    def test_reports_equal_the_reference(self, case, block):
+        space, maps, c, variant = case
+        assert contraction._mirrored(space, maps, c.as_tuple(), EXHAUSTIVE) == (variant == "mirrored")
+        with patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
+            rep = check_condition(space, maps, c)
+            ref = reference_condition_report(space, maps, c)
+        assert _report_json(rep) == _report_json(ref)
+        assert rep.worst_pair == ref.worst_pair and repr(rep.worst_margin) == repr(ref.worst_margin)
+
+    def test_sampled_sources_keep_every_pair(self):
+        ident = identity_mapping(4)
+        space = MetricSpace.finite(np.ones((4, 4)) - np.eye(4))
+        assert not contraction._mirrored(space, MappingSet(ident, ident), (0.0,) * 5, SampledPairs(8, 0))
+        assert contraction._mirrored(space, MappingSet(ident, ident), (0.0,) * 5, EXHAUSTIVE)
+
+    @staticmethod
+    def _evaluated_pairs(monkeypatch):
+        """Count the pairs of every evaluator call."""
+        evaluate, tally = contraction._term_arrays, [0]
+
+        def spy(space, maps, xs, ys, wanted=contraction.ALL_TERMS):
+            tally[0] += math.prod(np.broadcast_shapes(xs.shape, ys.shape))
+            return evaluate(space, maps, xs, ys, wanted)
+
+        monkeypatch.setattr(contraction, "_term_arrays", spy)
+        return tally
+
+    def test_arity_two_anchor_evaluates_about_half_the_pairs(self, monkeypatch):
+        # S halves rho toward the anchor, point 0: an ultrametric table, read by S on both sides
+        n = 2500
+        rho = np.random.default_rng(0).uniform(0.5, 8.0, n)
+        rho[0] = 0.0
+        table = np.maximum.outer(rho, rho)
+        np.fill_diagonal(table, 0.0)
+        order = np.argsort(rho)
+        S = TableMapping(order[np.searchsorted(rho[order], rho / 2.0, side="right") - 1])
+        space, maps, c = MetricSpace.finite(table), MappingSet(S, S), Coefficients(0, 0, 0.5, 0)
+        tally = self._evaluated_pairs(monkeypatch)
+        rep = check_condition(space, maps, c)
+        assert tally[0] < 0.55 * n * n
+        assert (rep.worst_pair, rep.worst_margin, rep.pairs_checked) == ((0, 0), 0.0, n * n)
+        # the same report from the full grid
+        tally[0] = 0
+        object.__setattr__(space, "symmetric", False)
+        assert _report_json(check_condition(space, maps, c)) == _report_json(rep)
+        assert tally[0] == n * n
+
+
 # entries a sum of columns may meet: signed zeros, subnormals, infinities and NaN
 SPECIAL_ENTRIES = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, np.finfo(float).tiny])
 
@@ -1389,6 +1488,7 @@ class TestCuttingPlaneLP:
 )
 def test_rhs_is_monotone_in_coefficients(alpha, beta, gamma, L):
     """Growing any coefficient never shrinks the right-hand side."""
+    assume(alpha + beta + gamma < 1.0)
     space = MetricSpace.finite(HALVING_TABLE)
     step = TableMapping(HALVING_STEP)
     base = Coefficients(0.0, 0.0, 0.0, 0.0, 0.0)

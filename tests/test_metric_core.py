@@ -711,3 +711,115 @@ class TestScreenPath:
             tracemalloc.stop()
         # the unscreened check held |D - D^T|, the positivity matrix and its np.where temporary
         assert peak < 3 * n * n * 8
+
+
+# --------------------------------------------------------------------------
+# exact symmetry, decided once, and the condensed path of the axiom check
+
+
+class TestSymmetricProperty:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_one_ulp_anywhere_breaks_symmetry(self, n):
+        tab = _ultrametric(np.random.default_rng(n), n)
+        assert MetricSpace.finite(tab).symmetric
+        # corners, a random pair, and both sides of a tile edge
+        pairs = {(0, n - 1), (n - 1, 0), tuple(np.random.default_rng(n).choice(n, size=2, replace=False)) if n > 1 else (0, 0)}
+        if n > 256:
+            pairs |= {(255, 256), (256, 255), (n - 1, 255)}
+        for i, j in pairs:
+            if i == j:
+                continue
+            bent = tab.copy()
+            bent[i, j] = np.nextafter(bent[i, j], np.inf)
+            assert not MetricSpace.finite(bent).symmetric, (i, j)
+
+    def test_signed_zeros_face_each_other(self):
+        tab = np.array(PATH4)
+        tab[0, 1], tab[1, 0] = -0.0, 0.0
+        assert MetricSpace.finite(tab).symmetric
+
+    def test_euclidean_spaces_are_symmetric(self):
+        assert MetricSpace.euclidean(3).symmetric
+
+    def test_decided_once_without_a_table_sized_temporary(self):
+        space = MetricSpace.finite(_ultrametric(np.random.default_rng(0), 2000))
+        tracemalloc.start()
+        try:
+            assert space.symmetric
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 256 x 256 tile comparison at a time, against 30.5 MiB for the table
+        assert peak < 2**20
+        assert vars(space)["symmetric"] is True
+
+
+def _symmetric_case(case, n, seed):
+    """A symmetric table of ``n`` points, edited as ``case`` says; the axiom report must not depend on the path."""
+    rng = np.random.default_rng(seed)
+    tab = metric_closure_repair(rng.uniform(0.1, 8.0, (n, n))) if case == "repaired" else _ultrametric(rng, n)
+    (i, j), (k, l) = sorted(rng.choice(n, size=2, replace=False)), sorted(rng.choice(n, size=2, replace=False))
+    if case == "offdiagonal_zero":
+        tab[i, j] = tab[j, i] = 0.0
+    elif case == "signed_zero":
+        # -0.0 below the diagonal, 0.0 above: the first least entry is (i, j)
+        tab[i, j], tab[j, i] = 0.0, -0.0
+    elif case == "two_zeros":
+        tab[i, j] = tab[j, i] = tab[k, l] = tab[l, k] = 0.0
+    elif case == "negative":
+        tab[i, j] = tab[j, i] = -tab[i, j]
+    elif case == "diagonal":
+        tab[i, i] = float(rng.choice([1e-300, 1e-6, -1e-6]))
+    elif case == "nudged":
+        # still a metric, no longer an ultrametric: the screen runs
+        tab[i, j] = tab[j, i] = np.nextafter(tab[i, j], np.inf)
+    elif case == "triangle":
+        tab[i, j] = tab[j, i] = 3.0 * tab[i, j]
+    return tab
+
+
+SYMMETRIC_CASES = ("ultrametric", "repaired", "offdiagonal_zero", "signed_zero", "two_zeros", "negative", "diagonal", "nudged", "triangle")
+# metrics that are not ultrametrics, and a table breaking the triangle inequality: the Chebyshev screen runs
+SCREENED_CASES = ("repaired", "nudged", "triangle")
+
+
+@pytest.mark.parametrize("case", SYMMETRIC_CASES)
+@pytest.mark.parametrize("n, seed", [(metric_core.SCREEN_MIN_N, 0), (131, 1), (200, 2)])
+def test_condensed_reports_equal_the_full_path(monkeypatch, case, n, seed):
+    tab = _symmetric_case(case, n, seed)
+    condensed = _calls(monkeypatch, metric_core, "_condensed_pair")
+    screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
+    rep = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0)
+    assert len(condensed) == 1
+    full_space = MetricSpace.finite(tab)
+    object.__setattr__(full_space, "symmetric", False)
+    full = verify_metric_axioms(full_space, tolerance=0.0)
+    assert len(condensed) == 1
+    # the full path has no ultrametric certificate: it screens an ultrametric too
+    assert len(screened) == (2 if case in SCREENED_CASES else case == "ultrametric")
+    # JSON tells -0.0 from 0.0
+    assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(full.to_dict(), sort_keys=True)
+    assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
+    assert rep.check("symmetry").passed
+
+
+def test_condensed_positivity_names_the_first_zero_in_row_major_order():
+    tab = _ultrametric(np.random.default_rng(3), 300)
+    tab[7, 250] = tab[250, 7] = tab[3, 4] = tab[4, 3] = 0.0
+    rep = verify_metric_axioms(MetricSpace.finite(tab))
+    assert (rep.check("positivity").witness, rep.check("symmetry").witness) == ((3, 4), None)
+
+
+def test_condensed_path_makes_no_square_scratch():
+    # an ultrametric needs neither the screen nor its n x n scratch: the condensed triangle and
+    # its cophenetic matrix, half a table each, are the largest arrays (1.5 tables; 2.5 with the scratch)
+    n = 600
+    space = MetricSpace.finite(_ultrametric(np.random.default_rng(0), n))
+    verify_metric_axioms(space)  # the scipy imports and the symmetry decision are not the check's memory
+    tracemalloc.start()
+    try:
+        assert verify_metric_axioms(space).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
