@@ -841,7 +841,7 @@ def synthesize_coefficients(
     the LP over all pairs, hence optimal for it, and no dense
     (pairs x 5) matrix is ever built.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     maps.validate(space)
     sampled = isinstance(pair_source, SampledPairs)
@@ -874,7 +874,7 @@ def synthesize_coefficients(
 
     # the elastic solve's variables are the five coefficients, then s
     budget_row = np.array([1.0, 1.0, 1.0, 2.0, 0.0, 0.0])
-    bounds = [(0.0, 1.0)] * 4 + [(0.0, None), (-1.0, None)]
+    lower, upper = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0]), np.array([1.0, 1.0, 1.0, 1.0, np.inf, np.inf])
 
     def solve(rows, elastic: bool):
         """The LP on the working set ``rows`` ([t1, .., t5, need]): need - A@coefs <= s, s = 0 unless ``elastic``."""
@@ -882,9 +882,9 @@ def synthesize_coefficients(
         covering = np.column_stack([-rows[:, :5], -np.ones((len(rows), k - 5))])
         A_ub = np.vstack([covering, budget_row[:k]])
         b_ub = np.append(-rows[:, 5], 1.0 - MARGIN)
-        # the elastic solve minimizes s, the other the coefficient sum
+        # the elastic solve minimizes s, the other the coefficient sum; milp, with no integer variable, is linprog's HiGHS LP
         objective = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]) if elastic else np.ones(5)
-        return linprog(c=objective, A_ub=A_ub, b_ub=b_ub, bounds=bounds[:k], method="highs")
+        return milp(c=objective, constraints=LinearConstraint(A_ub, -np.inf, b_ub), bounds=Bounds(lower[:k], upper[:k]))
 
     def cutting_plane(rows, elastic: bool):
         """Solve on the working set ``rows`` until a pass over all pairs adds no new row."""

@@ -11,8 +11,9 @@ Both flavors are complete, which the fixed-point results assume: a finite
 space trivially, R^m by construction.  No flag records it.
 
 A stored table can break the metric axioms, so :func:`verify_metric_axioms`
-scans it; on R^m they hold by theorem (a norm induces a metric) and it
-reports them analytically, drawing nothing.
+scans it, but certifies a hub ultrametric, such as an anchor table of
+:mod:`cofix.oracle`, from one row; on R^m they hold by theorem (a norm
+induces a metric) and it reports them analytically, drawing nothing.
 
 A finite space keeps a read-only view of a float64 table and converts any
 other table once; the caller must not write to a float64 table afterwards,
@@ -257,6 +258,8 @@ TILE_ROWS, TILE_COLS = 8, 32
 # tables of at least this many points are screened before the exact scan; below
 # it a cold scipy.spatial import (0.5-0.8 s) costs more than the scan it saves
 SCREEN_MIN_N = 128
+# the hub certificate compares the upper triangle in row blocks of about this many entries
+HUB_BLOCK = 1 << 16
 
 
 def _row_worst(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -310,25 +313,24 @@ def _uncleared_rows(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~cleared)
 
 
-def _is_ultrametric(D: np.ndarray, upper: np.ndarray) -> bool:
-    """Does the table's condensed upper triangle ``upper`` equal that of its single-linkage cophenetic matrix?
+def _is_hub_ultrametric(D: np.ndarray, r: int) -> bool:
+    """Is d(i, j) == max(a_i, a_j) for every i != j, with a = D[r]?  Then D is an ultrametric, whatever r is:
 
-    That matrix is the subdominant ultrametric, built in O(n^2) (Gower and
-    Ross, Applied Statistics 18, 1969; Mullner, arXiv:1109.2378), so for an
-    exactly symmetric table the answer is whether it is an ultrametric; the
-    caller checks the symmetry.  First a fixed set of up to 64 triples rejects
-    most other tables without building a linkage: in an ultrametric the two
-    largest sides of every triangle are equal.
+    d(i, k) = max(a_i, a_k) <= max(a_i, a_j, a_k) = max(d(i, j), d(j, k)).
+    When the table has such a hub, both points of its least off-diagonal
+    entry are hubs (the hub and a point of least a, or two points tied
+    there), so the caller passes one of them.  D must be exactly symmetric
+    with a zero diagonal: the comparison runs over the upper triangle in row
+    blocks of about ``HUB_BLOCK`` entries, and the first that differs ends it.
     """
-    n = D.shape[0]
-    i = np.arange(0, n, (n + 63) // 64)
-    j, k = (i + n // 3) % n, (i + 2 * n // 3) % n
-    sides = np.sort([D[i, j], D[j, k], D[k, i]], axis=0)
-    if not np.array_equal(sides[1], sides[2]):
-        return False
-    from scipy.cluster.hierarchy import cophenet, linkage
-
-    return bool(np.array_equal(cophenet(linkage(upper, "single")), upper))
+    n, a = D.shape[0], D[r]
+    rows = max(1, HUB_BLOCK // n)
+    for i0 in range(0, n, rows):
+        hub = np.maximum.outer(a[i0 : i0 + rows], a[i0:])
+        np.fill_diagonal(hub, 0.0)
+        if not np.array_equal(D[i0 : i0 + rows, i0:], hub):
+            return False
+    return True
 
 
 def _condensed_pair(k: int, n: int) -> tuple[int, int]:
@@ -349,21 +351,20 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     identity = AxiomCheck("identity", ok, None if ok else (i,), 0.0 if ok else float(diag[i]))
 
     # An exactly symmetric table passes symmetry with no witness, and its
-    # condensed upper triangle feeds positivity and the ultrametric test.
+    # condensed upper triangle, built from row slices, feeds positivity.
     # The first least entry of that triangle is the first least off-diagonal
     # entry of the whole table in row-major order: one below the diagonal
     # would have an equal mirror above it, in an earlier row.  Below
-    # SCREEN_MIN_N points no scipy is imported, and the full path runs.
+    # SCREEN_MIN_N points the full path runs.
     condensed = n >= SCREEN_MIN_N and space.symmetric
-    scratch = upper = None
+    scratch = None
     if condensed:
-        from scipy.spatial.distance import squareform
-
         symmetry = AxiomCheck("symmetry", True, None, 0.0)
-        upper = squareform(D, checks=False)
+        upper = np.concatenate([D[i, i + 1 :] for i in range(n - 1)])
         k = int(np.argmin(upper))
         i, j = _condensed_pair(k, n)
         least = float(upper[k])
+        del upper  # freed ahead of the certificate's and the screen's arrays
     else:
         # one n x n scratch: |D - D^T|, then D with a +inf diagonal, then the screen's X
         scratch = np.empty(D.shape)
@@ -398,16 +399,15 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     # row's worst is 0 <= tol, so a failing table's first worst row, and its
     # witness, still come from the exact scan; a passing one reports no witness.
     # Ahead of the screen, under the same preconditions, an exactly symmetric
-    # table equal to its single-linkage cophenetic matrix U clears every row.
-    # U's entries are merge heights, copied from the table, so U == D is an
-    # exact comparison; over the upper triangle, with D symmetric, it makes D
-    # an ultrametric: a <= max(b, c) for every triple.  With b, c >= 0, a <= b
-    # gives fl(a - b) <= 0, and a <= c gives a - b <= c, so fl(a - b) <= c by
-    # monotone rounding; either way e <= 0.  Tables that are not ultrametrics,
-    # repaired and random ones among them, still take the screen.
+    # table with d(x, y) == max(a_x, a_y) for x != y, a the row of i, the
+    # first point of its least entry, clears every row: the comparison is
+    # exact, and it makes D an ultrametric, a <= max(b, c) for every triple.
+    # With b, c >= 0, a <= b gives fl(a - b) <= 0, and a <= c gives
+    # a - b <= c, so fl(a - b) <= c by monotone rounding; either way e <= 0.
+    # Other tables, repaired, random and non-hub ultrametric ones among them,
+    # take the screen.
     screened = n >= SCREEN_MIN_N and positivity.passed and not diag.any()
-    certified = screened and condensed and _is_ultrametric(D, upper)
-    del upper  # freed ahead of the screen's and the witness's n x n arrays
+    certified = screened and condensed and _is_hub_ultrametric(D, int(i))
     rows = np.arange(n)
     if certified:
         rows = rows[:0]
@@ -444,9 +444,9 @@ def verify_metric_axioms(
     comparison; the other axioms allow ``tolerance`` slack, default 0).
     From ``SCREEN_MIN_N`` points on, an exactly symmetric table
     (:attr:`MetricSpace.symmetric`) takes the condensed path: symmetry
-    passes without a pass over the table, and one condensed upper triangle
-    serves the positivity check and the ultrametric certificate below,
-    with the full table's witnesses.
+    passes without a pass over the table, and a condensed upper triangle,
+    built in numpy from row slices, serves the positivity check with the
+    full table's witness.
     From ``SCREEN_MIN_N`` points on, when the diagonal is exactly 0 and
     positivity holds, the triangle check first screens rows with scipy's
     Chebyshev distance: row i is clean when max_k fl|d(i, k) - d(j, k)| is
@@ -454,16 +454,16 @@ def verify_metric_axioms(
     forces fl|d(i, k) - d(j, k)| >= d(i, j) by monotone rounding.  A tie
     still sends the row to the exact scan unless every difference of the
     table is exact (it lies on the ulp grid of a power of two >= its
-    maximum).  Ahead of the screen, an exactly symmetric table is compared
-    with its single-linkage cophenetic matrix, its subdominant ultrametric,
-    in O(n^2): when they are equal the table is an ultrametric,
-    d(x, z) <= max(d(x, y), d(y, z)), and no row needs the screen or the
-    scan.  The gain is specific to ultrametric tables, such as the anchor
-    tables of :mod:`cofix.oracle`; a fixed set of triples turns most other
-    tables away before scipy is called, and repaired and random tables
-    still take the cubic screen.  Reports are the same as from the full
-    scan.  The failure report names the violating pair or triple and the
-    violation magnitude.
+    maximum).  Ahead of the screen, an exactly symmetric table is tested
+    for a hub in O(n^2): with a the row of a point of its least entry,
+    d(x, y) == max(a_x, a_y) for every x != y makes the table an
+    ultrametric, d(x, z) <= max(d(x, y), d(y, z)), and no row needs the
+    screen or the scan.  The gain is specific to hub ultrametrics, such as
+    the anchor tables of :mod:`cofix.oracle`, which import no scipy; the
+    first block of the comparison turns most other tables away, and
+    repaired, random and non-hub ultrametric tables still take the cubic
+    screen.  Reports are the same as from the full scan.  The failure
+    report names the violating pair or triple and the violation magnitude.
 
     Euclidean spaces need no check, since a norm induces a metric: the
     report is ``"analytic"``, four passing checks with no witness, and

@@ -572,13 +572,27 @@ def test_screened_reports_equal_the_unscreened_scan(family, n, seed, tol):
     assert screened.to_dict() == reference_verify_finite(tab, tol).to_dict()
 
 
+def _two_level(rng, rho, scale):
+    """Hub ultrametrics max(rho_i, rho_j) in three clusters, max(sigma_a, sigma_b) > every rho apart.
+
+    An ultrametric, but with two points in each of two clusters no row is a
+    hub's: from one cluster, another's points all lie at one distance.
+    """
+    cluster = np.arange(len(rho)) % 3
+    sigma = rng.uniform(16.0, 32.0, 3)[cluster] * scale
+    return np.where(cluster[:, None] == cluster[None, :], np.maximum.outer(rho, rho), np.maximum.outer(sigma, sigma))
+
+
 def _ultrametric_case(case, n, seed):
     """An ultrametric at a scale from 1e-7 to 1e300, or one edited to be asymmetric or not ultrametric.
 
     ``"one_triple"`` raises d(i, j) of the three points of least rho above
     their largest rho, and no further than every other rho: the triple
     (i, j, k) alone has a side longer than the other two.  Raised past
-    d(i, k) + d(k, j) it breaks the triangle inequality as well.
+    d(i, k) + d(k, j) it breaks the triangle inequality as well.  Hubs tie
+    in ``"tied_hub"``, sit at the first or last index in ``"hub_first"``
+    and ``"hub_last"`` (rho 0, as in the oracle's anchors), and are
+    missing from ``"two_level"``.
     """
     rng = np.random.default_rng(seed)
     scale = 10.0 ** int(rng.integers(-7, 301))
@@ -586,11 +600,17 @@ def _ultrametric_case(case, n, seed):
         rho = rng.uniform(8.0, 16.0, n) * scale
         i, j, k = rng.choice(n, size=3, replace=False)
         rho[[i, j, k]] = rng.uniform(1.0, 2.0, 3) * scale
+    elif case == "tied_hub":
+        rho = rng.integers(1, 4, n) * scale
     else:
         rho = rng.uniform(0.5, 8.0, n) * scale
-    tab = np.maximum.outer(rho, rho)
+    if case in ("hub_first", "hub_last"):
+        rho[0 if case == "hub_first" else -1] = 0.0
+    tab = _two_level(rng, rho, scale) if case == "two_level" else np.maximum.outer(rho, rho)
     np.fill_diagonal(tab, 0.0)
-    if case == "nudged":
+    if case == "signed_zero_diagonal":
+        tab[np.diag_indices(n)] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    elif case == "nudged":
         i, j = rng.choice(n, size=2, replace=False)
         tab[i, j] = tab[j, i] = np.nextafter(tab[i, j], np.inf if rng.random() < 0.5 else -np.inf)
     elif case == "asymmetric":
@@ -605,7 +625,9 @@ def _ultrametric_case(case, n, seed):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    case=st.sampled_from(["ultrametric", "nudged", "asymmetric", "one_triple"]),
+    case=st.sampled_from(
+        ["ultrametric", "nudged", "asymmetric", "one_triple", "tied_hub", "hub_first", "hub_last", "signed_zero_diagonal", "two_level"]
+    ),
     n=st.integers(min_value=3, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     tol=st.sampled_from([0.0, 1e-12, 1e-3]),
@@ -648,7 +670,8 @@ def scanned_rows(monkeypatch):
 class TestScreenPath:
     def test_anchor_ultrametric_scans_no_row(self, scanned_rows, monkeypatch):
         screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
-        assert verify_metric_axioms(MetricSpace.finite(_ultrametric(np.random.default_rng(300), 300))).passed
+        for n in (300, 2000):
+            assert verify_metric_axioms(MetricSpace.finite(_ultrametric(np.random.default_rng(n), n))).passed
         assert (screened, scanned_rows) == ([], [])
 
     def test_nudged_anchor_falls_back_to_the_screen(self, monkeypatch):
@@ -659,15 +682,12 @@ class TestScreenPath:
         assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
 
     def test_repaired_table_scans_no_row(self, scanned_rows, monkeypatch):
-        import scipy.cluster.hierarchy
-
-        linked = _calls(monkeypatch, scipy.cluster.hierarchy, "linkage")
         screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
         for n in (200, 300):
             D = metric_closure_repair(np.random.default_rng(n).uniform(0.1, 8.0, (n, n)))  # its own guard is screened
             assert verify_metric_axioms(MetricSpace.finite(D), tolerance=0.0).passed
-        # the fixed triples reject both tables, and the repairs' own guards, before scipy builds a linkage
-        assert (len(screened), linked, scanned_rows) == (4, [], [])
+        # the hub test turns both tables, and the repairs' own guards, away to the screen
+        assert (len(screened), scanned_rows) == (4, [])
 
     def test_inexact_ties_are_scanned(self, scanned_rows):
         # collinear points off any dyadic grid: d(i, k) = d(i, j) + d(j, k) up to rounding
@@ -686,14 +706,16 @@ class TestScreenPath:
         assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
 
     def test_small_tables_never_import_scipy(self):
+        # nor does an anchor of any size: its hub certificate is numpy's
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import cofix\n"
-            "rho = np.random.default_rng(0).uniform(0.5, 8.0, 64)\n"
-            "tab = np.maximum.outer(rho, rho)\n"
-            "np.fill_diagonal(tab, 0.0)\n"
-            "assert cofix.verify_metric_axioms(cofix.MetricSpace.finite(tab)).passed\n"
+            "for n in (64, 300):\n"
+            "    rho = np.random.default_rng(0).uniform(0.5, 8.0, n)\n"
+            "    tab = np.maximum.outer(rho, rho)\n"
+            "    np.fill_diagonal(tab, 0.0)\n"
+            "    assert cofix.verify_metric_axioms(cofix.MetricSpace.finite(tab)).passed\n"
             "sys.exit('scipy' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cofix.__file__))}
@@ -757,7 +779,14 @@ class TestSymmetricProperty:
 def _symmetric_case(case, n, seed):
     """A symmetric table of ``n`` points, edited as ``case`` says; the axiom report must not depend on the path."""
     rng = np.random.default_rng(seed)
-    tab = metric_closure_repair(rng.uniform(0.1, 8.0, (n, n))) if case == "repaired" else _ultrametric(rng, n)
+    if case == "repaired":
+        tab = metric_closure_repair(rng.uniform(0.1, 8.0, (n, n)))
+    else:
+        rho = rng.integers(1, 4, n).astype(float) if case == "tied_hub" else rng.uniform(0.5, 8.0, n)
+        if case in ("hub_first", "hub_last"):
+            rho[0 if case == "hub_first" else -1] = 0.0
+        tab = _two_level(rng, rho, 1.0) if case == "two_level" else np.maximum.outer(rho, rho)
+        np.fill_diagonal(tab, -0.0 if case == "signed_zero_diagonal" else 0.0)
     (i, j), (k, l) = sorted(rng.choice(n, size=2, replace=False)), sorted(rng.choice(n, size=2, replace=False))
     if case == "offdiagonal_zero":
         tab[i, j] = tab[j, i] = 0.0
@@ -770,23 +799,46 @@ def _symmetric_case(case, n, seed):
         tab[i, j] = tab[j, i] = -tab[i, j]
     elif case == "diagonal":
         tab[i, i] = float(rng.choice([1e-300, 1e-6, -1e-6]))
-    elif case == "nudged":
+    elif case in ("nudged", "nudged_last"):
         # still a metric, no longer an ultrametric: the screen runs
+        if case == "nudged_last":
+            i, j = n - 2, n - 1  # in the hub test's last block only
         tab[i, j] = tab[j, i] = np.nextafter(tab[i, j], np.inf)
     elif case == "triangle":
         tab[i, j] = tab[j, i] = 3.0 * tab[i, j]
     return tab
 
 
-SYMMETRIC_CASES = ("ultrametric", "repaired", "offdiagonal_zero", "signed_zero", "two_zeros", "negative", "diagonal", "nudged", "triangle")
-# metrics that are not ultrametrics, and a table breaking the triangle inequality: the Chebyshev screen runs
-SCREENED_CASES = ("repaired", "nudged", "triangle")
+SYMMETRIC_CASES = (
+    "ultrametric",
+    "tied_hub",
+    "hub_first",
+    "hub_last",
+    "signed_zero_diagonal",
+    "two_level",
+    "repaired",
+    "offdiagonal_zero",
+    "signed_zero",
+    "two_zeros",
+    "negative",
+    "diagonal",
+    "nudged",
+    "nudged_last",
+    "triangle",
+)
+# metrics with no hub row, and a table breaking the triangle inequality: the Chebyshev screen runs
+SCREENED_CASES = ("two_level", "repaired", "nudged", "nudged_last", "triangle")
+# hub ultrametrics: certified on the condensed path, screened on the full one
+HUB_CASES = ("ultrametric", "tied_hub", "hub_first", "hub_last", "signed_zero_diagonal")
 
 
 @pytest.mark.parametrize("case", SYMMETRIC_CASES)
-@pytest.mark.parametrize("n, seed", [(metric_core.SCREEN_MIN_N, 0), (131, 1), (200, 2)])
-def test_condensed_reports_equal_the_full_path(monkeypatch, case, n, seed):
+@pytest.mark.parametrize("n, seed, hub_rows", [(metric_core.SCREEN_MIN_N, 0, None), (131, 1, 7), (200, 2, None)])
+def test_condensed_reports_equal_the_full_path(monkeypatch, case, n, seed, hub_rows):
     tab = _symmetric_case(case, n, seed)
+    if hub_rows:
+        # blocks of 7 rows: the last holds rows 126-130 alone
+        monkeypatch.setattr(metric_core, "HUB_BLOCK", hub_rows * n)
     condensed = _calls(monkeypatch, metric_core, "_condensed_pair")
     screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
     rep = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0)
@@ -795,8 +847,8 @@ def test_condensed_reports_equal_the_full_path(monkeypatch, case, n, seed):
     object.__setattr__(full_space, "symmetric", False)
     full = verify_metric_axioms(full_space, tolerance=0.0)
     assert len(condensed) == 1
-    # the full path has no ultrametric certificate: it screens an ultrametric too
-    assert len(screened) == (2 if case in SCREENED_CASES else case == "ultrametric")
+    # the full path has no hub certificate: it screens a hub ultrametric too
+    assert len(screened) == (2 if case in SCREENED_CASES else case in HUB_CASES)
     # JSON tells -0.0 from 0.0
     assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(full.to_dict(), sort_keys=True)
     assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
@@ -811,8 +863,8 @@ def test_condensed_positivity_names_the_first_zero_in_row_major_order():
 
 
 def test_condensed_path_makes_no_square_scratch():
-    # an ultrametric needs neither the screen nor its n x n scratch: the condensed triangle and
-    # its cophenetic matrix, half a table each, are the largest arrays (1.5 tables; 2.5 with the scratch)
+    # an anchor needs neither the screen nor its n x n scratch: the condensed triangle, half a
+    # table, is the largest array (1.5 tables with a cophenetic matrix; 2.5 with the scratch)
     n = 600
     space = MetricSpace.finite(_ultrametric(np.random.default_rng(0), n))
     verify_metric_axioms(space)  # the scipy imports and the symmetry decision are not the check's memory
@@ -822,4 +874,4 @@ def test_condensed_path_makes_no_square_scratch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n * n * 8
+    assert peak < n * n * 8
