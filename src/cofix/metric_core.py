@@ -56,8 +56,8 @@ class MetricSpace(ArrayEq):
     decides whether two points are the same.  ``nonnegative`` (not a field)
     says no distance is below 0; it turns on the bound-first check.
     ``symmetric`` says the table equals its transpose exactly; it is
-    decided once, on first use, and lets the axiom check and the exhaustive
-    condition check read one triangle of the table.
+    decided once, on first use; it spares the axiom check |D - D^T| and
+    lets the exhaustive condition check read one triangle of the table.
     """
 
     flavor: Flavor
@@ -195,7 +195,7 @@ class MetricSpace(ArrayEq):
     def materialize(self, p) -> Point:
         """Inverse of :meth:`canonicalize`: rebuild the computational form."""
         if self.is_finite:
-            if isinstance(p, float) and not p.is_integer():
+            if isinstance(p, (bool, np.bool_)) or isinstance(p, float) and not p.is_integer():
                 raise DomainError(f"point {p!r} is not an index of this finite space")
             return self._check_point(int(p))
         return self._check_point(np.asarray(p, dtype=float))
@@ -260,6 +260,11 @@ TILE_ROWS, TILE_COLS = 8, 32
 SCREEN_MIN_N = 128
 # the hub certificate compares the upper triangle in row blocks of about this many entries
 HUB_BLOCK = 1 << 16
+# positivity copies row blocks of about this many entries (2 MiB).  Freeing a block this large
+# lifts glibc's dynamic mmap threshold above the arrays of about 1 MB that other layers make, so
+# those come from the heap; with 512 KiB blocks they came from fresh mappings, and a large_finite
+# cycle took about 9,400 minor page faults, most in ops that never check the axioms, against none.
+LEAST_BLOCK = 1 << 18
 
 
 def _row_worst(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -294,14 +299,16 @@ def _on_dyadic_grid(D: np.ndarray, scratch: np.ndarray) -> bool:
     return bool(np.array_equal(scratch, D))
 
 
-def _uncleared_rows(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _uncleared_rows(D: np.ndarray, t: float) -> np.ndarray:
     """The rows i, ascending, that the Chebyshev screen cannot prove free of triangle violations.
 
-    ``X`` is D with its diagonal set to t, the least off-diagonal entry; it
-    is overwritten.
+    The screen reads X, a copy of D with its diagonal set to ``t``, the
+    least off-diagonal entry.
     """
     from scipy.spatial.distance import pdist, squareform
 
+    X = np.array(D)
+    np.fill_diagonal(X, t)
     # S[i, j] = max_k fl|X[i, k] - X[j, k]|, symmetric, so one C pass over i < j
     S = squareform(pdist(X, "chebyshev"))
     np.fill_diagonal(S, -np.inf)  # j = i is a trivial triple
@@ -333,12 +340,25 @@ def _is_hub_ultrametric(D: np.ndarray, r: int) -> bool:
     return True
 
 
-def _condensed_pair(k: int, n: int) -> tuple[int, int]:
-    """The pair (i, j), i < j, at index ``k`` of the condensed upper triangle of an n x n table."""
-    r = np.arange(n)
-    starts = r * n - r * (r + 1) // 2  # the index of (i, i + 1)
-    i = int(np.searchsorted(starts, k, side="right")) - 1
-    return i, int(k - starts[i]) + i + 1
+def _least_off_diagonal(D: np.ndarray) -> tuple[float, int, int]:
+    """(d(i, j), i, j) at the first least off-diagonal entry in row-major order; (inf, 0, 0) for one point.
+
+    Row blocks of about ``LEAST_BLOCK`` entries are copied with their
+    diagonal set to +inf, each freed before the next; argmin and the strict
+    comparison across blocks keep the earliest of tied entries, and -0.0
+    ties 0.0.
+    """
+    n = D.shape[0]
+    rows = max(1, LEAST_BLOCK // n)
+    least = (math.inf, 0, 0)
+    for i0 in range(0, n, rows):
+        block = np.array(D[i0 : i0 + rows])
+        np.fill_diagonal(block[:, i0:], np.inf)
+        k = int(np.argmin(block))
+        if block.flat[k] < least[0]:
+            least = (float(block.flat[k]), i0 + k // n, k % n)
+        del block
+    return least
 
 
 def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
@@ -350,73 +370,55 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
     ok = bool(diag[i] <= tolerance)
     identity = AxiomCheck("identity", ok, None if ok else (i,), 0.0 if ok else float(diag[i]))
 
-    # An exactly symmetric table passes symmetry with no witness, and its
-    # condensed upper triangle, built from row slices, feeds positivity.
-    # The first least entry of that triangle is the first least off-diagonal
-    # entry of the whole table in row-major order: one below the diagonal
-    # would have an equal mirror above it, in an earlier row.  Below
-    # SCREEN_MIN_N points the full path runs.
-    condensed = n >= SCREEN_MIN_N and space.symmetric
-    scratch = None
-    if condensed:
+    if space.symmetric:
         symmetry = AxiomCheck("symmetry", True, None, 0.0)
-        upper = np.concatenate([D[i, i + 1 :] for i in range(n - 1)])
-        k = int(np.argmin(upper))
-        i, j = _condensed_pair(k, n)
-        least = float(upper[k])
-        del upper  # freed ahead of the certificate's and the screen's arrays
     else:
-        # one n x n scratch: |D - D^T|, then D with a +inf diagonal, then the screen's X
-        scratch = np.empty(D.shape)
-        np.subtract(D, D.T, out=scratch)
-        np.abs(scratch, out=scratch)
-        i, j = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
-        ok = bool(scratch[i, j] <= tolerance)
-        symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(scratch[i, j]))
-        np.copyto(scratch, D)
-        np.fill_diagonal(scratch, np.inf)
-        i, j = np.unravel_index(int(np.argmin(scratch)), scratch.shape)
-        least = float(scratch[i, j])
+        # |D - D^T|, the one n x n array, names the witness; entries near the
+        # float range overflow to inf, which fails symmetry already
+        with np.errstate(over="ignore"):
+            asym = np.subtract(D, D.T)
+        np.abs(asym, out=asym)
+        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        ok = bool(asym[i, j] <= tolerance)
+        symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(asym[i, j]))
+        del asym
 
     # strict positivity off the diagonal, exact comparison by design
+    least, i, j = _least_off_diagonal(D)
     ok = least > 0.0
-    positivity = AxiomCheck("positivity", ok, None if ok else (int(i), int(j)), 0.0 if ok else -least)
+    positivity = AxiomCheck("positivity", ok, None if ok else (i, j), 0.0 if ok else -least)
 
     # The triangle scan's value for (i, j, k) is e = fl(fl(a - b) - c), with
     # a = D[i, k], b = D[i, j], c = D[j, k]; only each i's worst is kept, and
-    # the witness row is redone.  Ahead of the scan, a screen proves rows clean
-    # (rounding is monotone and b, c are floats: Higham, Accuracy and
-    # Stability of Numerical Algorithms, 2nd ed., §2.1):
+    # the witness row is redone.  Triples with j = i or k in {i, j} give
+    # e <= 0 when the diagonal is exactly 0 and positivity holds; then two
+    # tests can prove rows clean ahead of the scan.
+    # The hub certificate, at any size: an exactly symmetric table with
+    # d(x, y) == max(a_x, a_y) for x != y, a the row of i, the first point of
+    # its least entry, clears every row.  The comparison is exact, and it
+    # makes D an ultrametric, a <= max(b, c) for every triple.  With b, c >= 0,
+    # a <= b gives fl(a - b) <= 0, and a <= c gives a - b <= c, so
+    # fl(a - b) <= c by monotone rounding; either way e <= 0.
+    # The Chebyshev screen, from SCREEN_MIN_N points on, for other tables
+    # (repaired, random and non-hub ultrametric ones among them).  Rounding is
+    # monotone and b, c are floats (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., §2.1):
     #   e > tol >= 0  =>  fl(a - b) > c  =>  a - b > c  =>  a - c > b  =>  fl|a - c| >= b,
     # so a row i with S[i, j] = max_k fl|D[i, k] - D[j, k]| < D[i, j] for every
-    # j != i holds no triple above tol.  Triples with j = i or k in {i, j} give
-    # e <= 0 when the diagonal is exactly 0 and positivity holds, so the screen
-    # runs only then; its X is D with the diagonal set to t, the least
-    # off-diagonal entry, so those columns read |t - d| < d rather than tying
-    # at d.  A tie S[i, j] == D[i, j] flags the row, unless every difference
-    # is exact (the table lies on the ulp grid of a power of two >= max D, as
-    # repaired tables do): then e > 0 forces S[i, j] > D[i, j].  A cleared
-    # row's worst is 0 <= tol, so a failing table's first worst row, and its
-    # witness, still come from the exact scan; a passing one reports no witness.
-    # Ahead of the screen, under the same preconditions, an exactly symmetric
-    # table with d(x, y) == max(a_x, a_y) for x != y, a the row of i, the
-    # first point of its least entry, clears every row: the comparison is
-    # exact, and it makes D an ultrametric, a <= max(b, c) for every triple.
-    # With b, c >= 0, a <= b gives fl(a - b) <= 0, and a <= c gives
-    # a - b <= c, so fl(a - b) <= c by monotone rounding; either way e <= 0.
-    # Other tables, repaired, random and non-hub ultrametric ones among them,
-    # take the screen.
-    screened = n >= SCREEN_MIN_N and positivity.passed and not diag.any()
-    certified = screened and condensed and _is_hub_ultrametric(D, int(i))
+    # j != i holds no triple above tol.  The screen reads D with the diagonal
+    # set to t, the least off-diagonal entry, so the columns k in {i, j} read
+    # |t - d| < d rather than tying at d.  A tie S[i, j] == D[i, j] flags the
+    # row, unless every difference is exact (the table lies on the ulp grid of
+    # a power of two >= max D, as repaired tables do): then e > 0 forces
+    # S[i, j] > D[i, j].  A cleared row's worst is 0 <= tol, so a failing
+    # table's first worst row, and its witness, still come from the exact
+    # scan; a passing one reports no witness.
+    clean = positivity.passed and not diag.any()
     rows = np.arange(n)
-    if certified:
+    if clean and space.symmetric and _is_hub_ultrametric(D, i):
         rows = rows[:0]
-    elif screened:
-        if scratch is None:
-            scratch = np.array(D)
-        np.fill_diagonal(scratch, least)
-        rows = _uncleared_rows(D, scratch)
-    del scratch
+    elif clean and n >= SCREEN_MIN_N:
+        rows = _uncleared_rows(D, least)
     ok = True
     if len(rows):
         i = int(rows[np.argmax(_row_worst(D, rows))])
@@ -440,30 +442,18 @@ def verify_metric_axioms(
 ) -> AxiomReport:
     """Check identity, symmetry, strict positivity, and the triangle inequality.
 
-    Finite spaces are checked exhaustively (positivity uses exact
-    comparison; the other axioms allow ``tolerance`` slack, default 0).
-    From ``SCREEN_MIN_N`` points on, an exactly symmetric table
-    (:attr:`MetricSpace.symmetric`) takes the condensed path: symmetry
-    passes without a pass over the table, and a condensed upper triangle,
-    built in numpy from row slices, serves the positivity check with the
-    full table's witness.
-    From ``SCREEN_MIN_N`` points on, when the diagonal is exactly 0 and
-    positivity holds, the triangle check first screens rows with scipy's
-    Chebyshev distance: row i is clean when max_k fl|d(i, k) - d(j, k)| is
-    below d(i, j) for every j != i, since a triple above the tolerance
-    forces fl|d(i, k) - d(j, k)| >= d(i, j) by monotone rounding.  A tie
-    still sends the row to the exact scan unless every difference of the
-    table is exact (it lies on the ulp grid of a power of two >= its
-    maximum).  Ahead of the screen, an exactly symmetric table is tested
-    for a hub in O(n^2): with a the row of a point of its least entry,
-    d(x, y) == max(a_x, a_y) for every x != y makes the table an
-    ultrametric, d(x, z) <= max(d(x, y), d(y, z)), and no row needs the
-    screen or the scan.  The gain is specific to hub ultrametrics, such as
-    the anchor tables of :mod:`cofix.oracle`, which import no scipy; the
-    first block of the comparison turns most other tables away, and
-    repaired, random and non-hub ultrametric tables still take the cubic
-    screen.  Reports are the same as from the full scan.  The failure
-    report names the violating pair or triple and the violation magnitude.
+    Finite spaces are checked exhaustively, on one path at every size
+    (positivity uses exact comparison; the other axioms allow ``tolerance``
+    slack, default 0).  Symmetry reads :attr:`MetricSpace.symmetric`, and
+    only a table that is not exactly symmetric builds |D - D^T| for its
+    witness.  The triangle inequality needs no scan when the table has a
+    hub: an exactly symmetric table with a zero diagonal that passes
+    positivity, and d(x, y) == max(a_x, a_y) for x != y, a the row of a
+    point of its least entry, is an ultrametric, as the anchor tables of
+    :mod:`cofix.oracle` are.  From ``SCREEN_MIN_N`` points on, scipy's
+    Chebyshev distance screens the rows of other tables ahead of the exact
+    scan.  Reports are the same as from the full scan; a failure names the
+    violating pair or triple and the violation magnitude.
 
     Euclidean spaces need no check, since a norm induces a metric: the
     report is ``"analytic"``, four passing checks with no witness, and

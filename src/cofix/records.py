@@ -4,9 +4,9 @@ A report inherits :class:`Record`.  ``to_dict`` emits the dataclass fields
 in declaration order: enums as their values, tuples and lists as lists,
 nested records through their own ``to_dict``.  ``from_dict`` follows the
 type hints: None for ``Optional``, ``Cls(value)`` for enums, ``float()``
-and ``int()`` coercion (:func:`as_int` refuses a fractional float), typed
-tuples and records element by element, and lists to tuples for untyped
-values.  A missing key takes the field's default.  :class:`ValueEnum` and
+and ``int()`` coercion (:func:`as_int` refuses a bool and a fractional
+float), typed tuples and records element by element, and lists to tuples
+for untyped values.  A missing key takes the field's default.  :class:`ValueEnum` and
 :class:`ArrayEq` state the text of an enum and the equality of arrays.
 """
 
@@ -119,8 +119,8 @@ def _decode(hint, value):
 
 
 def as_int(value) -> int:
-    """``int(value)``, except that a float with a fractional part is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, except that a bool, or a float with a fractional part, is refused, not converted."""
+    if isinstance(value, (bool, np.bool_)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

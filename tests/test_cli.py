@@ -231,6 +231,20 @@ class TestCheck:
         data = json.loads(out, parse_constant=pytest.fail)
         assert (data["axioms"]["passed"], data["condition"]["worst_pair"], err) == (False, [0, 1], "")
 
+    def test_overflowing_asymmetry_prints_no_warning(self, tmp_path, capsys):
+        # |d(0, 1) - d(1, 0)| = |1e308 - (-1e308)| overflowed with a RuntimeWarning on stderr; inf fails symmetry
+        doc = {
+            "space": {"flavor": "finite_explicit", "table": [[0, 1e308], [-1e308, 0]]},
+            "mappings": table_maps(2, S=[0, 1], T=[0, 1]),
+            "coefficients": GAMMA_HALF,
+        }
+        path = write_doc(tmp_path, "asym.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", path, "--format", "human"]) == cli.EXIT_FAILED
+        out, err = capsys.readouterr()
+        assert ("  symmetry fails at (0, 1) by inf" in out.splitlines(), err) == (True, "")
+
     def test_missing_file_exits_schema(self, capsys):
         assert cli.main(["check", "/no/such/file.json"]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("schema error:")

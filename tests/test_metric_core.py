@@ -1,6 +1,7 @@
 """Metric space construction, point handling, and axiom verification."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -304,6 +305,9 @@ class TestAxiomChecks:
         chk = verify_metric_axioms(MetricSpace.finite(tab)).check("symmetry")
         assert not chk.passed
         assert chk.magnitude == 1.0
+        # |1e308 - (-1e308)| overflows to inf: a failed check, not a RuntimeWarning
+        chk = verify_metric_axioms(MetricSpace.finite([[0.0, 1e308], [-1e308, 0.0]])).check("symmetry")
+        assert (chk.passed, chk.witness, chk.magnitude) == (False, (0, 1), math.inf)
 
     def test_positivity_violation(self):
         chk = verify_metric_axioms(MetricSpace.finite(np.zeros((2, 2)))).check("positivity")
@@ -736,7 +740,7 @@ class TestScreenPath:
 
 
 # --------------------------------------------------------------------------
-# exact symmetry, decided once, and the condensed path of the axiom check
+# exact symmetry, decided once, and the one path of the axiom check
 
 
 class TestSymmetricProperty:
@@ -828,7 +832,7 @@ SYMMETRIC_CASES = (
 )
 # metrics with no hub row, and a table breaking the triangle inequality: the Chebyshev screen runs
 SCREENED_CASES = ("two_level", "repaired", "nudged", "nudged_last", "triangle")
-# hub ultrametrics: certified on the condensed path, screened on the full one
+# hub ultrametrics: certified when the table is known to be symmetric, screened when it is not
 HUB_CASES = ("ultrametric", "tied_hub", "hub_first", "hub_last", "signed_zero_diagonal")
 
 
@@ -839,15 +843,12 @@ def test_condensed_reports_equal_the_full_path(monkeypatch, case, n, seed, hub_r
     if hub_rows:
         # blocks of 7 rows: the last holds rows 126-130 alone
         monkeypatch.setattr(metric_core, "HUB_BLOCK", hub_rows * n)
-    condensed = _calls(monkeypatch, metric_core, "_condensed_pair")
     screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
     rep = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0)
-    assert len(condensed) == 1
     full_space = MetricSpace.finite(tab)
     object.__setattr__(full_space, "symmetric", False)
     full = verify_metric_axioms(full_space, tolerance=0.0)
-    assert len(condensed) == 1
-    # the full path has no hub certificate: it screens a hub ultrametric too
+    # a table not known to be symmetric gets no hub certificate: a hub ultrametric is screened too
     assert len(screened) == (2 if case in SCREENED_CASES else case in HUB_CASES)
     # JSON tells -0.0 from 0.0
     assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(full.to_dict(), sort_keys=True)
@@ -863,8 +864,8 @@ def test_condensed_positivity_names_the_first_zero_in_row_major_order():
 
 
 def test_condensed_path_makes_no_square_scratch():
-    # an anchor needs neither the screen nor its n x n scratch: the condensed triangle, half a
-    # table, is the largest array (1.5 tables with a cophenetic matrix; 2.5 with the scratch)
+    # an anchor needs neither |D - D^T| nor the screen's n x n copy: a positivity row block,
+    # 0.73 of the table at n=600, is the largest array
     n = 600
     space = MetricSpace.finite(_ultrametric(np.random.default_rng(0), n))
     verify_metric_axioms(space)  # the scipy imports and the symmetry decision are not the check's memory
@@ -875,3 +876,48 @@ def test_condensed_path_makes_no_square_scratch():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("case", HUB_CASES)
+@pytest.mark.parametrize("n", [2, 3, 40, metric_core.SCREEN_MIN_N - 1])
+def test_small_hub_tables_are_certified_unscanned(scanned_rows, case, n):
+    # the hub certificate is numpy's and O(n^2): it runs below SCREEN_MIN_N too
+    tab = _symmetric_case(case, n, n)
+    rep = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0)
+    assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
+    assert rep.passed and scanned_rows == []
+
+
+@pytest.mark.parametrize("case", ["two_level", "repaired", "triangle"])
+@pytest.mark.parametrize("n", [40, metric_core.SCREEN_MIN_N - 1])
+def test_small_tables_without_a_hub_are_scanned(scanned_rows, case, n):
+    tab = _symmetric_case(case, n, n)
+    scanned_rows.clear()  # a repair's own guard check scans too
+    rep = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0)
+    assert rep.to_dict() == reference_verify_finite(tab, 0.0).to_dict()
+    assert scanned_rows == list(range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    block_rows=st.integers(min_value=1, max_value=31),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    symmetric=st.booleans(),
+)
+def test_positivity_blocks_keep_the_first_least_entry(n, block_rows, seed, symmetric):
+    # few distinct values and signed zeros: ties within and across row blocks
+    rng = np.random.default_rng(seed)
+    tab = rng.choice([-0.0, 0.0, 1.0, 2.0, -1.0], size=(n, n), p=[0.1, 0.1, 0.5, 0.2, 0.1])
+    if symmetric:
+        tab = np.where(np.triu(np.ones((n, n), dtype=bool)), tab, tab.T)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_core, "LEAST_BLOCK", block_rows * n)
+        check = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0).check("positivity")
+    off = [(float(tab[i, j]), i, j) for i in range(n) for j in range(n) if i != j]
+    least, i, j = min(off, key=lambda e: e[0]) if off else (math.inf, 0, 0)  # min keeps the first of ties
+    ok = least > 0.0
+    # JSON tells -0.0 from 0.0: the magnitude is -d(i, j) at the first least entry
+    want = AxiomCheck("positivity", ok, None if ok else (i, j), 0.0 if ok else -least)
+    assert json.dumps(check.to_dict()) == json.dumps(want.to_dict())
+

@@ -218,8 +218,10 @@ class TestSchemaRejections:
             load_problem(doc)
 
     def test_fractional_finite_start_point_is_rejected(self):
-        with pytest.raises(SchemaError, match="not an index"):
-            load_problem(finite_doc(solver={"x0": 1.5}))
+        # a JSON boolean is no index either: int(True) solved from point 1
+        for x0 in (1.5, True, False):
+            with pytest.raises(SchemaError, match="not an index"):
+                load_problem(finite_doc(solver={"x0": x0}))
         assert load_problem(finite_doc(solver={"x0": 1.0})).x0 == 1
 
     @pytest.mark.parametrize(
@@ -230,8 +232,17 @@ class TestSchemaRejections:
             euclid_doc(pair_source={"samples": 64.7, "seed": 3}),
             euclid_doc(pair_source={"samples": 64, "seed": 3.9}),
             finite_doc(mappings={**finite_doc()["mappings"], "arity": 2.5}),
+            # JSON booleans: int(True) is 1, so each loaded as 1 or 0
+            euclid_doc(space={"flavor": "euclidean_affine", "dimension": True}),
+            finite_doc(solver={"max_iters": True}),
+            euclid_doc(pair_source={"samples": True, "seed": 3}),
+            euclid_doc(pair_source={"samples": 64, "seed": False}),
+            finite_doc(mappings={**finite_doc()["mappings"], "arity": True}),
         ],
-        ids=["dimension", "max_iters", "samples", "seed", "arity"],
+        ids=[
+            *("dimension", "max_iters", "samples", "seed", "arity"),
+            *("dimension_bool", "max_iters_bool", "samples_bool", "seed_bool", "arity_bool"),
+        ],
     )
     def test_fractional_integers_are_rejected(self, doc):
         with pytest.raises(SchemaError, match="not an integer"):
