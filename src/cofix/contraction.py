@@ -94,15 +94,13 @@ from .errors import (
     Infeasible,
     NonInvertibleMapping,
 )
-from .metric_core import MetricSpace, Point, sampling_box
+from .metric_core import BLOCK_PAIRS, MetricSpace, Point, sampling_box
 from .records import ArrayEq, Record, int_arg
 
 EXHAUSTIVE = "exhaustive"
 
-# pairs evaluated at once by a condition check; bounds its scratch memory
-BLOCK_PAIRS = 1 << 16
-
-# the same for Euclidean pairs, whose points are m-vectors: blocks this small
+# pairs evaluated at once by a condition check, which bound its scratch memory: BLOCK_PAIRS on a
+# table, and this many on Euclidean pairs, whose points are m-vectors.  Blocks this small
 # keep a sampled check's coordinate arrays in cache and let the allocator
 # reuse them from block to block, where 2**16-pair blocks (4 MiB arrays at
 # m=8) were mapped in afresh, page by page, on every check

@@ -33,12 +33,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .records import ArrayEq, Record, int_arg
+from .records import ArrayEq, Record, as_float, int_arg
 
 Point = Union[int, np.ndarray]
 
-# MetricSpace.symmetric compares a table with its transpose in tiles of this many rows and columns
-SYMMETRY_TILE = 256
+# the scratch budget of every finite-table pass, in table entries: contraction's pair blocks, the
+# symmetry tiles (isqrt of it square), the hub certificate's row blocks and the exact triangle scan's tiles
+BLOCK_PAIRS = 1 << 16
 
 
 class Flavor(Enum):
@@ -106,13 +107,13 @@ class MetricSpace(ArrayEq):
     def symmetric(self) -> bool:
         """Does d(x, y) == d(y, x) hold exactly for every pair?  Always on R^m, where a norm induces the metric.
 
-        A table is compared with its transpose in ``SYMMETRY_TILE``-square
-        tiles, each above the diagonal against its mirror below, so no n x n
-        temporary is made; the first unequal tile ends the comparison.
+        A table is compared with its transpose in square tiles of
+        ``BLOCK_PAIRS`` entries, each above the diagonal against its mirror
+        below, so no n x n temporary is made; the first unequal tile ends it.
         """
         if not self.is_finite:
             return True
-        D, t = self.table, SYMMETRY_TILE
+        D, t = self.table, math.isqrt(BLOCK_PAIRS)
         return all(
             np.array_equal(D[i0 : i0 + t, j0 : j0 + t], D[j0 : j0 + t, i0 : i0 + t].T)
             for i0 in range(0, self.n, t)
@@ -129,15 +130,18 @@ class MetricSpace(ArrayEq):
     def slack(self, tol: Optional[float] = None, *points: Point, scale: float = 0.0) -> float:
         """The "same point?" rule: points at most this far apart are the same point.
 
-        ``tol`` defaults to 1e-12 on finite spaces and 1e-9 on R^m; a NaN,
-        infinite or negative one raises DomainError.  Finite spaces compare
-        exactly: the slack is ``tol``.  On R^m it is tol + (m + 2)·eps·s, s the
+        ``tol`` defaults to 1e-12 on finite spaces and 1e-9 on R^m; a bool,
+        or a NaN, infinite or negative one, raises DomainError.  Finite spaces
+        compare exactly: the slack is ``tol``.  On R^m it is tol + (m + 2)·eps·s, s the
         sum of ``scale`` and the norms of ``points``: a coordinate of an affine
         map is an inner product of length m + 1, off by about (m + 1)·u times
         the magnitudes involved (Higham, Accuracy and Stability of Numerical
         Algorithms, 2nd ed., §3.1), and a distance adds one rounding more.
         """
-        tol = (1e-12 if self.is_finite else 1e-9) if tol is None else float(tol)
+        try:
+            tol = (1e-12 if self.is_finite else 1e-9) if tol is None else as_float(tol)
+        except ValueError as exc:
+            raise DomainError(f"tolerance must be a number, got {tol!r}") from exc
         if not (math.isfinite(tol) and tol >= 0.0):
             raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
         if self.is_finite:
@@ -226,6 +230,13 @@ class AxiomCheck(Record):
     witness: Optional[tuple]
     magnitude: float
 
+
+def _axiom(name: str, ok, witness: Optional[tuple], magnitude) -> AxiomCheck:
+    """One axiom's verdict: a passing check names no witness and reports 0.0."""
+    ok = bool(ok)
+    return AxiomCheck(name, ok, None if ok else witness, 0.0 if ok else float(magnitude))
+
+
 @dataclass(frozen=True)
 class AxiomReport(Record):
     """Outcome of the four metric-axiom checks.
@@ -253,13 +264,12 @@ class AxiomReport(Record):
         return {**super().to_dict(), "passed": self.passed}
 
 
-# the triangle check visits (i, j, k) in tiles of TILE_ROWS x TILE_COLS x n triples
-TILE_ROWS, TILE_COLS = 8, 32
+# the exact triangle scan visits (i, j, k) in tiles of TILE_ROWS rows i, as many columns j as BLOCK_PAIRS
+# allows (one at least) and all n columns k: at most max(BLOCK_PAIRS, TILE_ROWS * n) entries
+TILE_ROWS = 8
 # tables of at least this many points are screened before the exact scan; below
 # it a cold scipy.spatial import (0.5-0.8 s) costs more than the scan it saves
 SCREEN_MIN_N = 128
-# the hub certificate compares the upper triangle in row blocks of about this many entries
-HUB_BLOCK = 1 << 16
 # positivity copies row blocks of about this many entries (2 MiB).  Freeing a block this large
 # lifts glibc's dynamic mmap threshold above the arrays of about 1 MB that other layers make, so
 # those come from the heap; with 512 KiB blocks they came from fresh mappings, and a large_finite
@@ -270,13 +280,14 @@ LEAST_BLOCK = 1 << 18
 def _row_worst(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """For each i in ``rows``, the largest d(i, k) - d(i, j) - d(j, k) over all j and k."""
     n = D.shape[0]
+    width = max(1, min(n, BLOCK_PAIRS // (TILE_ROWS * n)))
     worst = np.empty(len(rows))
-    tile = np.empty((TILE_ROWS, TILE_COLS, n))
+    tile = np.empty((TILE_ROWS, width, n))
     for r0 in range(0, len(rows), TILE_ROWS):
         block = D[rows[r0 : r0 + TILE_ROWS]]
         worst_here = np.full(len(block), -np.inf)
-        for j0 in range(0, n, TILE_COLS):
-            cols = D[j0 : j0 + TILE_COLS]
+        for j0 in range(0, n, width):
+            cols = D[j0 : j0 + width]
             viol = tile[: len(block), : len(cols)]
             # entries near the float range overflow to -inf here, which is never a violation
             with np.errstate(over="ignore"):
@@ -328,10 +339,10 @@ def _is_hub_ultrametric(D: np.ndarray, r: int) -> bool:
     entry are hubs (the hub and a point of least a, or two points tied
     there), so the caller passes one of them.  D must be exactly symmetric
     with a zero diagonal: the comparison runs over the upper triangle in row
-    blocks of about ``HUB_BLOCK`` entries, and the first that differs ends it.
+    blocks of about ``BLOCK_PAIRS`` entries, and the first that differs ends it.
     """
     n, a = D.shape[0], D[r]
-    rows = max(1, HUB_BLOCK // n)
+    rows = max(1, BLOCK_PAIRS // n)
     for i0 in range(0, n, rows):
         hub = np.maximum.outer(a[i0 : i0 + rows], a[i0:])
         np.fill_diagonal(hub, 0.0)
@@ -367,26 +378,22 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
 
     diag = np.abs(np.diag(D))
     i = int(np.argmax(diag))
-    ok = bool(diag[i] <= tolerance)
-    identity = AxiomCheck("identity", ok, None if ok else (i,), 0.0 if ok else float(diag[i]))
+    identity = _axiom("identity", diag[i] <= tolerance, (i,), diag[i])
 
-    if space.symmetric:
-        symmetry = AxiomCheck("symmetry", True, None, 0.0)
-    else:
+    symmetry = _axiom("symmetry", True, None, 0.0)
+    if not space.symmetric:
         # |D - D^T|, the one n x n array, names the witness; entries near the
         # float range overflow to inf, which fails symmetry already
         with np.errstate(over="ignore"):
             asym = np.subtract(D, D.T)
         np.abs(asym, out=asym)
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        ok = bool(asym[i, j] <= tolerance)
-        symmetry = AxiomCheck("symmetry", ok, None if ok else (int(i), int(j)), 0.0 if ok else float(asym[i, j]))
+        symmetry = _axiom("symmetry", asym[i, j] <= tolerance, (int(i), int(j)), asym[i, j])
         del asym
 
     # strict positivity off the diagonal, exact comparison by design
     least, i, j = _least_off_diagonal(D)
-    ok = least > 0.0
-    positivity = AxiomCheck("positivity", ok, None if ok else (i, j), 0.0 if ok else -least)
+    positivity = _axiom("positivity", least > 0.0, (i, j), -least)
 
     # The triangle scan's value for (i, j, k) is e = fl(fl(a - b) - c), with
     # a = D[i, k], b = D[i, j], c = D[j, k]; only each i's worst is kept, and
@@ -419,15 +426,13 @@ def _verify_finite(space: MetricSpace, tolerance: float) -> AxiomReport:
         rows = rows[:0]
     elif clean and n >= SCREEN_MIN_N:
         rows = _uncleared_rows(D, least)
-    ok = True
+    triangle = _axiom("triangle", True, None, 0.0)
     if len(rows):
         i = int(rows[np.argmax(_row_worst(D, rows))])
         with np.errstate(over="ignore"):  # as in _row_worst: -inf is no violation
             viol = D[i][None, :] - D[i][:, None] - D
         j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        worst = float(viol[j, k])
-        ok = worst <= tolerance
-    triangle = AxiomCheck("triangle", bool(ok), None if ok else (i, int(j), int(k)), 0.0 if ok else worst)
+        triangle = _axiom("triangle", viol[j, k] <= tolerance, (i, int(j), int(k)), viol[j, k])
 
     return AxiomReport(checks=(identity, symmetry, positivity, triangle), mode="exhaustive", tolerance=tolerance)
 
@@ -464,5 +469,5 @@ def verify_metric_axioms(
     tolerance = space.slack(0.0 if tolerance is None and space.is_finite else tolerance)
     if space.is_finite:
         return _verify_finite(space, tolerance)
-    checks = tuple(AxiomCheck(name, True, None, 0.0) for name in ("identity", "symmetry", "positivity", "triangle"))
+    checks = tuple(_axiom(name, True, None, 0.0) for name in ("identity", "symmetry", "positivity", "triangle"))
     return AxiomReport(checks=checks, mode="analytic", tolerance=tolerance)

@@ -29,7 +29,7 @@ from .contraction import (
     check_range_inclusions,
 )
 from .errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
-from .metric_core import MetricSpace, verify_metric_axioms
+from .metric_core import MetricSpace, _least_off_diagonal, verify_metric_axioms
 from .records import Record, ValueEnum, int_arg
 from .reduction import coincidence_points, is_weakly_compatible
 
@@ -56,42 +56,38 @@ MIN_SEPARATION = 1e-6
 def metric_closure_repair(table: np.ndarray) -> np.ndarray:
     """Turn a nonnegative square array into an exact finite metric table.
 
-    Entries are clipped to [0, 1024] and snapped onto a dyadic grid, the
-    matrix is symmetrized by the entrywise minimum, and Floyd–Warshall
-    (Floyd 1962, CACM "Algorithm 97") replaces every entry by its shortest
-    path length in place, one intermediate point at a time, with a single
-    n x n scratch array.  It runs on the grid's integers (entries times
-    2**20) in uint32: they are at most 2**30, so no sum of two wraps, and
-    dividing back is exact.  The table satisfies the triangle inequality
-    with zero tolerance.  Off-diagonal entries below ``MIN_SEPARATION`` are lifted
-    by a uniform grid-aligned shift, which keeps the table closed.  A
-    final axiom verification guards the construction and raises
-    :class:`RepairFailure` if anything slipped through; with the grid in
-    place that indicates a bug rather than a hard input.
+    Entries are clipped to [0, 1024] and snapped to integers of 2**-20
+    units in uint32: at most 2**30, so no sum of two wraps.  On these
+    integers the matrix is symmetrized by the entrywise minimum, and
+    Floyd–Warshall (Floyd 1962, CACM "Algorithm 97") replaces every entry
+    by its shortest path length in place, one intermediate point at a
+    time, with a single n x n scratch array; dividing back is exact.  The
+    table satisfies the triangle inequality with zero tolerance.  When its
+    least off-diagonal entry is below ``MIN_SEPARATION``, every
+    off-diagonal entry is lifted by one grid-aligned shift, which keeps the
+    table closed.  A final axiom verification guards the construction and
+    raises :class:`RepairFailure` if anything slipped through; with the
+    grid in place that indicates a bug rather than a hard input.
     """
     D = np.asarray(table, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise DomainError(f"need a square table, got shape {D.shape}")
+    if D.ndim != 2 or D.shape[0] != D.shape[1] or not D.size:
+        raise DomainError(f"need a square, non-empty table, got shape {D.shape}")
     scale = float(2**GRID_BITS)
     D = np.nan_to_num(np.abs(D), nan=0.0, posinf=MAX_DISTANCE, neginf=0.0)
-    D = np.round(np.clip(D, 0.0, MAX_DISTANCE) * scale) / scale
-    D = np.minimum(D, D.T)
-    np.fill_diagonal(D, 0.0)
+    G = np.round(np.clip(D, 0.0, MAX_DISTANCE) * scale).astype(np.uint32)
+    G = np.minimum(G, G.T)
+    np.fill_diagonal(G, 0)
 
-    n = D.shape[0]
-    G = (D * scale).astype(np.uint32)
     via = np.empty_like(G)
-    for k in range(n):
+    for k in range(G.shape[0]):
         np.add(G[:, k, None], G[None, k, :], out=via)
         np.minimum(G, via, out=G)
     np.divide(G, scale, out=D)
 
-    off = ~np.eye(n, dtype=bool)
-    if n > 1:
-        floor = float(D[off].min())
-        if floor < MIN_SEPARATION:
-            bump = np.ceil(MIN_SEPARATION * scale) / scale
-            D = D + bump * off
+    # one point has no off-diagonal entry: its floor is inf
+    if _least_off_diagonal(D)[0] < MIN_SEPARATION:
+        D += np.ceil(MIN_SEPARATION * scale) / scale
+        np.fill_diagonal(D, 0.0)
 
     report = verify_metric_axioms(MetricSpace.finite(D), tolerance=0.0)
     if not report.passed:

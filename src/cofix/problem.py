@@ -19,7 +19,9 @@ with finite entries; their pair_source must be an object {"samples",
 "seed", "box"}.  The "solver" and "metadata" blocks are optional.  Anything
 structurally wrong raises SchemaError, which the command line reports as
 exit code 2, and so does a fractional integer such as ``2.5`` (``2.0``
-reads as 2).
+reads as 2).  A boolean is never a number: ``true`` or ``false`` as a
+scalar, or anywhere in a table, a mapping table, a matrix, an offset or an
+``x0`` list, is a schema error too.
 
 A "solver" ``tol`` follows the one tolerance rule, :meth:`MetricSpace.slack`:
 it must be finite and non-negative, and Euclidean spaces add their rounding
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -75,6 +78,19 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _numbers(value, name: str):
+    """``value`` as given; SchemaError if a boolean sits at any depth of its nested lists: a boolean is never a number."""
+    level = value if isinstance(value, (list, tuple)) else []
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds:
+            raise SchemaError(f"{name} holds a boolean, which is not a number")
+        # one level down; a level without lists, such as a table row's entries, is the last
+        nested = (v for v in level if type(v) in (list, tuple)) if kinds & {list, tuple} else ()
+        level = list(chain.from_iterable(nested))
+    return value
+
+
 def _space_from_dict(doc: dict) -> MetricSpace:
     flavor = _require(doc, "flavor", "space")
     try:
@@ -82,8 +98,7 @@ def _space_from_dict(doc: dict) -> MetricSpace:
     except ValueError:
         raise SchemaError(f"unknown space flavor {flavor!r}") from None
     if flavor == Flavor.FINITE_EXPLICIT:
-        table = _require(doc, "table", "space")
-        return MetricSpace.finite(table)
+        return MetricSpace.finite(_numbers(_require(doc, "table", "space"), "space table"))
     return MetricSpace.euclidean(as_int(_require(doc, "dimension", "space")))
 
 
@@ -94,15 +109,16 @@ def _space_to_dict(space: MetricSpace) -> dict:
 
 
 def _mapping_from_dict(doc: dict, label: str):
-    kind = _require(doc, "type", f"mapping {label}")
+    where = f"mapping {label}"
+    kind = _require(doc, "type", where)
     if kind == "table":
-        return TableMapping(_require(doc, "table", f"mapping {label}"))
+        return TableMapping(_numbers(_require(doc, "table", where), f"{where} table"))
     if kind == "affine":
         return AffineMapping(
-            _require(doc, "matrix", f"mapping {label}"),
-            _require(doc, "offset", f"mapping {label}"),
+            _numbers(_require(doc, "matrix", where), f"{where} matrix"),
+            _numbers(_require(doc, "offset", where), f"{where} offset"),
         )
-    raise SchemaError(f"mapping {label} has unknown type {kind!r}")
+    raise SchemaError(f"{where} has unknown type {kind!r}")
 
 
 def _mapping_to_dict(m) -> dict:
@@ -159,7 +175,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
         solver = doc.get("solver") or {}
         if not isinstance(solver, dict):
             raise SchemaError("solver block must be an object")
-        x0 = solver.get("x0")
+        x0 = _numbers(solver.get("x0"), "solver x0")
         if x0 is not None:
             x0 = space.canonicalize(space.materialize(x0))
         problem = Problem(

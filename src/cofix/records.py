@@ -4,9 +4,12 @@ A report inherits :class:`Record`.  ``to_dict`` emits the dataclass fields
 in declaration order: enums as their values, tuples and lists as lists,
 nested records through their own ``to_dict``.  ``from_dict`` follows the
 type hints: None for ``Optional``, ``Cls(value)`` for enums, ``float()``
-and ``int()`` coercion (:func:`as_int` refuses a bool and a fractional
-float), typed tuples and records element by element, and lists to tuples
-for untyped values.  A missing key takes the field's default.  :class:`ValueEnum` and
+and ``int()`` coercion (a boolean is never a number: :func:`as_float` and
+:func:`as_int` refuse it, and :func:`as_int` a fractional float too), typed
+tuples and records element by element, and lists to tuples for untyped
+values.  A missing key takes the field's default.  A non-finite float is
+written as the string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, so the
+output is strict JSON; ``float()`` reads each back.  :class:`ValueEnum` and
 :class:`ArrayEq` state the text of an enum and the equality of arrays.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from enum import Enum
 
@@ -79,6 +83,8 @@ def _encode(value):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
     return value
 
 
@@ -114,8 +120,15 @@ def _decode(hint, value):
         if hint is int:
             return as_int(value)
         if hint is float:
-            return float(value)
+            return as_float(value)
     return _plain(value)
+
+
+def as_float(value) -> float:
+    """``float(value)``, except that a bool is refused, not converted."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def as_int(value) -> int:

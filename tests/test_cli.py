@@ -6,6 +6,7 @@ what a shell user would see.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from cofix import (
     Arity,
+    AxiomReport,
     FuzzSummary,
     InstanceRecipe,
     MappingMode,
@@ -244,6 +246,28 @@ class TestCheck:
             assert cli.main(["check", path, "--format", "human"]) == cli.EXIT_FAILED
         out, err = capsys.readouterr()
         assert ("  symmetry fails at (0, 1) by inf" in out.splitlines(), err) == (True, "")
+
+    @pytest.mark.parametrize(
+        "table, axiom, witness",
+        [([[0, 1e308], [-1e308, 0]], "symmetry", [0, 1]), ([[0, 1e308, -1e308], [1e308, 0, 1e308], [-1e308, 1e308, 0]], "triangle", [0, 2, 0])],
+        ids=["symmetry", "triangle"],
+    )
+    def test_overflowing_magnitude_is_strict_json(self, tmp_path, capsys, table, axiom, witness):
+        # the overflowed magnitude printed as a bare Infinity, which is not JSON; it is the string "Infinity",
+        # and human output still says "by inf" (test_overflowing_asymmetry_prints_no_warning)
+        n = len(table)
+        doc = {"space": {"flavor": "finite_explicit", "table": table}, "mappings": table_maps(2, S=list(range(n)), T=list(range(n))), "coefficients": GAMMA_HALF}
+        assert cli.main(["check", write_doc(tmp_path, "overflow.json", doc), "--format", "structured"]) == cli.EXIT_FAILED
+        data = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        check = AxiomReport.from_dict(data["axioms"]).check(axiom)
+        assert (check.passed, check.witness, check.magnitude) == (False, tuple(witness), math.inf)
+
+    def test_boolean_table_entry_exits_schema(self, tmp_path, capsys):
+        # int(True) is 1: the table loaded as [[0, 1], [1, 0]] and the check ran (exit 1)
+        doc = {"space": {"flavor": "finite_explicit", "table": [[0, True], [True, 0]]}, "mappings": table_maps(2, S=[0, 1], T=[0, 1]), "coefficients": GAMMA_HALF}
+        assert cli.main(["check", write_doc(tmp_path, "bool.json", doc)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "schema error: space table holds a boolean, which is not a number\n")
 
     def test_missing_file_exits_schema(self, capsys):
         assert cli.main(["check", "/no/such/file.json"]) == cli.EXIT_SCHEMA

@@ -187,6 +187,14 @@ def test_slack_refuses_non_finite_or_negative_tolerance(path4, bad):
             sp.slack(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_slack_refuses_a_boolean_tolerance(path4, flag):
+    # float(True) is 1.0: a boolean is never a number
+    for sp in (path4, MetricSpace.euclidean(2)):
+        with pytest.raises(DomainError, match="tolerance must be a number"):
+            sp.slack(flag)
+
+
 class TestEuclideanSpace:
     def test_basics(self):
         sp = MetricSpace.euclidean(3)
@@ -842,7 +850,7 @@ def test_condensed_reports_equal_the_full_path(monkeypatch, case, n, seed, hub_r
     tab = _symmetric_case(case, n, seed)
     if hub_rows:
         # blocks of 7 rows: the last holds rows 126-130 alone
-        monkeypatch.setattr(metric_core, "HUB_BLOCK", hub_rows * n)
+        monkeypatch.setattr(metric_core, "BLOCK_PAIRS", hub_rows * n)
     screened = _calls(monkeypatch, metric_core, "_uncleared_rows")
     rep = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0)
     full_space = MetricSpace.finite(tab)
@@ -920,4 +928,54 @@ def test_positivity_blocks_keep_the_first_least_entry(n, block_rows, seed, symme
     # JSON tells -0.0 from 0.0: the magnitude is -d(i, j) at the first least entry
     want = AxiomCheck("positivity", ok, None if ok else (i, j), 0.0 if ok else -least)
     assert json.dumps(check.to_dict()) == json.dumps(want.to_dict())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    width=st.integers(min_value=1, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    huge=st.booleans(),
+    metric=st.booleans(),
+)
+def test_triangle_tiles_of_any_width_match_the_brute_force(n, width, seed, huge, metric):
+    # BLOCK_PAIRS sets the tile's columns j, here 1 to n.  Few distinct values give ties; a metric draws
+    # from [1, 2] off the diagonal and passes; other tables hold a zero pair, and near +-1e308 their
+    # differences overflow to -inf (never a violation) or +inf (the worst)
+    rng = np.random.default_rng(seed)
+    if metric:
+        tab = rng.choice([1.0, 1.5, 2.0], size=(n, n))
+        tab = np.minimum(tab, tab.T)
+    else:
+        tab = rng.choice([0.0, 1.0, 3.0, 1e308, -1e308] if huge else [0.0, 1.0, 2.0, 5.0], size=(n, n))
+        tab[0, n - 1] = 0.0
+    np.fill_diagonal(tab, 0.0)
+    rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    with np.errstate(over="ignore"):
+        cube = tab[:, None, :] - tab[:, :, None] - tab[None, :, :]  # [i, j, k]: d(i, k) - d(i, j) - d(j, k)
+    row_worst = cube.max(axis=(1, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_core, "BLOCK_PAIRS", metric_core.TILE_ROWS * n * min(width, n))
+        assert np.array_equal(metric_core._row_worst(tab, rows), row_worst[rows])
+        triangle = verify_metric_axioms(MetricSpace.finite(tab), tolerance=0.0).check("triangle")
+    i = int(np.argmax(row_worst))
+    j, k = np.unravel_index(int(np.argmax(cube[i])), (n, n))
+    ok = bool(cube[i, j, k] <= 0.0)
+    want = AxiomCheck("triangle", ok, None if ok else (i, int(j), int(k)), 0.0 if ok else float(cube[i, j, k]))
+    assert json.dumps(triangle.to_dict()) == json.dumps(want.to_dict())
+    assert triangle.passed or not metric
+
+
+def test_triangle_tile_stays_within_the_block_budget():
+    # 8 rows of an n=1000 table: a tile of 8 x 32 x n entries was 2 MB; 8 x 8 x n is 512 KB
+    n = 1000
+    tab = metric_closure_repair(np.random.default_rng(4).uniform(0.1, 8.0, size=(n, n)))
+    tracemalloc.start()
+    try:
+        metric_core._row_worst(tab, np.arange(metric_core.TILE_ROWS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tile, plus the 8-row block and numpy's reduction buffers
+    assert peak < 8 * max(metric_core.BLOCK_PAIRS, metric_core.TILE_ROWS * n) + 2**18
 

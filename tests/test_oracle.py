@@ -164,6 +164,17 @@ class TestMetricClosureRepair:
         raw[rng.random((n, n)) < 0.1] = rng.uniform(0.0, 1023.0)
         assert np.array_equal(metric_closure_repair(raw), squaring_closure(raw))
 
+    @pytest.mark.parametrize(
+        "raw",
+        [np.array([[-0.0]]), np.zeros((3, 3)), -np.zeros((4, 4)), np.full((5, 5), 4e-7), np.array([[0.0, 3e-7, 9.0], [5.0, -0.0, 2e-7], [np.nan, 8.0, 1.0]])],
+        ids=["one_point", "zeros", "negative_zeros", "below_separation", "mixed_below_separation"],
+    )
+    def test_edge_tables_match_the_squaring_closure_bit_for_bit(self, raw):
+        # one point has no off-diagonal entry to lift; the others sit below MIN_SEPARATION and are lifted
+        out = metric_closure_repair(raw)
+        assert out.tobytes() == squaring_closure(raw).tobytes()
+        assert not np.signbit(out).any()
+
     def test_memory_stays_quadratic(self):
         raw = np.random.default_rng(3).uniform(0.1, 8.0, size=(300, 300))
         tracemalloc.start()

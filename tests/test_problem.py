@@ -248,6 +248,26 @@ class TestSchemaRejections:
         with pytest.raises(SchemaError, match="not an integer"):
             load_problem(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # JSON booleans: each loaded as 1 or 0, and a solve followed
+            (finite_doc(space={"flavor": "finite_explicit", "table": [[0, True, 3, 7], [True, 0, 2, 6], [3, 2, 0, 4], [7, 6, 4, 0]]}), "space table holds a boolean"),
+            (finite_doc(mappings={**finite_doc()["mappings"], "S": {"type": "table", "table": [True, False, 1, 2]}}), "mapping S table holds a boolean"),
+            (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": 0.5, "delta": 0, "L": True}), "True is not a number"),
+            (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": False, "delta": 0, "L": 0}), "False is not a number"),
+            (finite_doc(solver={"tol": True}), "tolerance must be a number, got True"),
+            (euclid_doc(pair_source={"samples": 64, "seed": 3, "box": [False, True]}), "False is not a number"),
+            (euclid_doc(mappings={**euclid_doc()["mappings"], "S": {"type": "affine", "matrix": [[True, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]}}), "mapping S matrix holds a boolean"),
+            (euclid_doc(mappings={**euclid_doc()["mappings"], "T": {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [False, 0.0]}}), "mapping T offset holds a boolean"),
+            (euclid_doc(solver={"x0": [True, 0.0]}), "solver x0 holds a boolean"),
+        ],
+        ids=["table", "mapping_table", "L", "gamma", "tol", "box", "matrix", "offset", "x0"],
+    )
+    def test_booleans_are_not_numbers(self, doc, message):
+        with pytest.raises(SchemaError, match=message):
+            load_problem(doc)
+
     def test_integral_floats_read_as_integers(self):
         problem = load_problem(euclid_doc(space={"flavor": "euclidean_affine", "dimension": 2.0}, pair_source={"samples": 64.0, "seed": 3.0}))
         assert problem.space.dimension == 2

@@ -7,6 +7,7 @@ tuple points, ``None`` optionals and a kept iteration trace.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from cofix import (
     verify_metric_axioms,
 )
 from cofix.oracle import oracle_summary, run_fuzz
-from cofix.records import Record, ValueEnum
+from cofix.records import Record, ValueEnum, as_float
 
 LINE = MetricSpace.euclidean(2)
 HALF = AffineMapping(0.5 * np.eye(2), [0.5, -0.5])
@@ -120,3 +121,24 @@ def test_missing_required_key_raises_key_error_and_defaults_fill_in():
     assert SampledPairs.from_dict({"samples": "5", "seed": 1.0}) == SampledPairs(samples=5, seed=1)
     with pytest.raises(ValueError, match="expected 2 entries"):
         SampledPairs.from_dict({"samples": 5, "seed": 1, "box": [1.0]})
+
+
+def test_non_finite_floats_are_strict_json_strings():
+    # a bare Infinity or NaN is not JSON (RFC 8259)
+    inf, nan = float("inf"), float("nan")
+    check = AxiomCheck("symmetry", False, (0, 1), inf)
+    assert check.to_dict()["magnitude"] == "Infinity"
+    text = json.dumps(check.to_dict())
+    assert AxiomCheck.from_dict(json.loads(text, parse_constant=pytest.fail)) == check
+    for value, word in ((inf, "Infinity"), (-inf, "-Infinity"), (nan, "NaN"), (np.float64(-inf), "-Infinity")):
+        assert AxiomCheck("triangle", False, None, value).to_dict()["magnitude"] == word
+    assert math.isnan(AxiomCheck.from_dict({"name": "t", "passed": False, "witness": None, "magnitude": "NaN"}).magnitude)
+    assert AxiomCheck("identity", True, None, 0.0).to_dict()["magnitude"] == 0.0
+
+
+def test_a_boolean_is_never_a_number():
+    # float(True) is 1.0; problem files reach as_float through every float field (tests/test_problem.py)
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="is not a number"):
+            as_float(flag)
+    assert (as_float(1), as_float("2.5"), as_float("-Infinity"), as_float(np.float32(0.5))) == (1.0, 2.5, -math.inf, 0.5)
