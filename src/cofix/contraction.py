@@ -95,7 +95,7 @@ from .errors import (
     NonInvertibleMapping,
 )
 from .metric_core import BLOCK_PAIRS, MetricSpace, Point, sampling_box
-from .records import ArrayEq, Record, int_arg
+from .records import ArrayEq, Record, int_arg, real_arg
 
 EXHAUSTIVE = "exhaustive"
 
@@ -128,7 +128,10 @@ MARGIN = 0.05
 
 @dataclass(frozen=True)
 class Coefficients(Record):
-    """A tuple (alpha, beta, gamma, delta, L) for the contractive conditions; a tuple out of bounds raises BoundViolation."""
+    """A tuple (alpha, beta, gamma, delta, L) of floats for the contractive conditions.
+
+    A field that is no number raises DomainError naming it; a tuple out of bounds raises BoundViolation.
+    """
 
     alpha: float
     beta: float
@@ -137,6 +140,8 @@ class Coefficients(Record):
     L: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "delta", "L"):
+            object.__setattr__(self, name, real_arg(name, getattr(self, name)))
         validate_coefficients(self)
 
     @property
@@ -345,7 +350,8 @@ class SampledPairs(Record):
     On Euclidean spaces points are drawn uniformly from the box
     ``[lo, hi]^m``; on finite spaces indices are drawn uniformly and ``box``
     is ignored.  The seed and box are echoed into every report produced
-    from this source so runs can be reproduced.
+    from this source so runs can be reproduced.  Integers ``samples`` >= 1
+    and ``seed`` >= 0 and numbers lo < hi in ``box`` are required, or DomainError.
     """
 
     samples: int
@@ -353,10 +359,8 @@ class SampledPairs(Record):
     box: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        for name in ("samples", "seed"):
-            object.__setattr__(self, name, int_arg(name, getattr(self, name)))
-        if self.samples < 1:
-            raise DomainError(f"need at least one sample, got {self.samples}")
+        for name, least in (("samples", 1), ("seed", 0)):
+            object.__setattr__(self, name, int_arg(name, getattr(self, name), least))
         if self.box is not None:
             object.__setattr__(self, "box", sampling_box(self.box))
 
@@ -912,7 +916,7 @@ def synthesize_coefficients(
             # the attempt meets the 1 - MARGIN budget row up to HiGHS's tolerance and bump <= 16 * slack
             # <= 1.6e-8, so the weight sum stays below 0.9502, well inside the bounds Coefficients checks
             coefs = attempt * (1.0 + bump) + bump if bump else attempt
-            candidate = Coefficients(*[float(v) for v in coefs])
+            candidate = Coefficients(*coefs)
             # the sample drawn once; an exhaustive check keeps its keyed grid
             report = _evaluate_condition(space, maps, candidate, pair_source, tolerance, batch if sampled else None)
             if report.satisfied:

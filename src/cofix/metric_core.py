@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .records import ArrayEq, Record, as_float, int_arg
+from .records import ArrayEq, Record, int_arg, real_arg
 
 Point = Union[int, np.ndarray]
 
@@ -81,10 +81,7 @@ class MetricSpace(ArrayEq):
             object.__setattr__(self, "nonnegative", bool(lo >= 0.0))
             object.__setattr__(self, "dimension", None)
         elif self.flavor is Flavor.EUCLIDEAN_AFFINE:
-            dimension = int_arg("dimension", self.dimension)
-            if dimension < 1:
-                raise DomainError(f"Euclidean space needs a positive dimension, got {self.dimension}")
-            object.__setattr__(self, "dimension", dimension)
+            object.__setattr__(self, "dimension", int_arg("dimension", self.dimension, 1))
             object.__setattr__(self, "table", None)
             object.__setattr__(self, "nonnegative", True)
         else:  # pragma: no cover - enum is closed
@@ -138,10 +135,7 @@ class MetricSpace(ArrayEq):
         the magnitudes involved (Higham, Accuracy and Stability of Numerical
         Algorithms, 2nd ed., §3.1), and a distance adds one rounding more.
         """
-        try:
-            tol = (1e-12 if self.is_finite else 1e-9) if tol is None else as_float(tol)
-        except ValueError as exc:
-            raise DomainError(f"tolerance must be a number, got {tol!r}") from exc
+        tol = (1e-12 if self.is_finite else 1e-9) if tol is None else real_arg("tolerance", tol)
         if not (math.isfinite(tol) and tol >= 0.0):
             raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
         if self.is_finite:
@@ -163,7 +157,7 @@ class MetricSpace(ArrayEq):
     def _check_point(self, p: Point) -> Point:
         """The point's computational form, an int or a float m-vector; DomainError off the universe."""
         if self.is_finite:
-            if isinstance(p, (int, np.integer)) and 0 <= int(p) < self.n:
+            if isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= int(p) < self.n:
                 return int(p)
         else:
             arr = np.asarray(p, dtype=float)
@@ -199,9 +193,7 @@ class MetricSpace(ArrayEq):
     def materialize(self, p) -> Point:
         """Inverse of :meth:`canonicalize`: rebuild the computational form."""
         if self.is_finite:
-            if isinstance(p, (bool, np.bool_)) or isinstance(p, float) and not p.is_integer():
-                raise DomainError(f"point {p!r} is not an index of this finite space")
-            return self._check_point(int(p))
+            return self._check_point(int_arg("point", p))
         return self._check_point(np.asarray(p, dtype=float))
 
 
@@ -215,7 +207,7 @@ def sampling_box(box: tuple[float, float], dimension: int = 1) -> tuple[float, f
     Squares past about 1e154 overflow and margins read NaN; capping sqrt(m)
     times the box's reach at ``REACH_CAP`` leaves mappings room to stretch it 1000-fold.
     """
-    lo, hi = float(box[0]), float(box[1])
+    lo, hi = real_arg("sampling box bound", box[0]), real_arg("sampling box bound", box[1])
     if not lo < hi:
         raise DomainError(f"sampling box must have lo < hi, got {box}")
     if max(abs(lo), abs(hi)) * math.sqrt(dimension) > REACH_CAP:

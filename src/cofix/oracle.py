@@ -136,7 +136,7 @@ def oracle_summary(space: MetricSpace, maps: MappingSet) -> OracleResult:
 
 @dataclass(frozen=True)
 class InstanceRecipe(Record):
-    """Reproducible parameters for one generated instance; a fractional ``seed`` or ``n`` raises DomainError."""
+    """Reproducible parameters for one generated instance: integers ``seed`` >= 0 and ``n`` >= 2, or DomainError."""
 
     seed: int
     n: int
@@ -145,10 +145,8 @@ class InstanceRecipe(Record):
     mapping_mode: MappingMode = MappingMode.CONTRACTION_ANCHOR
 
     def __post_init__(self):
-        for name in ("seed", "n"):
-            object.__setattr__(self, name, int_arg(name, getattr(self, name)))
-        if self.n < 2:
-            raise DomainError(f"need at least two points, got {self.n}")
+        for name, least in (("seed", 0), ("n", 2)):
+            object.__setattr__(self, name, int_arg(name, getattr(self, name), least))
         object.__setattr__(self, "arity", Arity(self.arity))
         object.__setattr__(self, "metric_mode", MetricMode(self.metric_mode))
         object.__setattr__(self, "mapping_mode", MappingMode(self.mapping_mode))
@@ -282,13 +280,7 @@ def _random_instance(recipe: InstanceRecipe, rng: np.random.Generator) -> Genera
     space = MetricSpace.finite(metric_closure_repair(raw))
 
     weights = rng.dirichlet(np.ones(5))[:4] * rng.uniform(0.3, 0.9)
-    coefficients = Coefficients(
-        float(weights[0]),
-        float(weights[1]),
-        float(weights[2]),
-        float(weights[3]) / 2.0,
-        float(rng.uniform(0.0, 1.0)),
-    )
+    coefficients = Coefficients(*weights[:3], weights[3] / 2.0, rng.uniform(0.0, 1.0))
 
     # f is drawn before S and T, which take values in its image: the draw order fixes every table
     f = TableMapping(rng.integers(0, n, size=n)) if recipe.arity >= Arity.THREE else None
@@ -349,18 +341,14 @@ def run_fuzz(
     solve names as common fixed point must be an enumerated one, and
     naming none (a failed orbit, a coincidence-only pipeline, a tallied
     CofixError) is a mismatch only in anchor mode, whose answer is known.
-    Condition violations are simply tallied.  A fractional count, seed or
-    size raises DomainError.
+    Condition violations are simply tallied.  Integers ``count`` >= 1, ``seed``
+    >= 0 and 2 <= ``n_min`` <= ``n_max`` are required, or DomainError.
     """
     from .reduction import PipelineOptions, solve_pipeline
     from .solver import picard_solve
 
-    count, seed = int_arg("count", count), int_arg("seed", seed)
-    n_min, n_max = int_arg("n_min", n_min), int_arg("n_max", n_max)
-    if count < 1:
-        raise DomainError(f"need a positive instance count, got {count}")
-    if not 2 <= n_min <= n_max:
-        raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
+    count, seed, n_min = int_arg("count", count, 1), int_arg("seed", seed, 0), int_arg("n_min", n_min, 2)
+    n_max = int_arg("n_max", n_max, n_min)
     arity, metric_mode, mapping_mode = Arity(arity), MetricMode(metric_mode), MappingMode(mapping_mode)
     size_rng = np.random.default_rng(seed)
     tallies: dict = {

@@ -11,6 +11,9 @@ values.  A missing key takes the field's default.  A non-finite float is
 written as the string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, so the
 output is strict JSON; ``float()`` reads each back.  :class:`ValueEnum` and
 :class:`ArrayEq` state the text of an enum and the equality of arrays.
+
+:func:`int_arg` (with a least value) and :func:`real_arg` hold a library
+argument to the same rules and raise DomainError naming the argument.
 """
 
 from __future__ import annotations
@@ -132,15 +135,26 @@ def as_float(value) -> float:
 
 
 def as_int(value) -> int:
-    """``int(value)``, except that a bool, or a float with a fractional part, is refused, not converted."""
-    if isinstance(value, (bool, np.bool_)) or isinstance(value, float) and not value.is_integer():
+    """``int(value)``, except that a bool, or a float (numpy's too) with a fractional part, is refused, not converted."""
+    if isinstance(value, (bool, np.bool_)) or isinstance(value, (float, np.floating)) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
-def int_arg(name: str, value) -> int:
-    """:func:`as_int` for a library argument: what it refuses raises DomainError naming ``name``."""
+def int_arg(name: str, value, least: typing.Optional[int] = None) -> int:
+    """:func:`as_int` for a library argument, at least ``least`` if given; a refusal raises DomainError naming ``name``."""
     try:
-        return as_int(value)
+        value = as_int(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def real_arg(name: str, value) -> float:
+    """:func:`as_float` for a library argument: what it refuses raises DomainError naming ``name``."""
+    try:
+        return as_float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a number, got {value!r}") from exc

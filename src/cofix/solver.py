@@ -140,9 +140,7 @@ def picard_solve(
     that overflows raises DomainError, and a NaN or infinite residual never
     passes.  Hypothesis failures surface as report statuses, not exceptions.
     """
-    max_iters = int_arg("max_iters", max_iters)
-    if max_iters < 1:
-        raise DomainError(f"need at least one iteration, got {max_iters}")
+    max_iters = int_arg("max_iters", max_iters, 1)
     x0 = space._check_point(x0)
     tol = space.slack(tol)
     if tol == 0.0:

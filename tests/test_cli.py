@@ -269,6 +269,19 @@ class TestCheck:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "schema error: space table holds a boolean, which is not a number\n")
 
+    def test_negative_sampler_seed_exits_schema(self, tmp_path, capsys):
+        # the document loaded and check died in numpy's seeding: a traceback, exit 1
+        half = {"type": "affine", "matrix": [[0.5]], "offset": [0.0]}
+        doc = {
+            "space": {"flavor": "euclidean_affine", "dimension": 1},
+            "mappings": {"arity": 2, "S": half, "T": half},
+            "coefficients": GAMMA_HALF,
+            "pair_source": {"samples": 64, "seed": -1, "box": [-1, 1]},
+        }
+        assert cli.main(["check", write_doc(tmp_path, "negseed.json", doc)]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "schema error: invalid problem document: seed must be at least 0, got -1\n")
+
     def test_missing_file_exits_schema(self, capsys):
         assert cli.main(["check", "/no/such/file.json"]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("schema error:")
@@ -814,6 +827,12 @@ class TestFuzz:
     def test_zero_count_exits_schema(self, capsys):
         assert cli.main(["fuzz", "--count", "0"]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().err.startswith("input error:")
+
+    def test_negative_seed_exits_schema_with_one_line(self, capsys):
+        # numpy's seeding refused -1 with a ValueError traceback (exit 1)
+        assert cli.main(["fuzz", "--count", "2", "--seed", "-1"]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "input error: seed must be at least 0, got -1\n")
 
     def test_mode_flags_are_validated_by_argparse(self, capsys):
         with pytest.raises(SystemExit):

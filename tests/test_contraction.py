@@ -110,6 +110,24 @@ class TestCoefficients:
         with pytest.raises(BoundViolation):
             Coefficients(*bad)
 
+    @pytest.mark.parametrize("bad", [False, np.True_, "half", None])
+    def test_each_field_follows_the_number_rule(self, bad):
+        # Coefficients(False, ...) built and wrote "alpha": false, which load_problem refuses
+        for k, name in enumerate(("alpha", "beta", "gamma", "delta", "L")):
+            args = [0.0, 0.0, 0.5, 0.0, 0.0]
+            args[k] = bad
+            with pytest.raises(DomainError) as exc_info:
+                Coefficients(*args)
+            assert str(exc_info.value) == f"{name} must be a number, got {bad!r}"
+
+    def test_fields_are_python_floats(self):
+        # np.float32 fields made to_dict unserializable, and "0.5" raised TypeError from np.isfinite
+        for value in (0.5, np.float32(0.5), np.float64(0.5), "0.5"):
+            c = Coefficients(value, 0, np.int64(0), 0.125, 3)
+            assert c.as_tuple() == (0.5, 0.0, 0.0, 0.125, 3.0)
+            assert all(type(v) is float for v in c.as_tuple())
+            assert json.loads(json.dumps(c.to_dict())) == {"alpha": 0.5, "beta": 0.0, "gamma": 0.0, "delta": 0.125, "L": 3.0}
+
     def test_weight_sum_just_below_one_is_fine(self):
         validate_coefficients(Coefficients(0.5, 0.3, 0.199, 0.0))
 
@@ -325,6 +343,12 @@ class TestSampledPairs:
             SampledPairs(samples=0, seed=0)
         with pytest.raises(DomainError):
             SampledPairs(samples=5, seed=0, box=(2.0, 2.0))
+
+    @pytest.mark.parametrize("box", [(False, True), (0.0, True), ("low", 1.0)])
+    def test_box_bounds_follow_the_number_rule(self, box):
+        # float(False) is 0.0: (False, True) built the box (0.0, 1.0)
+        with pytest.raises(DomainError, match="^sampling box bound must be a number, got "):
+            SampledPairs(8, 0, box=box)
 
     def test_dict_roundtrip(self):
         src = SampledPairs(samples=7, seed=3, box=(-1.0, 4.0))

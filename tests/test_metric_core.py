@@ -265,7 +265,7 @@ class TestPointRule:
         (0, True), (3, True), (np.int64(2), True), (np.int32(1), True), (np.uint8(3), True),
         (4, False), (-1, False), (np.int64(4), False), (np.int64(-1), False), (10**30, False),
         (1.5, False), (2.0, False), (np.float64(1.0), False), ("1", False), (None, False),
-        ([1], False), (np.array(1), False),
+        ([1], False), (np.array(1), False), (True, False), (False, False), (np.True_, False),
     ]
     EUCLIDEAN_POINTS = [
         ([0.0, 1.0], True), ((1.0, -2.0), True), (np.array([1, 2]), True), ([1e308, -1e308], True),

@@ -255,6 +255,11 @@ class TestInstanceRecipe:
         with pytest.raises(DomainError, match="must be an integer"):
             InstanceRecipe(**kwargs)
 
+    def test_negative_seed_is_refused(self):
+        # the recipe built and generate_instance raised numpy's ValueError
+        with pytest.raises(DomainError, match="^seed must be at least 0, got -3$"):
+            generate_instance(InstanceRecipe(seed=-3, n=5))
+
     def test_integral_floats_are_accepted(self):
         r = InstanceRecipe(seed=3.0, n=6.0)
         assert r == InstanceRecipe(seed=3, n=6)

@@ -6,14 +6,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofix import (
     EXHAUSTIVE,
+    AffineMapping,
     Arity,
+    Coefficients,
     InstanceRecipe,
+    MappingMode,
+    MappingSet,
+    MetricMode,
+    MetricSpace,
     Problem,
     SampledPairs,
     SchemaError,
+    TableMapping,
     as_problem,
     generate_instance,
     load_problem,
@@ -220,7 +229,7 @@ class TestSchemaRejections:
     def test_fractional_finite_start_point_is_rejected(self):
         # a JSON boolean is no index either: int(True) solved from point 1
         for x0 in (1.5, True, False):
-            with pytest.raises(SchemaError, match="not an index"):
+            with pytest.raises(SchemaError, match="point must be an integer"):
                 load_problem(finite_doc(solver={"x0": x0}))
         assert load_problem(finite_doc(solver={"x0": 1.0})).x0 == 1
 
@@ -367,6 +376,63 @@ class TestRoundTrip:
         assert problem_to_dict(load_problem(finite_doc()))["pair_source"] == EXHAUSTIVE
         src = problem_to_dict(load_problem(euclid_doc()))["pair_source"]
         assert src == {"samples": 64, "seed": 3, "box": [-2.0, 2.0]}
+
+
+def _numbers(lo, hi):
+    """A number in [lo, hi] as a Python float, np.float32 or np.float64, or the integer lo."""
+    real = st.floats(lo, hi)
+    return st.one_of(st.just(lo), real, real.map(np.float32), real.map(np.float64))
+
+
+@st.composite
+def problems(draw):
+    """A Problem built in the library: numpy scalars among the coefficients and the sampler's fields."""
+    arity = draw(st.sampled_from(list(Arity)))
+    entry = st.floats(-1e6, 1e6)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        space = MetricSpace.finite(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+        mapping = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(TableMapping)
+        x0 = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    else:
+        m = draw(st.integers(1, 3))
+        space = MetricSpace.euclidean(m)
+        mapping = st.builds(AffineMapping, st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m), st.lists(entry, min_size=m, max_size=m))
+        x0 = draw(st.one_of(st.none(), st.tuples(*[entry] * m)))
+    maps = MappingSet(*draw(st.lists(mapping, min_size=arity, max_size=arity)), arity=arity)
+    # each of alpha..delta below 0.15 keeps the weight sum below 1 after float32 rounding
+    coefficients = Coefficients(*draw(st.tuples(*[_numbers(0, 0.15)] * 4)), draw(st.one_of(st.integers(0, 10), _numbers(0, 10.0))))
+    integer = st.sampled_from([int, np.int32, np.int64, np.uint16])
+    lo = draw(st.floats(-100.0, 99.0))
+    box = (np.float64(lo), np.float32(lo + draw(st.floats(1.0, 100.0)))) if draw(st.booleans()) else None
+    sampled = SampledPairs(draw(integer)(draw(st.integers(1, 500))), draw(integer)(draw(st.integers(0, 2**15))), box)
+    pair_source = sampled if not space.is_finite or draw(st.booleans()) else EXHAUSTIVE
+    tol = draw(st.one_of(st.none(), st.floats(0.0, 1e-3)))
+    return Problem(space, maps, coefficients, pair_source, x0, tol, draw(st.integers(1, 10**4)), {"note": draw(st.text(max_size=8))})
+
+
+def assert_round_trips(problem):
+    """What the library writes is strict JSON, and it reads back as the same problem."""
+    text = json.dumps(problem_to_dict(problem), allow_nan=False)
+    json.loads(text, parse_constant=pytest.fail)
+    restored = load_problem(text)
+    for name in ("space", "maps", "coefficients", "pair_source", "x0", "tol", "max_iters", "metadata"):
+        assert getattr(restored, name) == getattr(problem, name), name
+
+
+class TestWrittenDocumentsReadBack:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=problems())
+    def test_built_problems_round_trip(self, problem):
+        # np.float32 coefficients made problem_to_dict's output unserializable
+        assert_round_trips(problem)
+
+    @pytest.mark.parametrize("arity", list(Arity))
+    @pytest.mark.parametrize("metric_mode", list(MetricMode))
+    @pytest.mark.parametrize("mapping_mode", list(MappingMode))
+    def test_generated_instances_round_trip(self, arity, metric_mode, mapping_mode):
+        recipe = InstanceRecipe(seed=11, n=7, arity=arity, metric_mode=metric_mode, mapping_mode=mapping_mode)
+        assert_round_trips(as_problem(generate_instance(recipe)))
 
 
 class TestAsProblem:

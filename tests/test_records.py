@@ -35,8 +35,9 @@ from cofix import (
     solve_three,
     verify_metric_axioms,
 )
+from cofix.errors import DomainError
 from cofix.oracle import oracle_summary, run_fuzz
-from cofix.records import Record, ValueEnum, as_float
+from cofix.records import Record, ValueEnum, as_float, as_int, int_arg, real_arg
 
 LINE = MetricSpace.euclidean(2)
 HALF = AffineMapping(0.5 * np.eye(2), [0.5, -0.5])
@@ -142,3 +143,67 @@ def test_a_boolean_is_never_a_number():
         with pytest.raises(ValueError, match="is not a number"):
             as_float(flag)
     assert (as_float(1), as_float("2.5"), as_float("-Infinity"), as_float(np.float32(0.5))) == (1.0, 2.5, -math.inf, 0.5)
+
+
+def _halving_solve(max_iters):
+    half = AffineMapping([[0.5]], [0.0])
+    return picard_solve(MetricSpace.euclidean(1), half, half, Coefficients(0, 0, 0.6, 0), [1.0], max_iters=max_iters)
+
+
+# (argument, its least value, a call passing the value, the value read back from the result)
+INT_ARG_SITES = {
+    "MetricSpace.dimension": ("dimension", 1, MetricSpace.euclidean, lambda r: r.dimension),
+    "SampledPairs.samples": ("samples", 1, lambda v: SampledPairs(v, 0), lambda r: r.samples),
+    "SampledPairs.seed": ("seed", 0, lambda v: SampledPairs(8, v), lambda r: r.seed),
+    "InstanceRecipe.seed": ("seed", 0, lambda v: InstanceRecipe(seed=v, n=5), lambda r: r.seed),
+    "InstanceRecipe.n": ("n", 2, lambda v: InstanceRecipe(seed=0, n=v), lambda r: r.n),
+    "run_fuzz.count": ("count", 1, lambda v: run_fuzz(v, n_max=4), lambda r: r.count),
+    "run_fuzz.seed": ("seed", 0, lambda v: run_fuzz(1, seed=v, n_max=4), lambda r: r.seed),
+    "run_fuzz.n_min": ("n_min", 2, lambda v: run_fuzz(1, n_min=v, n_max=4), lambda r: r.n_range[0]),
+    "run_fuzz.n_max": ("n_max", 3, lambda v: run_fuzz(1, n_min=3, n_max=v), lambda r: r.n_range[1]),
+    "picard_solve.max_iters": ("max_iters", 1, _halving_solve, lambda r: r.iterations),
+}
+
+
+class TestArgumentRules:
+    """``int_arg`` states each integer argument's rule and least value once, ``real_arg`` the number rule."""
+
+    @pytest.mark.parametrize("site", INT_ARG_SITES)
+    @pytest.mark.parametrize("bad", ["least - 1", True, 2.5])
+    def test_every_site_refuses_with_one_message(self, site, bad):
+        # a negative seed passed every check and then died in numpy's seeding
+        name, least, call, _ = INT_ARG_SITES[site]
+        value = least - 1 if bad == "least - 1" else bad
+        expected = f"{name} must be at least {least}, got {value}" if bad == "least - 1" else f"{name} must be an integer, got {value!r}"
+        with pytest.raises(DomainError) as exc_info:
+            call(value)
+        assert str(exc_info.value) == expected
+
+    @pytest.mark.parametrize("site", INT_ARG_SITES)
+    def test_every_site_takes_its_least_value(self, site):
+        _, least, call, read = INT_ARG_SITES[site]
+        for value in (least, float(least)):
+            got = read(call(value))
+            assert type(got) is int and got == least
+
+    def test_int_arg(self):
+        assert int_arg("k", np.int64(3), 3) == 3 and type(int_arg("k", "4")) is int
+        assert int_arg("k", -5) == -5
+        with pytest.raises(DomainError, match=r"^k must be at least 0, got -1$"):
+            int_arg("k", -1, 0)
+        for bad in (np.True_, np.float32(2.5), "2.5", None, [1]):
+            with pytest.raises(DomainError, match=r"^k must be an integer, got "):
+                int_arg("k", bad, 0)
+        # numpy's floats follow the fractional rule as Python's do: np.float32(2.5) read as 2
+        with pytest.raises(ValueError, match="not an integer"):
+            as_int(np.float32(2.5))
+        assert as_int(np.float32(2.0)) == 2
+
+    def test_real_arg(self):
+        for value, expected in ((1, 1.0), (np.float32(0.5), 0.5), (np.int64(2), 2.0), ("0.25", 0.25), (-math.inf, -math.inf)):
+            got = real_arg("x", value)
+            assert type(got) is float and got == expected
+        for bad in (True, np.False_, "half", None, [0.5], 1j):
+            with pytest.raises(DomainError) as exc_info:
+                real_arg("x", bad)
+            assert str(exc_info.value) == f"x must be a number, got {bad!r}"

@@ -205,9 +205,16 @@ class TestPicardSolve:
         with pytest.raises(DomainError):
             picard_solve(halving_space, halving_map, halving_map, c, 0, max_iters=0)
 
+    @pytest.mark.parametrize("x0", [True, False, np.True_])
+    def test_boolean_start_point_is_refused(self, x0):
+        # True is an int: the orbit started from point 1, trace (1, 0, 0)
+        space, m = MetricSpace.finite([[0, 1], [1, 0]]), TableMapping([0, 0])
+        with pytest.raises(DomainError, match="is outside the universe"):
+            picard_solve(space, m, m, Coefficients(0, 0, 0.5, 0), x0)
+
     @pytest.mark.parametrize(
         "max_iters, expected",
-        [(2.5, "max_iters must be an integer, got 2.5"), ("3", 3), (0, "need at least one iteration, got 0"), (3.0, 3)],
+        [(2.5, "max_iters must be an integer, got 2.5"), ("3", 3), (0, "max_iters must be at least 1, got 0"), (3.0, 3)],
     )
     def test_max_iters_takes_the_integer_rule(self, max_iters, expected):
         half = AffineMapping([[0.5]], [0.0])
