@@ -46,16 +46,9 @@ from .contraction import (
     TableMapping,
     ViolationReport,
     check_condition,
-    check_condition_four,
-    check_condition_three,
-    check_condition_two,
     check_range_inclusions,
     identity_mapping,
-    rhs_four,
-    rhs_three,
-    rhs_two,
     synthesize_coefficients,
-    validate_coefficients,
 )
 from .solver import (
     IterationTrace,
@@ -82,11 +75,7 @@ from .reduction import (
     is_weakly_compatible,
     lift_to_common_fixed_point,
     require_lift_agreement,
-    solve_four,
-    solve_four_coincidence,
     solve_pipeline,
-    solve_three,
-    solve_three_coincidence,
 )
 from .oracle import (
     CoincidenceClass,

@@ -175,7 +175,7 @@ def _cmd_reduce(args) -> int:
         S, T = (TableMapping(np.searchsorted(image, m.table[image])) for m in (S, T))
         start = int(np.searchsorted(image, start))
         metadata["image"] = list(induced.image)
-    reduced = replace(problem, space=space, maps=MappingSet(S=S, T=T), x0=space.canonicalize(start), metadata=metadata)
+    reduced = replace(problem, space=space, maps=MappingSet(S=S, T=T), x0=start, metadata=metadata)
     doc = problem_to_dict(reduced)
     if args.format == "human":
         print(f"induced S: {doc['mappings']['S']}")

@@ -154,7 +154,7 @@ class Coefficients(Record):
 
 
 def validate_coefficients(c: Coefficients) -> Coefficients:
-    """Return ``c`` unchanged if it satisfies the coefficient bounds.
+    """Return ``c`` unchanged if it satisfies the coefficient bounds; unexported, ``perfbench``'s bound check.
 
     Raises :class:`BoundViolation` naming the broken bound otherwise.  The
     boundary ``alpha + beta + gamma + 2*delta == 1`` is rejected: the rate
@@ -424,17 +424,17 @@ def _rhs(c: Coefficients, terms) -> float:
 
 
 def rhs_two(c: Coefficients, space: MetricSpace, S, T, x: Point, y: Point) -> float:
-    """Right-hand side of the two-mapping condition at the pair (x, y)."""
+    """Right-hand side of the two-mapping condition at (x, y); unexported, ``perfbench``'s scalar reference."""
     return _rhs(c, _scalar_terms(space, S, T, None, None, x, y))
 
 
 def rhs_three(c: Coefficients, space: MetricSpace, S, T, f, x: Point, y: Point) -> float:
-    """Right-hand side of the three-mapping condition (f substituted on both sides)."""
+    """Right-hand side of the three-mapping condition (f on both sides); unexported, ``perfbench``'s scalar reference."""
     return _rhs(c, _scalar_terms(space, S, T, f, f, x, y))
 
 
 def rhs_four(c: Coefficients, space: MetricSpace, S, T, f, g, x: Point, y: Point) -> float:
-    """Right-hand side of the four-mapping condition (f on the x side, g on the y side)."""
+    """Right-hand side of the four-mapping condition (f on x's side, g on y's); unexported, ``perfbench``'s reference."""
     return _rhs(c, _scalar_terms(space, S, T, f, g, x, y))
 
 
@@ -691,7 +691,7 @@ def check_condition_two(
     pair_source: PairSource = EXHAUSTIVE,
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
-    """Check the two-mapping condition over the pair source (``tolerance`` per ``space.slack``)."""
+    """:func:`check_condition` for S, T; unexported, kept for ``perfbench``, which calls and traces it by name."""
     return _evaluate_condition(space, MappingSet(S, T), c, pair_source, tolerance)
 
 
@@ -704,7 +704,7 @@ def check_condition_three(
     pair_source: PairSource = EXHAUSTIVE,
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
-    """Check the three-mapping condition: f(x), f(y) replace x, y on the right."""
+    """:func:`check_condition` for S, T, f; unexported, kept for ``perfbench``, which calls and traces it by name."""
     return _evaluate_condition(space, MappingSet(S, T, f, arity=Arity.THREE), c, pair_source, tolerance)
 
 
@@ -718,7 +718,7 @@ def check_condition_four(
     pair_source: PairSource = EXHAUSTIVE,
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
-    """Check the four-mapping condition: f(x) on the x side, g(y) on the y side."""
+    """:func:`check_condition` for S, T, f, g; unexported, kept for ``perfbench``, which calls and traces it by name."""
     return _evaluate_condition(space, MappingSet(S, T, f, g, arity=Arity.FOUR), c, pair_source, tolerance)
 
 
@@ -729,7 +729,7 @@ def check_condition(
     pair_source: PairSource = EXHAUSTIVE,
     tolerance: Optional[float] = None,
 ) -> ViolationReport:
-    """Check the condition matching ``maps.arity`` through its named check."""
+    """Check ``maps.arity``'s condition (``tolerance`` per ``space.slack``) by its named check, which ``perfbench`` traces."""
     if maps.arity == Arity.TWO:
         return check_condition_two(space, maps.S, maps.T, c, pair_source, tolerance)
     if maps.arity == Arity.THREE:

@@ -248,23 +248,26 @@ def _anchor_instance(recipe: InstanceRecipe, rng: np.random.Generator) -> Genera
 
 
 def _verified_oracle(space: MetricSpace, maps: MappingSet, c: Coefficients, anchor: int) -> OracleResult:
-    """Re-check every claim an anchor instance makes before emitting it."""
+    """Re-check every claim an anchor instance makes before emitting it; a false one raises AssertionError, also under -O."""
     axioms = verify_metric_axioms(space, tolerance=0.0)
-    assert axioms.passed, f"generated table broke axiom {next(ch.name for ch in axioms.checks if not ch.passed)}"
+    if not axioms.passed:
+        raise AssertionError(f"generated table broke axiom {next(ch.name for ch in axioms.checks if not ch.passed)}")
     report = check_condition(space, maps, c)
-    assert report.satisfied, f"generated instance violates its own condition at {report.worst_pair}"
-    inclusions = check_range_inclusions(space, maps)
-    assert inclusions.holds, "generated instance breaks a range inclusion"
+    if not report.satisfied:
+        raise AssertionError(f"generated instance violates its own condition at {report.worst_pair}")
+    if not check_range_inclusions(space, maps).holds:
+        raise AssertionError("generated instance breaks a range inclusion")
     oracle = oracle_summary(space, maps)
-    assert oracle.common_fixed_points == (anchor,), (
-        f"anchor {anchor} is not the unique common fixed point: {oracle.common_fixed_points}"
-    )
+    if oracle.common_fixed_points != (anchor,):
+        raise AssertionError(f"anchor {anchor} is not the unique common fixed point: {oracle.common_fixed_points}")
     for label, m, tag, companion in maps.sides:
         if companion is not None:
             wc = is_weakly_compatible(space, m, companion, names=(label, tag))
-            assert wc.compatible, f"generated mappings {(label, tag)} fail weak compatibility at {wc.witness}"
+            if not wc.compatible:
+                raise AssertionError(f"generated mappings {(label, tag)} fail weak compatibility at {wc.witness}")
     for klass in oracle.coincidence_classes:
-        assert klass.value == anchor, f"coincidence value {klass.value} differs from the anchor"
+        if klass.value != anchor:
+            raise AssertionError(f"coincidence value {klass.value} differs from the anchor")
     return oracle
 
 

@@ -19,9 +19,10 @@ with finite entries; their pair_source must be an object {"samples",
 "seed", "box"}.  The "solver" and "metadata" blocks are optional.  Anything
 structurally wrong raises SchemaError, which the command line reports as
 exit code 2, and so does a fractional integer such as ``2.5`` (``2.0``
-reads as 2).  A boolean is never a number: ``true`` or ``false`` as a
-scalar, or anywhere in a table, a mapping table, a matrix, an offset or an
-``x0`` list, is a schema error too.
+reads as 2).  A boolean or a string is never a number: ``true``, ``false``
+or ``"0.5"`` as a scalar, or anywhere in a table, a mapping table, a
+matrix, an offset or an ``x0`` list, is a schema error too, and so is a
+``max_iters`` below 1.  :class:`Problem` holds these rules itself.
 
 A "solver" ``tol`` follows the one tolerance rule, :meth:`MetricSpace.slack`:
 it must be finite and non-negative, and Euclidean spaces add their rounding
@@ -49,13 +50,19 @@ from .contraction import (
 )
 from .errors import CofixError, SchemaError
 from .metric_core import Flavor, MetricSpace
-from .records import as_int
+from .records import as_int, int_arg
 from .solver import MAX_ITERS
 
 
 @dataclass(frozen=True)
 class Problem:
-    """A fully specified instance ready for checking or solving."""
+    """A fully specified instance ready for checking or solving.
+
+    Built, it holds the rules a document is read by: the mappings fit the
+    space, ``x0`` is a canonical point or None, ``tol`` a float per
+    :meth:`MetricSpace.slack` or None, and ``max_iters`` an int of at least
+    1.  A broken rule raises DomainError; numpy scalars become Python ones.
+    """
 
     space: MetricSpace
     maps: MappingSet
@@ -65,6 +72,15 @@ class Problem:
     tol: Optional[float] = None
     max_iters: int = MAX_ITERS
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        space = self.space
+        self.maps.validate(space)
+        if self.x0 is not None:
+            object.__setattr__(self, "x0", space.canonicalize(space.materialize(self.x0)))
+        if self.tol is not None:
+            object.__setattr__(self, "tol", space.slack(self.tol))
+        object.__setattr__(self, "max_iters", int_arg("max_iters", self.max_iters, 1))
 
     def start_point(self):
         return self.space.default_point() if self.x0 is None else self.space.materialize(self.x0)
@@ -79,12 +95,13 @@ def _require(doc: dict, key: str, context: str):
 
 
 def _numbers(value, name: str):
-    """``value`` as given; SchemaError if a boolean sits at any depth of its nested lists: a boolean is never a number."""
-    level = value if isinstance(value, (list, tuple)) else []
+    """``value`` as given; SchemaError if it is a string, or a boolean or a string sits at any depth of its nested lists."""
+    level = [value] if isinstance(value, str) else value if isinstance(value, (list, tuple)) else []
     while level:
         kinds = set(map(type, level))
-        if bool in kinds:
-            raise SchemaError(f"{name} holds a boolean, which is not a number")
+        for kind, what in ((bool, "a boolean"), (str, "a string")):
+            if kind in kinds:
+                raise SchemaError(f"{name} holds {what}, which is not a number")
         # one level down; a level without lists, such as a table row's entries, is the last
         nested = (v for v in level if type(v) in (list, tuple)) if kinds & {list, tuple} else ()
         level = list(chain.from_iterable(nested))
@@ -169,23 +186,19 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
     try:
         space = _space_from_dict(_require(doc, "space", "problem"))
         maps = _maps_from_dict(_require(doc, "mappings", "problem"))
-        maps.validate(space)
         coefficients = Coefficients.from_dict(_require(doc, "coefficients", "problem"))
         pair_source = _pair_source_from_dict(doc.get("pair_source"))
         solver = doc.get("solver") or {}
         if not isinstance(solver, dict):
             raise SchemaError("solver block must be an object")
-        x0 = _numbers(solver.get("x0"), "solver x0")
-        if x0 is not None:
-            x0 = space.canonicalize(space.materialize(x0))
         problem = Problem(
             space=space,
             maps=maps,
             coefficients=coefficients,
             pair_source=pair_source,
-            x0=x0,
-            tol=space.slack(solver["tol"]) if solver.get("tol") is not None else None,
-            max_iters=as_int(solver.get("max_iters", MAX_ITERS)),
+            x0=_numbers(solver.get("x0"), "solver x0"),
+            tol=solver.get("tol"),
+            max_iters=solver.get("max_iters", MAX_ITERS),
             metadata=doc.get("metadata") or {},
         )
     except SchemaError:

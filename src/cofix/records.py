@@ -4,12 +4,13 @@ A report inherits :class:`Record`.  ``to_dict`` emits the dataclass fields
 in declaration order: enums as their values, tuples and lists as lists,
 nested records through their own ``to_dict``.  ``from_dict`` follows the
 type hints: None for ``Optional``, ``Cls(value)`` for enums, ``float()``
-and ``int()`` coercion (a boolean is never a number: :func:`as_float` and
-:func:`as_int` refuse it, and :func:`as_int` a fractional float too), typed
-tuples and records element by element, and lists to tuples for untyped
-values.  A missing key takes the field's default.  A non-finite float is
-written as the string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, so the
-output is strict JSON; ``float()`` reads each back.  :class:`ValueEnum` and
+and ``int()`` coercion (a boolean or a string is never a number:
+:func:`as_float` and :func:`as_int` refuse both, and :func:`as_int` a
+fractional float too), typed tuples and records element by element, and
+lists to tuples for untyped values.  A missing key takes the field's
+default.  A non-finite float is written as the string ``"Infinity"``,
+``"-Infinity"`` or ``"NaN"``, so the output is strict JSON; a float field
+reads back exactly these three strings.  :class:`ValueEnum` and
 :class:`ArrayEq` state the text of an enum and the equality of arrays.
 
 :func:`int_arg` (with a least value) and :func:`real_arg` hold a library
@@ -123,20 +124,21 @@ def _decode(hint, value):
         if hint is int:
             return as_int(value)
         if hint is float:
-            return as_float(value)
+            # the one place a string reads as a number: the three that _encode writes
+            return float(value) if value in ("Infinity", "-Infinity", "NaN") else as_float(value)
     return _plain(value)
 
 
 def as_float(value) -> float:
-    """``float(value)``, except that a bool is refused, not converted."""
-    if isinstance(value, (bool, np.bool_)):
+    """``float(value)``, except that a bool or a string is refused, not converted."""
+    if isinstance(value, (bool, np.bool_, str)):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 
 
 def as_int(value) -> int:
-    """``int(value)``, except that a bool, or a float (numpy's too) with a fractional part, is refused, not converted."""
-    if isinstance(value, (bool, np.bool_)) or isinstance(value, (float, np.floating)) and not value.is_integer():
+    """``int(value)``, except that a bool, a string, or a float (numpy's too) with a fractional part is refused."""
+    if isinstance(value, (bool, np.bool_, str)) or isinstance(value, (float, np.floating)) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

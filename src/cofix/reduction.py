@@ -511,7 +511,7 @@ def solve_three(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """:func:`solve_pipeline` for the three mappings S, T, f."""
+    """:func:`solve_pipeline` for S, T, f; unexported, kept for ``perfbench``, which calls and traces it by name."""
     return solve_pipeline(space, MappingSet(S=S, T=T, f=f, arity=Arity.THREE), c, x0, options)
 
 
@@ -524,7 +524,7 @@ def solve_three_coincidence(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """:func:`solve_three` stopping at the coincidence point, skipping the lift."""
+    """:func:`solve_three` stopping at the coincidence point; unexported, kept for ``perfbench``'s tracer."""
     return solve_pipeline(space, MappingSet(S=S, T=T, f=f, arity=Arity.THREE), c, x0, replace(options, stop_at_coincidence=True))
 
 
@@ -538,7 +538,7 @@ def solve_four(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """:func:`solve_pipeline` for the four mappings S, T, f, g, with f paired to S and g to T."""
+    """:func:`solve_pipeline` for S, T, f, g; unexported, kept for ``perfbench``, which calls and traces it by name."""
     return solve_pipeline(space, MappingSet(S=S, T=T, f=f, g=g, arity=Arity.FOUR), c, x0, options)
 
 
@@ -552,5 +552,5 @@ def solve_four_coincidence(
     x0: Optional[Point] = None,
     options: PipelineOptions = PipelineOptions(),
 ) -> CoincidenceReport:
-    """:func:`solve_four` stopping at the coincidence points, skipping the lifts."""
+    """:func:`solve_four` stopping at the coincidence points; unexported, kept for ``perfbench``'s tracer."""
     return solve_pipeline(space, MappingSet(S=S, T=T, f=f, g=g, arity=Arity.FOUR), c, x0, replace(options, stop_at_coincidence=True))

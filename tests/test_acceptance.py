@@ -30,20 +30,18 @@ from cofix import (
     SolveStatus,
     TableMapping,
     UniquenessVerdict,
-    check_condition_two,
+    check_condition,
     generate_instance,
     identity_mapping,
     induce,
     injective_restriction,
     picard_solve,
     rate_constant,
-    rhs_two,
-    solve_four,
-    solve_three,
+    solve_pipeline,
     synthesize_coefficients,
     uniqueness_check,
-    validate_coefficients,
 )
+from cofix.contraction import rhs_two, validate_coefficients
 
 CORPUS_SIZE = 1000
 RATIO_SLACK = 1e-12
@@ -78,7 +76,7 @@ def corpus():
         recipe = InstanceRecipe(seed=seed, n=n, metric_mode=modes[seed % len(modes)])
         inst = generate_instance(recipe)
         space, maps, c = inst.space, inst.maps, inst.coefficients
-        report = check_condition_two(space, maps.S, maps.T, c, tolerance=0.0)
+        report = check_condition(space, maps, c, tolerance=0.0)
         hits = 0
         for x0 in range(n):
             run = picard_solve(space, maps.S, maps.T, c, x0, keep_trace=False)
@@ -162,7 +160,7 @@ def test_criterion_4_three_mapping_reduction_matches_ground_truth():
             assert truth == {inst.anchor}
 
             start = int(np.argmax(space.table[inst.anchor]))
-            report = solve_three(space, maps.S, maps.T, maps.f, c, start, PipelineOptions())
+            report = solve_pipeline(space, maps, c, start, PipelineOptions())
             assert report.status == PipelineStatus.COMMON_FIXED_POINT
             assert report.common_fixed_point == inst.anchor
             assert report.point_of_coincidence == inst.anchor
@@ -179,10 +177,8 @@ def test_criterion_5_four_mapping_pipeline_agrees_with_plain_solver(corpus):
             space, maps, c = inst.space, inst.maps, inst.coefficients
             ident = identity_mapping(inst.recipe.n)
             start = int(np.argmax(space.table[inst.anchor]))
-            report = solve_four(
-                space, maps.S, maps.T, ident, ident, c, start,
-                PipelineOptions(keep_trace=True),
-            )
+            four = MappingSet(maps.S, maps.T, ident, ident, arity=Arity.FOUR)
+            report = solve_pipeline(space, four, c, start, PipelineOptions(keep_trace=True))
             assert report.status == PipelineStatus.COMMON_FIXED_POINT
             assert report.common_fixed_point == e.traced.point
             inner = report.solve_report
@@ -197,10 +193,7 @@ def test_criterion_5_four_mapping_pipeline_agrees_with_plain_solver(corpus):
             space, maps, c = inst.space, inst.maps, inst.coefficients
             assert maps.f.table.tolist() == maps.g.table.tolist()
             assert len(set(maps.f.table.tolist())) < n
-            report = solve_four(
-                space, maps.S, maps.T, maps.f, maps.g, c,
-                int(np.argmax(space.table[inst.anchor])), PipelineOptions(),
-            )
+            report = solve_pipeline(space, maps, c, int(np.argmax(space.table[inst.anchor])), PipelineOptions())
             assert report.status == PipelineStatus.COMMON_FIXED_POINT
             assert report.common_fixed_point == inst.anchor
 
@@ -260,7 +253,7 @@ def test_criterion_7_rejections_and_violation_reports_are_faithful():
             )
             seed += 1
             space, maps, c = inst.space, inst.maps, inst.coefficients
-            report = check_condition_two(space, maps.S, maps.T, c)
+            report = check_condition(space, maps, c)
             if report.satisfied:
                 continue
             x, y = report.worst_pair
@@ -277,7 +270,7 @@ def test_criterion_7_rejections_and_violation_reports_are_faithful():
             inst = generate_instance(InstanceRecipe(seed=seed, n=n))
             space = inst.space
             ident = identity_mapping(n)
-            report = check_condition_two(space, ident, ident, c_id)
+            report = check_condition(space, MappingSet(ident, ident), c_id)
             assert not report.satisfied
             far = int(np.argmax(space.table[0]))
             for start in (0, far):
@@ -306,7 +299,7 @@ def test_criterion_8_euclidean_synthesis_certificate_holds_off_sample():
         assert rate_constant(c) < 1.0
 
         fresh = SampledPairs(samples=100000, seed=202, box=(-10.0, 10.0))
-        report = check_condition_two(space, maps.S, maps.T, c, fresh, tolerance=1e-9)
+        report = check_condition(space, maps, c, fresh, tolerance=1e-9)
         assert report.satisfied
         assert report.pairs_checked == 100000
 

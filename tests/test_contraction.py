@@ -25,18 +25,13 @@ from cofix import (
     TableMapping,
     ViolationReport,
     check_condition,
-    check_condition_four,
-    check_condition_three,
-    check_condition_two,
     check_range_inclusions,
     identity_mapping,
-    rhs_four,
-    rhs_three,
-    rhs_two,
     synthesize_coefficients,
-    validate_coefficients,
+    verify_metric_axioms,
 )
 from cofix import contraction
+from cofix.contraction import rhs_four, rhs_three, rhs_two, validate_coefficients
 from cofix.errors import (
     BoundViolation,
     DomainError,
@@ -122,11 +117,14 @@ class TestCoefficients:
 
     def test_fields_are_python_floats(self):
         # np.float32 fields made to_dict unserializable, and "0.5" raised TypeError from np.isfinite
-        for value in (0.5, np.float32(0.5), np.float64(0.5), "0.5"):
+        for value in (0.5, np.float32(0.5), np.float64(0.5)):
             c = Coefficients(value, 0, np.int64(0), 0.125, 3)
             assert c.as_tuple() == (0.5, 0.0, 0.0, 0.125, 3.0)
             assert all(type(v) is float for v in c.as_tuple())
             assert json.loads(json.dumps(c.to_dict())) == {"alpha": 0.5, "beta": 0.0, "gamma": 0.0, "delta": 0.125, "L": 3.0}
+        # a string is never a number
+        with pytest.raises(DomainError, match="^alpha must be a number, got '0.5'$"):
+            Coefficients("0.5", 0, 0, 0.125, 3)
 
     def test_weight_sum_just_below_one_is_fine(self):
         validate_coefficients(Coefficients(0.5, 0.3, 0.199, 0.0))
@@ -336,7 +334,7 @@ class TestSampledPairs:
             src.draw_pairs(MetricSpace.euclidean(4))
         half = AffineMapping(0.5 * np.eye(4), np.zeros(4))
         with pytest.raises(DomainError, match="sampling box"):
-            check_condition_two(MetricSpace.euclidean(4), half, half, Coefficients(0, 0, 0.5, 0), src)
+            check_condition(MetricSpace.euclidean(4), MappingSet(half, half), Coefficients(0, 0, 0.5, 0), src)
 
     def test_bad_construction(self):
         with pytest.raises(DomainError):
@@ -407,12 +405,41 @@ class TestScalarRhs:
         for x, y in itertools.product(range(3), repeat=2):
             lhs = space.distance(zero(x), zero(y))
             assert lhs - rhs_two(c, space, zero, zero, x, y) == -0.5 * space.distance(x, y)
-        assert check_condition_two(space, zero, zero, c).worst_margin == 0.0
+        assert check_condition(space, MappingSet(zero, zero), c).worst_margin == 0.0
+
+
+def _relabelled(inst, seed: int):
+    """The instance's space and mappings with point i renamed p[i], p a seeded permutation."""
+    p = np.random.default_rng(seed).permutation(inst.space.n)
+    table = np.empty_like(inst.space.table)
+    table[np.ix_(p, p)] = inst.space.table
+
+    def rename(m):
+        out = np.empty_like(m.table)
+        out[p] = p[m.table]
+        return TableMapping(out)
+
+    mappings = [rename(m) for _, m in inst.maps.items()]
+    return MetricSpace.finite(table), MappingSet(*mappings, arity=inst.maps.arity)
+
+
+@pytest.mark.parametrize("metric_mode", list(MetricMode))
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_relabelling_leaves_the_finite_checks_unchanged(arity, metric_mode):
+    # the names of the points carry no meaning: the worst margin, bit for bit, and the axiom
+    # verdicts and magnitudes stay; only the worst pair and the witnesses are renamed
+    for seed, mapping_mode in itertools.product(range(6), list(MappingMode)):
+        inst = generate_instance(InstanceRecipe(seed=seed, n=40, arity=arity, metric_mode=metric_mode, mapping_mode=mapping_mode))
+        space, maps = _relabelled(inst, seed)
+        before, after = (check_condition(s, m, inst.coefficients) for s, m in ((inst.space, inst.maps), (space, maps)))
+        assert (after.satisfied, after.worst_margin.hex()) == (before.satisfied, before.worst_margin.hex())
+        verdicts = [[(ch.name, ch.passed, ch.magnitude) for ch in verify_metric_axioms(s).checks] for s in (inst.space, space)]
+        assert verdicts[1] == verdicts[0]
 
 
 class TestConditionChecks:
     def test_halving_satisfied_with_zero_margin(self, halving_space, halving_map):
-        rep = check_condition_two(halving_space, halving_map, halving_map, Coefficients(0, 0, 0.5, 0))
+        rep = check_condition(halving_space, MappingSet(halving_map, halving_map), Coefficients(0, 0, 0.5, 0))
         assert rep.satisfied
         assert rep.worst_margin == 0.0
         assert rep.worst_pair == (0, 0)
@@ -422,7 +449,7 @@ class TestConditionChecks:
 
     def test_identity_maps_violate(self, halving_space):
         ident = identity_mapping(4)
-        rep = check_condition_two(halving_space, ident, ident, Coefficients(0.1, 0.1, 0.3, 0.1, 0.5))
+        rep = check_condition(halving_space, MappingSet(ident, ident), Coefficients(0.1, 0.1, 0.3, 0.1, 0.5))
         assert not rep.satisfied
         assert rep.worst_pair == (0, 3)
         assert rep.worst_margin == pytest.approx(3.5)
@@ -451,13 +478,13 @@ class TestConditionChecks:
         g = draw() if arity == 4 else None
         c = Coefficients(0.2, 0.1, 0.2, 0.05, 0.3)
         if arity == 2:
-            rep = check_condition_two(space, S, T, c, src)
+            rep = check_condition(space, MappingSet(S, T), c, src)
             rhs = lambda x, y: rhs_two(c, space, S, T, x, y)
         elif arity == 3:
-            rep = check_condition_three(space, S, T, f, c, src)
+            rep = check_condition(space, MappingSet(S, T, f, arity=Arity.THREE), c, src)
             rhs = lambda x, y: rhs_three(c, space, S, T, f, x, y)
         else:
-            rep = check_condition_four(space, S, T, f, g, c, src)
+            rep = check_condition(space, MappingSet(S, T, f, g, arity=Arity.FOUR), c, src)
             rhs = lambda x, y: rhs_four(c, space, S, T, f, g, x, y)
         pairs = [(x, y) for x in range(6) for y in range(6)] if src == EXHAUSTIVE else zip(*src.draw_pairs(space))
         margins = {
@@ -477,7 +504,7 @@ class TestConditionChecks:
         space = MetricSpace.finite(tab)
         S, T, f = (TableMapping(rng.integers(0, 6, size=6)) for _ in range(3))
         c = Coefficients(0.1, 0.1, 0.2, 0.1, 0.3)
-        rep = check_condition_three(space, S, T, f, c)
+        rep = check_condition(space, MappingSet(S, T, f, arity=Arity.THREE), c)
         margins = {
             (x, y): space.distance(S(x), T(y)) - rhs_three(c, space, S, T, f, x, y) for x in range(6) for y in range(6)
         }
@@ -492,19 +519,20 @@ class TestConditionChecks:
         src = SampledPairs(20, seed=3)
         if arity == 2:
             maps = MappingSet(S=halving_map, T=halving_map, arity=arity)
-            named = check_condition_two(halving_space, halving_map, halving_map, c, src)
+            named = contraction.check_condition_two(halving_space, halving_map, halving_map, c, src)
         elif arity == 3:
             maps = MappingSet(S=halving_map, T=halving_map, f=f, arity=arity)
-            named = check_condition_three(halving_space, halving_map, halving_map, f, c, src)
+            named = contraction.check_condition_three(halving_space, halving_map, halving_map, f, c, src)
         else:
             maps = MappingSet(S=halving_map, T=halving_map, f=f, g=g, arity=arity)
-            named = check_condition_four(halving_space, halving_map, halving_map, f, g, c, src)
+            named = contraction.check_condition_four(halving_space, halving_map, halving_map, f, g, c, src)
         assert check_condition(halving_space, maps, c, src).to_dict() == named.to_dict()
 
     def test_three_with_identity_equals_two(self, halving_space, halving_map):
         c = Coefficients(0.1, 0.1, 0.2, 0.1, 0.4)
-        two = check_condition_two(halving_space, halving_map, halving_map, c)
-        three = check_condition_three(halving_space, halving_map, halving_map, identity_mapping(4), c)
+        two = check_condition(halving_space, MappingSet(halving_map, halving_map), c)
+        maps = MappingSet(halving_map, halving_map, identity_mapping(4), arity=Arity.THREE)
+        three = check_condition(halving_space, maps, c)
         assert three.condition == "three"
         assert (three.satisfied, three.worst_pair, three.worst_margin) == (
             two.satisfied,
@@ -515,8 +543,8 @@ class TestConditionChecks:
     def test_four_with_shared_f_equals_three(self, halving_space, halving_map):
         c = Coefficients(0.1, 0.1, 0.2, 0.1, 0.4)
         f = TableMapping([0, 0, 2, 2])
-        three = check_condition_three(halving_space, halving_map, halving_map, f, c)
-        four = check_condition_four(halving_space, halving_map, halving_map, f, f, c)
+        three = check_condition(halving_space, MappingSet(halving_map, halving_map, f, arity=Arity.THREE), c)
+        four = check_condition(halving_space, MappingSet(halving_map, halving_map, f, f, arity=Arity.FOUR), c)
         assert four.condition == "four"
         assert (four.satisfied, four.worst_pair, four.worst_margin) == (
             three.satisfied,
@@ -526,7 +554,7 @@ class TestConditionChecks:
 
     def test_sampled_mode_on_finite_space(self, halving_space, halving_map):
         src = SampledPairs(samples=40, seed=5)
-        rep = check_condition_two(halving_space, halving_map, halving_map, Coefficients(0, 0, 0.5, 0), src)
+        rep = check_condition(halving_space, MappingSet(halving_map, halving_map), Coefficients(0, 0, 0.5, 0), src)
         assert rep.mode == "sampled"
         assert rep.seed == 5
         assert rep.pairs_checked == 40
@@ -536,36 +564,36 @@ class TestConditionChecks:
         space = MetricSpace.euclidean(1)
         half = AffineMapping([[0.5]], [0.0])
         with pytest.raises(ExhaustiveOnInfinite):
-            check_condition_two(space, half, half, Coefficients(0, 0, 0.5, 0))
+            check_condition(space, MappingSet(half, half), Coefficients(0, 0, 0.5, 0))
 
     def test_unknown_pair_source_raises(self, halving_space, halving_map):
         with pytest.raises(DomainError, match="unknown pair source 'all'"):
-            check_condition_two(halving_space, halving_map, halving_map, Coefficients(0, 0, 0.5, 0), "all")
+            check_condition(halving_space, MappingSet(halving_map, halving_map), Coefficients(0, 0, 0.5, 0), "all")
 
     def test_euclidean_sampled_boundary_case(self):
         space = MetricSpace.euclidean(1)
         half = AffineMapping([[0.5]], [0.0])
         src = SampledPairs(samples=500, seed=2, box=(-10.0, 10.0))
-        good = check_condition_two(space, half, half, Coefficients(0, 0, 0.5, 0), src)
+        good = check_condition(space, MappingSet(half, half), Coefficients(0, 0, 0.5, 0), src)
         assert good.satisfied
         assert good.box == (-10.0, 10.0)
-        bad = check_condition_two(space, half, half, Coefficients(0, 0, 0.4, 0), src)
+        bad = check_condition(space, MappingSet(half, half), Coefficients(0, 0, 0.4, 0), src)
         assert not bad.satisfied
         assert bad.worst_margin > 0
 
     def test_invalid_coefficients_rejected_before_checking(self, halving_space, halving_map):
         with pytest.raises(BoundViolation):
-            check_condition_two(halving_space, halving_map, halving_map, Coefficients(0.6, 0.4, 0.0, 0.0))
+            check_condition(halving_space, MappingSet(halving_map, halving_map), Coefficients(0.6, 0.4, 0.0, 0.0))
 
     def test_report_roundtrip_finite_and_euclidean(self, halving_space, halving_map):
-        rep = check_condition_two(halving_space, halving_map, halving_map, Coefficients(0, 0, 0.5, 0))
+        rep = check_condition(halving_space, MappingSet(halving_map, halving_map), Coefficients(0, 0, 0.5, 0))
         d = rep.to_dict()
         json.dumps(d)
         assert ViolationReport.from_dict(d) == rep
 
         space = MetricSpace.euclidean(2)
         m = AffineMapping(0.5 * np.eye(2), np.zeros(2))
-        rep = check_condition_two(space, m, m, Coefficients(0, 0, 0.5, 0), SampledPairs(16, 0, box=(-1, 1)))
+        rep = check_condition(space, MappingSet(m, m), Coefficients(0, 0, 0.5, 0), SampledPairs(16, 0, box=(-1, 1)))
         d = rep.to_dict()
         json.dumps(d)
         assert ViolationReport.from_dict(d) == rep
@@ -669,7 +697,7 @@ class TestRowBlocks:
         far = 3 + 2 * step
         tab[3, far] = tab[far, 3] = 2.0
         ident = identity_mapping(n)
-        rep = check_condition_two(MetricSpace.finite(tab), ident, ident, Coefficients(0, 0, 0, 0))
+        rep = check_condition(MetricSpace.finite(tab), MappingSet(ident, ident), Coefficients(0, 0, 0, 0))
         assert (rep.worst_pair, rep.worst_margin) == ((3, far), 2.0)
 
     @pytest.mark.parametrize("flavor", ["finite", "euclidean"])
@@ -699,7 +727,7 @@ class TestRowBlocks:
         S = TableMapping(np.random.default_rng(1).integers(0, n, size=n))
         tracemalloc.start()
         try:
-            rep = check_condition_two(space, S, S, Coefficients(0, 0, 0.5, 0))
+            rep = check_condition(space, MappingSet(S, S), Coefficients(0, 0, 0.5, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -746,7 +774,8 @@ class TestGatheredGrid:
         ident, zero = identity_mapping(n), TableMapping(np.zeros(n, dtype=int))
         tracemalloc.start()
         try:
-            rep = check_condition_four(space, ident, zero, ident, zero, Coefficients(0, 0, 0.5, 0, 0.4))
+            maps = MappingSet(ident, zero, ident, zero, arity=Arity.FOUR)
+            rep = check_condition(space, maps, Coefficients(0, 0, 0.5, 0, 0.4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -944,7 +973,7 @@ class TestPrunedKeyedCheck:
         n = 40
         space = MetricSpace.finite(np.ones((n, n)) - np.eye(n))
         zero = TableMapping(np.zeros(n, dtype=int))
-        rep = check_condition_three(space, zero, zero, zero, Coefficients(0, 0, 0.5, 0))
+        rep = check_condition(space, MappingSet(zero, zero, zero, arity=Arity.THREE), Coefficients(0, 0, 0.5, 0))
         assert (rep.pairs_checked, rep.worst_pair) == (n * n, (0, 0))
 
 
@@ -1182,12 +1211,12 @@ class TestCheckValidatesMappings:
         space = MetricSpace.finite(np.ones((3, 3)) - np.eye(3))
         S = TableMapping(table)
         with pytest.raises(DomainError, match=message):
-            check_condition_two(space, S, S, Coefficients(0, 0, 0.5, 0))
+            check_condition(space, MappingSet(S, S), Coefficients(0, 0, 0.5, 0))
 
     def test_table_mapping_on_euclidean_space_is_a_domain_error(self):
         S = TableMapping([0])
         with pytest.raises(DomainError, match="mapping S: index-table mappings apply to finite spaces only"):
-            check_condition_two(MetricSpace.euclidean(2), S, S, Coefficients(0, 0, 0.5, 0), SampledPairs(4, 0, (-1, 1)))
+            check_condition(MetricSpace.euclidean(2), MappingSet(S, S), Coefficients(0, 0, 0.5, 0), SampledPairs(4, 0, (-1, 1)))
 
     @pytest.mark.parametrize("label", ["f", "g"])
     def test_bad_companion_is_named(self, halving_space, halving_map, label):
@@ -1263,7 +1292,7 @@ class TestSynthesis:
         c = synthesize_coefficients(halving_space, ms)
         assert c.delta == pytest.approx(1.0 / 3.0)
         assert c.alpha == c.beta == c.gamma == c.L == 0.0
-        assert check_condition_two(halving_space, halving_map, halving_map, c).satisfied
+        assert check_condition(halving_space, MappingSet(halving_map, halving_map), c).satisfied
 
     def test_infeasible_halving_variant_names_binding_pair(self):
         # labels 0, 1, 2, 4: the pair (1, 2) forces the weight sum to 1
@@ -1283,7 +1312,7 @@ class TestSynthesis:
         ms = MappingSet(S=S, T=T, arity=Arity.TWO)
         c = synthesize_coefficients(space, ms, SampledPairs(2000, seed=8, box=(-10, 10)))
         fresh = SampledPairs(5000, seed=99, box=(-10, 10))
-        assert check_condition_two(space, S, T, c, fresh, tolerance=1e-9).satisfied
+        assert check_condition(space, ms, c, fresh, tolerance=1e-9).satisfied
 
     def test_expanding_map_yields_on_sample_certificate_only(self):
         # a sampled source almost never hits a zero min-term, so a huge L can
@@ -1294,8 +1323,8 @@ class TestSynthesis:
         src = SampledPairs(500, seed=4, box=(-2, 2))
         c = synthesize_coefficients(space, ms, src)
         assert c.L > 100.0
-        assert check_condition_two(space, double, double, c, src).satisfied
-        fresh = check_condition_two(space, double, double, c, SampledPairs(50000, seed=77, box=(-2, 2)))
+        assert check_condition(space, ms, c, src).satisfied
+        fresh = check_condition(space, ms, c, SampledPairs(50000, seed=77, box=(-2, 2)))
         assert not fresh.satisfied
 
     @staticmethod
@@ -1338,7 +1367,7 @@ class TestSynthesis:
         tol = halving_space.slack()
         assert c == bumped == Coefficients(*(v * (1.0 + tol) + tol for v in first.as_tuple()))
         assert first.delta == pytest.approx(1.0 / 3.0)
-        assert check_condition_two(halving_space, halving_map, halving_map, c).satisfied
+        assert check_condition(halving_space, MappingSet(halving_map, halving_map), c).satisfied
 
     def test_tuple_failing_every_reverification_is_infeasible(self, monkeypatch, halving_space, halving_map):
         check, asked = self._failing_checks(3)
@@ -1497,7 +1526,7 @@ class TestCuttingPlaneLP:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert check_condition_two(space, S, S, c).satisfied
+        assert check_condition(space, MappingSet(S, S), c).satisfied
         # the dense LP held a (pairs x 6) matrix: 46 MiB at a million pairs
         assert peak < 32 * 2**20
         assert 0 < sum(rows) < n * n // 100

@@ -1,8 +1,12 @@
 """Metric repair, instance generation, ground-truth enumeration, and fuzzing."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +27,7 @@ from cofix import (
     PipelineStatus,
     SolveStatus,
     TableMapping,
-    check_condition_two,
-    check_condition_three,
-    check_condition_four,
+    check_condition,
     check_range_inclusions,
     enumerate_fixed_points,
     generate_instance,
@@ -34,12 +36,11 @@ from cofix import (
     oracle_summary,
     picard_solve,
     run_fuzz,
-    solve_four,
-    solve_three,
-    validate_coefficients,
+    solve_pipeline,
     verify_metric_axioms,
 )
 from cofix import oracle
+from cofix.contraction import validate_coefficients
 from cofix.errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
 
 PATH3_TABLE = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -274,7 +275,7 @@ class TestAnchorInstances:
             inst = generate_instance(InstanceRecipe(seed=seed, n=9, metric_mode=mode))
             assert verify_metric_axioms(inst.space, tolerance=0.0).passed
             # margins stay non-positive in exact float evaluation
-            rep = check_condition_two(inst.space, inst.maps.S, inst.maps.T, inst.coefficients, tolerance=0.0)
+            rep = check_condition(inst.space, inst.maps, inst.coefficients, tolerance=0.0)
             assert rep.satisfied
             assert inst.oracle.common_fixed_points == (inst.anchor,)
             assert 0.35 <= inst.phi <= 0.65
@@ -292,31 +293,36 @@ class TestAnchorInstances:
             f = inst.maps.f
             assert len(set(int(v) for v in f.table)) < f.n
             assert check_range_inclusions(inst.space, inst.maps).holds
-            rep = check_condition_three(
-                inst.space, inst.maps.S, inst.maps.T, f, inst.coefficients, tolerance=0.0
-            )
+            rep = check_condition(inst.space, inst.maps, inst.coefficients, tolerance=0.0)
             assert rep.satisfied
-            pipe = solve_three(inst.space, inst.maps.S, inst.maps.T, f, inst.coefficients)
+            pipe = solve_pipeline(inst.space, inst.maps, inst.coefficients)
             assert pipe.succeeded and pipe.common_fixed_point == inst.anchor
 
     def test_four_mapping_instances_use_min_term_weight(self):
         for seed in range(6):
             inst = generate_instance(InstanceRecipe(seed=seed, n=8, arity=Arity.FOUR))
             assert inst.coefficients.L == inst.phi
-            rep = check_condition_four(
-                inst.space,
-                inst.maps.S,
-                inst.maps.T,
-                inst.maps.f,
-                inst.maps.g,
-                inst.coefficients,
-                tolerance=0.0,
-            )
+            rep = check_condition(inst.space, inst.maps, inst.coefficients, tolerance=0.0)
             assert rep.satisfied
-            pipe = solve_four(
-                inst.space, inst.maps.S, inst.maps.T, inst.maps.f, inst.maps.g, inst.coefficients
-            )
+            pipe = solve_pipeline(inst.space, inst.maps, inst.coefficients)
             assert pipe.succeeded and pipe.common_fixed_point == inst.anchor
+
+    def test_ground_truth_checks_run_under_optimization(self):
+        # stated as asserts, the checks vanished under python -O: an instance violating its own condition was returned
+        script = """
+from dataclasses import replace
+from cofix import InstanceRecipe, generate_instance, oracle
+check = oracle.check_condition
+oracle.check_condition = lambda *args: replace(check(*args), satisfied=False)
+try:
+    generate_instance(InstanceRecipe(seed=0, n=8))
+except AssertionError as exc:
+    print(exc)
+"""
+        src = Path(oracle.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout == "generated instance violates its own condition at (0, 0)\n"
 
     def test_generation_is_deterministic(self):
         a = generate_instance(InstanceRecipe(seed=11, n=7, arity=Arity.THREE))

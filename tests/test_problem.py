@@ -29,6 +29,7 @@ from cofix import (
     picard_solve,
     problem_to_dict,
 )
+from cofix.errors import DomainError
 from cofix.solver import SolveStatus
 
 HALVING_TABLE = [
@@ -69,6 +70,36 @@ def euclid_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+HALF_LINE = {"type": "affine", "matrix": [[0.5]], "offset": [0.0]}
+
+
+def line_doc(S=HALF_LINE, pair_source=None, dimension=1):
+    """A one-dimensional affine document with S = T."""
+    return euclid_doc(
+        space={"flavor": "euclidean_affine", "dimension": dimension},
+        mappings={"arity": 2, "S": S, "T": S},
+        pair_source=pair_source or {"samples": 5, "seed": 1, "box": [-1, 1]},
+    )
+
+
+# JSON strings where numbers belong: each of these documents loaded, a string read as the number it spells
+STRING_NUMBERS = {
+    "table": (finite_doc(space={"flavor": "finite_explicit", "table": [["0", "1"], ["1", "0"]]}), "space table holds a string"),
+    "arity": (finite_doc(mappings={**finite_doc()["mappings"], "arity": "2"}), "'2' is not an integer"),
+    "gamma": (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": "0.5", "delta": 0, "L": 0}), "'0.5' is not a number"),
+    "x0": (finite_doc(solver={"x0": "1"}), "solver x0 holds a string"),
+    "x0_list": (euclid_doc(solver={"x0": ["1", 0.0]}), "solver x0 holds a string"),
+    "tol": (finite_doc(solver={"tol": "1e-9"}), "tolerance must be a number, got '1e-9'"),
+    "max_iters": (finite_doc(solver={"max_iters": "5"}), "max_iters must be an integer, got '5'"),
+    "dimension": (line_doc(dimension="1"), "'1' is not an integer"),
+    "matrix": (line_doc({"type": "affine", "matrix": [["0.5"]], "offset": [0.0]}), "mapping S matrix holds a string"),
+    "offset": (line_doc({"type": "affine", "matrix": [[0.5]], "offset": ["0"]}), "mapping S offset holds a string"),
+    "samples": (line_doc(pair_source={"samples": "5", "seed": 1, "box": [-1, 1]}), "'5' is not an integer"),
+    "seed": (line_doc(pair_source={"samples": 5, "seed": "1", "box": [-1, 1]}), "'1' is not an integer"),
+    "box": (line_doc(pair_source={"samples": 5, "seed": 1, "box": ["-1", "1"]}), "'-1' is not a number"),
+}
 
 
 class TestLoadProblem:
@@ -254,7 +285,8 @@ class TestSchemaRejections:
         ],
     )
     def test_fractional_integers_are_rejected(self, doc):
-        with pytest.raises(SchemaError, match="not an integer"):
+        # max_iters is held to its rule by Problem, which names it
+        with pytest.raises(SchemaError, match="(not|must be) an integer"):
             load_problem(doc)
 
     @pytest.mark.parametrize(
@@ -276,6 +308,20 @@ class TestSchemaRejections:
     def test_booleans_are_not_numbers(self, doc, message):
         with pytest.raises(SchemaError, match=message):
             load_problem(doc)
+
+    @pytest.mark.parametrize("field", STRING_NUMBERS)
+    def test_a_string_is_never_a_number(self, field):
+        doc, message = STRING_NUMBERS[field]
+        with pytest.raises(SchemaError, match=message):
+            load_problem(json.dumps(doc))
+
+    def test_max_iters_below_one_is_refused_when_built(self):
+        # a document with max_iters 0 loaded, check exited 0 on it and solve 2
+        with pytest.raises(SchemaError, match="max_iters must be at least 1, got 0"):
+            load_problem(finite_doc(solver={"max_iters": 0}))
+        problem = load_problem(finite_doc())
+        with pytest.raises(DomainError, match="max_iters must be at least 1, got 0"):
+            Problem(problem.space, problem.maps, problem.coefficients, max_iters=0)
 
     def test_integral_floats_read_as_integers(self):
         problem = load_problem(euclid_doc(space={"flavor": "euclidean_affine", "dimension": 2.0}, pair_source={"samples": 64.0, "seed": 3.0}))
@@ -386,29 +432,30 @@ def _numbers(lo, hi):
 
 @st.composite
 def problems(draw):
-    """A Problem built in the library: numpy scalars among the coefficients and the sampler's fields."""
+    """A Problem built in the library: numpy scalars among the coefficients, the sampler's and the solver's fields."""
     arity = draw(st.sampled_from(list(Arity)))
     entry = st.floats(-1e6, 1e6)
+    integer = st.sampled_from([int, np.int32, np.int64, np.uint16])
     if draw(st.booleans()):
         n = draw(st.integers(1, 4))
         space = MetricSpace.finite(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
         mapping = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(TableMapping)
-        x0 = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        x0 = draw(st.one_of(st.none(), st.builds(lambda kind, i: kind(i), integer, st.integers(0, n - 1))))
     else:
         m = draw(st.integers(1, 3))
         space = MetricSpace.euclidean(m)
         mapping = st.builds(AffineMapping, st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m), st.lists(entry, min_size=m, max_size=m))
-        x0 = draw(st.one_of(st.none(), st.tuples(*[entry] * m)))
+        x0 = draw(st.one_of(st.none(), st.tuples(*[_numbers(-1e6, 1e6)] * m)))
     maps = MappingSet(*draw(st.lists(mapping, min_size=arity, max_size=arity)), arity=arity)
     # each of alpha..delta below 0.15 keeps the weight sum below 1 after float32 rounding
     coefficients = Coefficients(*draw(st.tuples(*[_numbers(0, 0.15)] * 4)), draw(st.one_of(st.integers(0, 10), _numbers(0, 10.0))))
-    integer = st.sampled_from([int, np.int32, np.int64, np.uint16])
     lo = draw(st.floats(-100.0, 99.0))
     box = (np.float64(lo), np.float32(lo + draw(st.floats(1.0, 100.0)))) if draw(st.booleans()) else None
     sampled = SampledPairs(draw(integer)(draw(st.integers(1, 500))), draw(integer)(draw(st.integers(0, 2**15))), box)
     pair_source = sampled if not space.is_finite or draw(st.booleans()) else EXHAUSTIVE
-    tol = draw(st.one_of(st.none(), st.floats(0.0, 1e-3)))
-    return Problem(space, maps, coefficients, pair_source, x0, tol, draw(st.integers(1, 10**4)), {"note": draw(st.text(max_size=8))})
+    tol = draw(st.one_of(st.none(), _numbers(0.0, 1e-3)))
+    max_iters = draw(integer)(draw(st.integers(1, 10**4)))
+    return Problem(space, maps, coefficients, pair_source, x0, tol, max_iters, {"note": draw(st.text(max_size=8))})
 
 
 def assert_round_trips(problem):
@@ -424,7 +471,7 @@ class TestWrittenDocumentsReadBack:
     @settings(max_examples=150, deadline=None)
     @given(problem=problems())
     def test_built_problems_round_trip(self, problem):
-        # np.float32 coefficients made problem_to_dict's output unserializable
+        # np.float32 coefficients, and np.int64 or np.float32 x0, tol and max_iters, made problem_to_dict's output unserializable
         assert_round_trips(problem)
 
     @pytest.mark.parametrize("arity", list(Arity))

@@ -32,7 +32,7 @@ from cofix import (
     is_weakly_compatible,
     picard_solve,
     problem_to_dict,
-    solve_three,
+    solve_pipeline,
     verify_metric_axioms,
 )
 from cofix.errors import DomainError
@@ -56,7 +56,7 @@ THREE = MappingSet(
 
 def euclidean_pipeline():
     opts = PipelineOptions(pair_source=BOX, keep_trace=True)
-    return solve_three(LINE, HALF, HALF, DOUBLE, GAMMA, np.array([1.0, 1.0]), opts)
+    return solve_pipeline(LINE, MappingSet(HALF, HALF, DOUBLE, arity=Arity.THREE), GAMMA, np.array([1.0, 1.0]), opts)
 
 
 CASES = {
@@ -119,7 +119,9 @@ def test_value_enums_print_their_values():
 def test_missing_required_key_raises_key_error_and_defaults_fill_in():
     with pytest.raises(KeyError, match="gamma"):
         Coefficients.from_dict({"alpha": 0, "beta": 0, "delta": 0})
-    assert SampledPairs.from_dict({"samples": "5", "seed": 1.0}) == SampledPairs(samples=5, seed=1)
+    assert SampledPairs.from_dict({"samples": 5, "seed": 1.0}) == SampledPairs(samples=5, seed=1)
+    with pytest.raises(ValueError, match="'5' is not an integer"):
+        SampledPairs.from_dict({"samples": "5", "seed": 1})
     with pytest.raises(ValueError, match="expected 2 entries"):
         SampledPairs.from_dict({"samples": 5, "seed": 1, "box": [1.0]})
 
@@ -142,7 +144,16 @@ def test_a_boolean_is_never_a_number():
     for flag in (True, False, np.True_):
         with pytest.raises(ValueError, match="is not a number"):
             as_float(flag)
-    assert (as_float(1), as_float("2.5"), as_float("-Infinity"), as_float(np.float32(0.5))) == (1.0, 2.5, -math.inf, 0.5)
+    assert (as_float(1), as_float(-math.inf), as_float(np.float32(0.5))) == (1.0, -math.inf, 0.5)
+    # nor is a string: a float field reads back only the three strings a non-finite float is written as
+    for text in ("2.5", "-Infinity", "1e-9"):
+        with pytest.raises(ValueError, match="is not a number"):
+            as_float(text)
+        with pytest.raises(ValueError, match="is not an integer"):
+            as_int(text)
+    assert AxiomCheck.from_dict({"name": "t", "passed": False, "witness": None, "magnitude": "-Infinity"}).magnitude == -math.inf
+    with pytest.raises(ValueError, match="'2.5' is not a number"):
+        AxiomCheck.from_dict({"name": "t", "passed": False, "witness": None, "magnitude": "2.5"})
 
 
 def _halving_solve(max_iters):
@@ -187,11 +198,11 @@ class TestArgumentRules:
             assert type(got) is int and got == least
 
     def test_int_arg(self):
-        assert int_arg("k", np.int64(3), 3) == 3 and type(int_arg("k", "4")) is int
+        assert int_arg("k", np.int64(3), 3) == 3 and type(int_arg("k", np.int32(4))) is int
         assert int_arg("k", -5) == -5
         with pytest.raises(DomainError, match=r"^k must be at least 0, got -1$"):
             int_arg("k", -1, 0)
-        for bad in (np.True_, np.float32(2.5), "2.5", None, [1]):
+        for bad in (np.True_, np.float32(2.5), "2.5", "4", None, [1]):
             with pytest.raises(DomainError, match=r"^k must be an integer, got "):
                 int_arg("k", bad, 0)
         # numpy's floats follow the fractional rule as Python's do: np.float32(2.5) read as 2
@@ -200,10 +211,10 @@ class TestArgumentRules:
         assert as_int(np.float32(2.0)) == 2
 
     def test_real_arg(self):
-        for value, expected in ((1, 1.0), (np.float32(0.5), 0.5), (np.int64(2), 2.0), ("0.25", 0.25), (-math.inf, -math.inf)):
+        for value, expected in ((1, 1.0), (np.float32(0.5), 0.5), (np.int64(2), 2.0), (-math.inf, -math.inf)):
             got = real_arg("x", value)
             assert type(got) is float and got == expected
-        for bad in (True, np.False_, "half", None, [0.5], 1j):
+        for bad in (True, np.False_, "half", "0.25", None, [0.5], 1j):
             with pytest.raises(DomainError) as exc_info:
                 real_arg("x", bad)
             assert str(exc_info.value) == f"x must be a number, got {bad!r}"

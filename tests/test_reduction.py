@@ -37,13 +37,10 @@ from cofix import (
     is_weakly_compatible,
     lift_to_common_fixed_point,
     require_lift_agreement,
-    solve_four,
-    solve_four_coincidence,
     solve_pipeline,
-    solve_three,
-    solve_three_coincidence,
 )
 from cofix import reduction
+from cofix.reduction import solve_four, solve_four_coincidence, solve_three, solve_three_coincidence
 from cofix.errors import (
     CofixError,
     ConditionViolated,
@@ -340,7 +337,10 @@ class TestLifting:
         with pytest.raises(DomainError) as exc_info:
             solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, PipelineOptions(max_iters=2.5, verify_hypotheses=False))
         assert str(exc_info.value) == "[solve] max_iters must be an integer, got 2.5"
-        rep = solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, PipelineOptions(max_iters="400", verify_hypotheses=False))
+        # a string is never a number
+        with pytest.raises(DomainError, match="max_iters must be an integer, got '400'"):
+            solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, PipelineOptions(max_iters="400", verify_hypotheses=False))
+        rep = solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, PipelineOptions(max_iters=400.0, verify_hypotheses=False))
         assert rep.status is PipelineStatus.COMMON_FIXED_POINT
 
     @pytest.mark.parametrize("lam", [1.0, 1e2, 1e4])
@@ -360,7 +360,7 @@ class TestThreeMappingPipeline:
     def test_happy_path_reaches_common_fixed_point(self):
         S = TableMapping([0, 0, 0])
         f = TableMapping([0, 2, 1])
-        rep = solve_three(PATH3, S, S, f, Coefficients(0, 0, 0.5, 0))
+        rep = solve_pipeline(PATH3, MappingSet(S, S, f, arity=Arity.THREE), Coefficients(0, 0, 0.5, 0))
         assert rep.status is PipelineStatus.COMMON_FIXED_POINT
         assert rep.succeeded
         assert rep.common_fixed_point == 0
@@ -380,7 +380,7 @@ class TestThreeMappingPipeline:
         assert all(wc.compatible for wc in rep.weak_compatibility)
 
     def test_incompatible_mappings_degrade_to_coincidence(self):
-        rep = solve_three(PATH3, DEGRADE_S, DEGRADE_S, DEGRADE_F, Coefficients(0, 0, 0, 0))
+        rep = solve_pipeline(PATH3, MappingSet(DEGRADE_S, DEGRADE_S, DEGRADE_F, arity=Arity.THREE), Coefficients(0, 0, 0, 0))
         assert rep.status is PipelineStatus.COINCIDENCE_ONLY
         assert not rep.succeeded
         assert rep.common_fixed_point is None
@@ -393,7 +393,8 @@ class TestThreeMappingPipeline:
     def test_coincidence_variant_skips_the_lift(self):
         S = TableMapping([0, 0, 0])
         f = TableMapping([0, 2, 1])
-        rep = solve_three_coincidence(PATH3, S, S, f, Coefficients(0, 0, 0.5, 0))
+        maps = MappingSet(S, S, f, arity=Arity.THREE)
+        rep = solve_pipeline(PATH3, maps, Coefficients(0, 0, 0.5, 0), options=PipelineOptions(stop_at_coincidence=True))
         assert rep.status is PipelineStatus.COINCIDENCE_ONLY
         assert rep.point_of_coincidence == 0
         assert rep.common_fixed_point is None
@@ -404,14 +405,14 @@ class TestThreeMappingPipeline:
         S = TableMapping([2, 2, 2])
         f = TableMapping([0, 1, 0])
         with pytest.raises(RangeInclusionFailure) as exc_info:
-            solve_three(PATH3, S, S, f, Coefficients(0, 0, 0.5, 0))
+            solve_pipeline(PATH3, MappingSet(S, S, f, arity=Arity.THREE), Coefficients(0, 0, 0.5, 0))
         assert exc_info.value.stage == "inclusions"
         assert exc_info.value.witness == 0
 
     def test_condition_violation_carries_report(self):
         ident = identity_mapping(3)
         with pytest.raises(ConditionViolated) as exc_info:
-            solve_three(PATH3, ident, ident, ident, Coefficients(0, 0, 0.3, 0))
+            solve_pipeline(PATH3, MappingSet(ident, ident, ident, arity=Arity.THREE), Coefficients(0, 0, 0.3, 0))
         exc = exc_info.value
         assert exc.stage == "condition"
         assert str(exc).startswith("[condition]")
@@ -422,7 +423,7 @@ class TestThreeMappingPipeline:
         ident = identity_mapping(3)
         opts = PipelineOptions(verify_hypotheses=False)
         with pytest.raises(NonUniqueCoincidence) as exc_info:
-            solve_three(PATH3, ident, ident, ident, Coefficients(0, 0, 0.3, 0), options=opts)
+            solve_pipeline(PATH3, MappingSet(ident, ident, ident, arity=Arity.THREE), Coefficients(0, 0, 0.3, 0), options=opts)
         assert exc_info.value.stage == "coincidence"
 
     def test_pulled_back_point_off_the_coincidence_set_is_refused(self, monkeypatch):
@@ -441,7 +442,8 @@ class TestThreeMappingPipeline:
         space = MetricSpace.finite([[0.0, 1.0], [1.0, 0.0]])
         swap = TableMapping([1, 0])
         opts = PipelineOptions(verify_hypotheses=False)
-        rep = solve_three(space, swap, swap, identity_mapping(2), Coefficients(0, 0, 0.5, 0), options=opts)
+        maps = MappingSet(swap, swap, identity_mapping(2), arity=Arity.THREE)
+        rep = solve_pipeline(space, maps, Coefficients(0, 0, 0.5, 0), options=opts)
         assert rep.status is PipelineStatus.SOLVER_FAILED
         assert rep.solve_report.status is SolveStatus.RATE_VIOLATED
         assert rep.stages[-1] == "solve"
@@ -450,17 +452,18 @@ class TestThreeMappingPipeline:
     def test_explicit_start_point_is_validated(self):
         S = TableMapping([0, 0, 0])
         f = TableMapping([0, 2, 1])
-        rep = solve_three(PATH3, S, S, f, Coefficients(0, 0, 0.5, 0), x0=2)
+        rep = solve_pipeline(PATH3, MappingSet(S, S, f, arity=Arity.THREE), Coefficients(0, 0, 0.5, 0), x0=2)
         assert rep.succeeded
         with pytest.raises(DomainError):
-            solve_three(PATH3, S, S, f, Coefficients(0, 0, 0.5, 0), x0=7)
+            solve_pipeline(PATH3, MappingSet(S, S, f, arity=Arity.THREE), Coefficients(0, 0, 0.5, 0), x0=7)
 
     def test_euclidean_pipeline(self):
         space = MetricSpace.euclidean(1)
         half = AffineMapping([[0.5]], [0.0])
         double = AffineMapping([[2.0]], [0.0])
         opts = PipelineOptions(pair_source=SampledPairs(samples=500, seed=9, box=(-5.0, 5.0)))
-        rep = solve_three(space, half, half, double, Coefficients(0, 0, 0.3, 0), np.array([1.0]), opts)
+        maps = MappingSet(half, half, double, arity=Arity.THREE)
+        rep = solve_pipeline(space, maps, Coefficients(0, 0, 0.3, 0), np.array([1.0]), opts)
         assert rep.succeeded
         assert abs(rep.common_fixed_point[0]) <= 1e-9
 
@@ -470,7 +473,7 @@ class TestThreeMappingPipeline:
         double = AffineMapping([[2.0]], [0.0])
         # inclusions are decided exactly; only the condition check needs a sampler
         with pytest.raises(ExhaustiveOnInfinite, match="supply a sampler") as exc_info:
-            solve_three(space, half, half, double, Coefficients(0, 0, 0.3, 0), np.array([1.0]))
+            solve_pipeline(space, MappingSet(half, half, double, arity=Arity.THREE), Coefficients(0, 0, 0.3, 0), np.array([1.0]))
         assert exc_info.value.stage == "condition"
 
 
@@ -556,13 +559,11 @@ class TestAffineInclusionsAtScale:
     def test_invertible_factors_pass_the_inclusion_stage(self, lam, arity):
         # max_iters=1 stops the run at the solver, so only the stages up to
         # the inclusions decide the outcome; the sampler is the condition's
-        runner = solve_three if arity == 3 else solve_four
         for seed in range(3):
             opts = PipelineOptions(pair_source=SampledPairs(64, seed, (-lam, lam)), verify_hypotheses=False, max_iters=1)
             for m in (1, 2, 3):
                 space, maps, x0 = _scaled_problem(seed, m, lam, arity)
-                mappings = [mp for _, mp in maps.items()]
-                rep = runner(space, *mappings, Coefficients(0, 0, 0.9, 0), x0, opts)
+                rep = solve_pipeline(space, maps, Coefficients(0, 0, 0.9, 0), x0, opts)
                 assert rep.inclusion_report.holds
 
     @pytest.mark.parametrize("lam", SCALES)
@@ -586,7 +587,7 @@ class TestFourMappingPipeline:
         space = MetricSpace.finite(np.abs(np.subtract.outer(labels, labels)).astype(float))
         step = TableMapping([0, 0, 1, 2])
         ident = identity_mapping(4)
-        rep = solve_four(space, step, step, ident, ident, Coefficients(0, 0, 0.5, 0), x0=3)
+        rep = solve_pipeline(space, MappingSet(step, step, ident, ident, arity=Arity.FOUR), Coefficients(0, 0, 0.5, 0), x0=3)
         assert rep.succeeded
         assert rep.common_fixed_point == 0
         assert rep.coincidence_points == (0, 0)
@@ -595,7 +596,7 @@ class TestFourMappingPipeline:
         S = TableMapping([0, 0, 0])
         f = TableMapping([0, 2, 1])
         g = identity_mapping(3)
-        rep = solve_four(PATH3, S, S, f, g, Coefficients(0, 0, 0.5, 0))
+        rep = solve_pipeline(PATH3, MappingSet(S, S, f, g, arity=Arity.FOUR), Coefficients(0, 0, 0.5, 0))
         assert rep.succeeded
         assert rep.common_fixed_point == 0
         assert rep.point_of_coincidence == 0
@@ -606,10 +607,10 @@ class TestFourMappingPipeline:
         f = TableMapping([0, 2, 1])
         g = TableMapping([0, 0, 1])
         with pytest.raises(RangeInclusionFailure):
-            solve_four(PATH3, S, S, f, g, Coefficients(0, 0, 0.5, 0))
+            solve_pipeline(PATH3, MappingSet(S, S, f, g, arity=Arity.FOUR), Coefficients(0, 0, 0.5, 0))
 
     def test_report_roundtrip(self):
-        rep = solve_three(PATH3, DEGRADE_S, DEGRADE_S, DEGRADE_F, Coefficients(0, 0, 0, 0))
+        rep = solve_pipeline(PATH3, MappingSet(DEGRADE_S, DEGRADE_S, DEGRADE_F, arity=Arity.THREE), Coefficients(0, 0, 0, 0))
         d = json.loads(json.dumps(rep.to_dict()))
         assert CoincidenceReport.from_dict(d) == rep
 
@@ -627,7 +628,8 @@ class TestFourMappingCoincidence:
     def test_stops_before_the_lifts(self):
         S = TableMapping([0, 0, 0])
         f = TableMapping([0, 2, 1])
-        rep = solve_four_coincidence(PATH3, S, S, f, identity_mapping(3), Coefficients(0, 0, 0.5, 0))
+        maps = MappingSet(S, S, f, identity_mapping(3), arity=Arity.FOUR)
+        rep = solve_pipeline(PATH3, maps, Coefficients(0, 0, 0.5, 0), options=PipelineOptions(stop_at_coincidence=True))
         assert rep.status == PipelineStatus.COINCIDENCE_ONLY
         assert rep.stages == ("validate", "inclusions", "condition", "induce", "solve", "coincidence")
         assert rep.point_of_coincidence == 0
@@ -636,9 +638,9 @@ class TestFourMappingCoincidence:
         assert rep.weak_compatibility == ()
 
     def test_accepts_an_instance_whose_lift_is_blocked(self):
-        maps = (DEGRADE_S, DEGRADE_S, DEGRADE_F, DEGRADE_F)
-        assert solve_four(PATH3, *maps, Coefficients(0, 0, 0, 0)).status == PipelineStatus.COINCIDENCE_ONLY
-        rep = solve_four_coincidence(PATH3, *maps, Coefficients(0, 0, 0, 0))
+        maps = MappingSet(DEGRADE_S, DEGRADE_S, DEGRADE_F, DEGRADE_F, arity=Arity.FOUR)
+        assert solve_pipeline(PATH3, maps, Coefficients(0, 0, 0, 0)).status == PipelineStatus.COINCIDENCE_ONLY
+        rep = solve_pipeline(PATH3, maps, Coefficients(0, 0, 0, 0), options=PipelineOptions(stop_at_coincidence=True))
         assert rep.status == PipelineStatus.COINCIDENCE_ONLY
         assert rep.point_of_coincidence == 1
         assert rep.coincidence_points == (2, 2)

@@ -214,7 +214,7 @@ class TestPicardSolve:
 
     @pytest.mark.parametrize(
         "max_iters, expected",
-        [(2.5, "max_iters must be an integer, got 2.5"), ("3", 3), (0, "max_iters must be at least 1, got 0"), (3.0, 3)],
+        [(2.5, "max_iters must be an integer, got 2.5"), ("3", "max_iters must be an integer, got '3'"), (0, "max_iters must be at least 1, got 0"), (3.0, 3)],
     )
     def test_max_iters_takes_the_integer_rule(self, max_iters, expected):
         half = AffineMapping([[0.5]], [0.0])
