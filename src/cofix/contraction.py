@@ -48,16 +48,25 @@ rounding is monotone: adding p4 or p5 in [0, inf] never lowers a rounded
 sum, and subtracting a larger sum never raises the difference.  So P =
 need - ((p1 + p2) + p3), without the delta and L products, is an upper
 bound, M <= P, exactly in floating point; where P is NaN or +inf, M may be
-anything.  The exhaustive check (``_worst``) evaluates its first block in
-full, then gathers the delta and L terms only at the pairs where ``not (P <
-worst)``, worst the running worst: that keeps NaN and ties.  Every other
-pair keeps its P, strictly below the worst, so it can never become the
-worst, and the report is the one of the full evaluation byte for byte.  A
-table with a negative entry (``MetricSpace.nonnegative``, recorded when
-the table is built) turns the bound off, as does a Euclidean batch;
-synthesis's cut pass takes all five terms at every pair.  On an n=2500
-arity-4 anchor instance the delta and L terms then reach about 0.1% of the
-pairs after the first block.
+anything.  The check (``_worst``) computes P at every pair of a block and
+gathers the delta and L terms only at the pairs where ``not (P < bar)``:
+that keeps NaN and ties.  The bar is the larger of the running worst and,
+on an exhaustive grid, a seed: the largest margin over the diagonal pairs
+(x, x), from one evaluator call on 0..n-1.  The grid holds a pair with the
+keys of each (x, x), the least x' of the key (S(x), f(x)) against the
+least y' of (T(x), g(x)), whose margin is the same bit for bit, so the
+worst is at least the seed.  (No margin there is NaN: the lhs is a finite
+entry, and each product lies in [0, inf].)  Every pair left out keeps its
+P, strictly below the bar, so it can never become the worst, and the
+report is the one of the full evaluation byte for byte.  A block with more
+than a quarter of its pairs near the bar is computed whole, as is a block
+met before there is a bar: a sampled source's first block, or any grid
+below ``SEED_MIN_PAIRS`` pairs.  A table with a negative entry
+(``MetricSpace.nonnegative``, recorded when the table is built) turns the
+bound off, as does a Euclidean batch; synthesis's cut pass takes all five
+terms at every pair.  On arity-4 anchor instances the delta and L terms
+then reach 0.5% of the keyed pairs at n=300 and 0.06% at n=2500, besides
+the seed's n diagonal pairs.
 
 One triangle.  When S == T, both sides share a companion h (the identity,
 or f == g), alpha == beta and the table is exactly symmetric
@@ -115,6 +124,12 @@ UPPER_BLOCK_ROWS = 64
 # while m is small.  Per 2,048-point block with the matmul (2-CPU x86-64, numpy 2.4), column/broadcast:
 # 9/16 us at m=2, 15/18 at m=4, 19/19 at m=5, 39/21 at m=8.  Either way each entry takes the same IEEE add.
 OFFSET_COLUMNS = 4
+
+# exhaustive grids of at least this many pairs seed the bound-first bar from their diagonal; below it the
+# seed's two extra evaluator calls cost more than the delta and L terms they spare.  Seeded minus unseeded,
+# per check (2-CPU x86-64, numpy 2.4, best of 5 x 20): generated random instances +40-50 us up to 4,096
+# pairs and -16 us at 16,900; arity-4 anchors +4 us at 11,300 pairs and -23 us at 13,900
+SEED_MIN_PAIRS = 1 << 14
 
 # which of the terms t1..t5 to compute: by default all five
 ALL_TERMS = (True,) * 5
@@ -181,7 +196,13 @@ class Arity(IntEnum):
 
 @dataclass(frozen=True, eq=False)
 class TableMapping(ArrayEq):
-    """A self-map of a finite universe stored as an index table."""
+    """A self-map of a finite universe stored as an index table.
+
+    Built, it records its least and greatest entry (not a field, so ``==``,
+    ``hash`` and pickling go by the table alone), and :meth:`validate` reads
+    that range instead of the table: each public function validates its
+    mappings at O(1) cost.
+    """
 
     table: np.ndarray
 
@@ -194,6 +215,8 @@ class TableMapping(ArrayEq):
             raise DomainError("index table entries must be integers")
         tab.setflags(write=False)
         object.__setattr__(self, "table", tab)
+        # an empty table's range is empty: no entry lies outside any universe
+        object.__setattr__(self, "_range", (int(tab.min()), int(tab.max())) if tab.size else (0, -1))
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
@@ -218,7 +241,8 @@ class TableMapping(ArrayEq):
             raise DomainError("index-table mappings apply to finite spaces only")
         if self.n != space.n:
             raise DomainError(f"mapping table has {self.n} entries for a universe of {space.n} points")
-        if self.n and (self.table.min() < 0 or self.table.max() >= space.n):
+        lo, hi = self._range
+        if lo < 0 or hi >= space.n:
             raise DomainError("mapping table references indices outside the universe")
         return self
 
@@ -600,20 +624,25 @@ def _block_margin(space: MetricSpace, maps: MappingSet, xs, ys, coefs, scale: fl
     return _margin(need, coefs, terms), need, terms
 
 
-def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS, upper=False):
+def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS, upper=False, grid=False):
     """The worst margin over the row blocks of a pair batch, where it sits as ``(xs, ys, shape, flat)``, and the pair count.
 
     A NaN margin outranks every number; ties, NaN or not, go to the first
     pair in the batch's flat order.  ``upper`` visits only the pairs on and
-    above the diagonal of a square grid (see :func:`_mirrored`).
+    above the diagonal of a square grid (see :func:`_mirrored`); ``grid``
+    says the batch is an exhaustive grid, which holds a pair with the keys
+    of each diagonal pair (x, x).
 
     Bound first (see the module docstring): when every delta and L product
     the margin takes lies in [0, inf], a positive coefficient times a term
     of a table without negative entries, the margin P without them is at
-    least the full margin M wherever P is a number below +inf.  After the
-    first block, a block computes P at every pair and M only where ``not (P
-    < worst)``, worst the running worst; elsewhere it keeps P, strictly
-    below the worst, which M, at most P, can then neither beat nor tie.
+    least the full margin M wherever P is a number below +inf.  A block
+    then computes P at every pair and M only where ``not (P < bar)``, bar
+    the larger of the running worst and, on a grid of ``SEED_MIN_PAIRS``
+    pairs or more, the diagonal's largest margin, which the grid attains;
+    elsewhere it keeps P, strictly below the bar, which M, at most P, can
+    then neither beat nor tie.  A block with more than a quarter of its
+    pairs near the bar, or met before there is any bar, is computed whole.
     """
     tail = wanted[3:]
     bounded = (
@@ -623,20 +652,26 @@ def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.
         and all(coef > 0.0 for coef, w in zip(coefs[3:], tail) if w)
     )
     head = wanted[:3] + (False, False)
-    worst, at, count = None, None, 0
+    worst, at, count, seed = None, None, 0, None
     # a term or sum that overflows near the float range is an inf or NaN margin, ranked as such
     with np.errstate(over="ignore", invalid="ignore"):
+        if bounded and grid and batch[0].size * batch[1].size >= SEED_MIN_PAIRS:
+            diagonal = np.arange(space.n)
+            seed = float(np.max(_block_margin(space, maps, diagonal, diagonal, coefs, scale, wanted)[0]))
         for xs, ys in _row_blocks(space, *batch, upper):
-            if bounded and worst is not None:
+            # the bar is the larger; a NaN (a scaled lhs past the float range) is sound either way: as the
+            # bar it leaves every pair near, as the worst it keeps its place whatever follows
+            bars = [v for v in (seed, worst) if v is not None] if bounded else []
+            if bars:
                 margin = _block_margin(space, maps, xs, ys, coefs, scale, head)[0]
-                near = np.flatnonzero(~(margin < worst))
-                if near.size:
-                    # the pairs that may reach the worst, as index arrays: the same evaluator on them alone
-                    at_near = np.unravel_index(near, margin.shape)
-                    points = (np.broadcast_to(p, margin.shape)[at_near] for p in (xs, ys))
-                    margin[at_near] = _block_margin(space, maps, *points, coefs, scale, wanted)[0]
-            else:
+                near = np.flatnonzero(~(margin < max(bars)))
+            if not bars or 4 * near.size > margin.size:
                 margin = _block_margin(space, maps, xs, ys, coefs, scale, wanted)[0]
+            elif near.size:
+                # the pairs that may reach the bar, as index arrays: the same evaluator on them alone
+                at_near = np.unravel_index(near, margin.shape)
+                points = (np.broadcast_to(p, margin.shape)[at_near] for p in (xs, ys))
+                margin[at_near] = _block_margin(space, maps, *points, coefs, scale, wanted)[0]
             # argmax finds a block's first NaN, if it holds one
             flat = int(np.argmax(margin))
             # a NaN worst stays; NaN or more replaces a number, strictly: on a tie the earlier block keeps the worst pair
@@ -667,9 +702,10 @@ def _evaluate_condition(space, maps: MappingSet, c, pair_source, tolerance, batc
     coefs = c.as_tuple()
     wanted = tuple(v != 0.0 for v in coefs)
     batch = _pair_batch(space, pair_source, maps) if batch is None else batch
-    worst, at, count = _worst(space, maps, batch, coefs, wanted=wanted, upper=_mirrored(space, maps, coefs, pair_source))
-    pair = _pair_at(space, *at)
     sampled = isinstance(pair_source, SampledPairs)
+    upper = _mirrored(space, maps, coefs, pair_source)
+    worst, at, count = _worst(space, maps, batch, coefs, wanted=wanted, upper=upper, grid=not sampled)
+    pair = _pair_at(space, *at)
     return ViolationReport(
         condition=maps.arity.name.lower(),
         satisfied=bool(worst <= tolerance),
@@ -757,9 +793,16 @@ class InclusionReport(Record):
         return {**super().to_dict(), "holds": self.holds}
 
 
+def _image_mask(m: TableMapping) -> np.ndarray:
+    """Which of the indices 0..n-1 a validated table mapping's image holds, as a boolean mask."""
+    mask = np.zeros(m.n, dtype=bool)
+    mask[m.table] = True
+    return mask
+
+
 def _finite_inclusion(inner: TableMapping, outer: TableMapping, desc: str) -> InclusionCheck:
     """Does inner(X) lie inside outer(X)?  Witness: the first x whose image escapes."""
-    escaped = np.flatnonzero(~np.isin(inner.table, outer.table))
+    escaped = np.flatnonzero(~_image_mask(outer)[inner.table])
     return InclusionCheck(desc, not escaped.size, int(escaped[0]) if escaped.size else None)
 
 
@@ -796,7 +839,7 @@ def check_range_inclusions(
 
     Each mapping's image must lie inside its companion's (``maps.sides``),
     and with four mappings f(X) must equal g(X).  Both flavors are decided
-    exactly: finite images as index sets, affine ones by
+    exactly: finite images as boolean masks over the indices, affine ones by
     :func:`_affine_inclusion` with ``tolerance`` as its relative slack.
     """
     maps.validate(space)
@@ -807,7 +850,8 @@ def check_range_inclusions(
     if f_tag != g_tag:
         # distinct companions: the induced pair needs their images to match
         if space.is_finite:
-            diff = np.setxor1d(f.table, g.table)
+            # the least index in one image only
+            diff = np.flatnonzero(_image_mask(f) != _image_mask(g))
             checks.append(InclusionCheck("f(X) equals g(X)", not diff.size, int(diff[0]) if diff.size else None))
         else:
             checks += [within(f, g, "f(X) within g(X)"), within(g, f, "g(X) within f(X)")]
@@ -865,7 +909,7 @@ def synthesize_coefficients(
 
     def infeasible(coefs, reason: str) -> Infeasible:
         """``reason`` ({count}: the pair count) as Infeasible, naming the first pair within ``ties`` of the worst or NaN."""
-        worst, _, count = _worst(space, maps, batch, coefs, scale)
+        worst, _, count = _worst(space, maps, batch, coefs, scale, grid=not sampled)
         for xs, ys in _row_blocks(space, *batch):
             margin = _block_margin(space, maps, xs, ys, coefs, scale, ALL_TERMS)[0]
             hits = np.flatnonzero(np.isnan(margin) | (margin >= worst - ties))

@@ -50,7 +50,7 @@ from .contraction import (
 )
 from .errors import CofixError, SchemaError
 from .metric_core import Flavor, MetricSpace
-from .records import as_int, int_arg
+from .records import int_arg
 from .solver import MAX_ITERS
 
 
@@ -116,7 +116,7 @@ def _space_from_dict(doc: dict) -> MetricSpace:
         raise SchemaError(f"unknown space flavor {flavor!r}") from None
     if flavor == Flavor.FINITE_EXPLICIT:
         return MetricSpace.finite(_numbers(_require(doc, "table", "space"), "space table"))
-    return MetricSpace.euclidean(as_int(_require(doc, "dimension", "space")))
+    return MetricSpace.euclidean(int_arg("dimension", _require(doc, "dimension", "space")))
 
 
 def _space_to_dict(space: MetricSpace) -> dict:
@@ -145,7 +145,7 @@ def _mapping_to_dict(m) -> dict:
 
 
 def _maps_from_dict(doc: dict) -> MappingSet:
-    arity = Arity(as_int(_require(doc, "arity", "mappings")))
+    arity = Arity(int_arg("arity", _require(doc, "arity", "mappings")))
     # an arity-k problem takes the first k of S, T, f, g
     labels = ("S", "T", "f", "g")[:arity]
     return MappingSet(arity=arity, **{k: _mapping_from_dict(_require(doc, k, "mappings"), k) for k in labels})

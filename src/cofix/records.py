@@ -8,10 +8,12 @@ and ``int()`` coercion (a boolean or a string is never a number:
 :func:`as_float` and :func:`as_int` refuse both, and :func:`as_int` a
 fractional float too), typed tuples and records element by element, and
 lists to tuples for untyped values.  A missing key takes the field's
-default.  A non-finite float is written as the string ``"Infinity"``,
-``"-Infinity"`` or ``"NaN"``, so the output is strict JSON; a float field
-reads back exactly these three strings.  :class:`ValueEnum` and
-:class:`ArrayEq` state the text of an enum and the equality of arrays.
+default.  A number a field refuses raises ValueError naming the field, in
+the words of :func:`int_arg` and :func:`real_arg`.  A non-finite float is
+written as the string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, so the
+output is strict JSON; a float field reads back exactly these three
+strings.  :class:`ValueEnum` and :class:`ArrayEq` state the text of an
+enum and the equality of arrays.
 
 :func:`int_arg` (with a least value) and :func:`real_arg` hold a library
 argument to the same rules and raise DomainError naming the argument.
@@ -65,7 +67,7 @@ class Record:
     def from_dict(cls, d: dict):
         # a required field is looked up even when absent, raising KeyError
         fields = _fields(cls)
-        return cls(**{name: _decode(hint, d[name]) for name, hint, required in fields if required or name in d})
+        return cls(**{name: _decode(hint, d[name], name) for name, hint, required in fields if required or name in d})
 
 
 @functools.cache
@@ -101,31 +103,32 @@ def _plain(value):
     return value
 
 
-def _decode(hint, value):
+def _decode(hint, value, name: str):
+    """``value`` read by ``hint`` for the field ``name``, which a refused number names."""
     origin = typing.get_origin(hint)
     if origin is typing.Union:
         args = typing.get_args(hint)
         if value is None and type(None) in args:
             return None
         rest = [a for a in args if a is not type(None)]
-        return _decode(rest[0], value) if len(rest) == 1 else _plain(value)
+        return _decode(rest[0], value, name) if len(rest) == 1 else _plain(value)
     if origin is tuple:
         args = typing.get_args(hint)
         if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], v) for v in value)
+            return tuple(_decode(args[0], v, name) for v in value)
         if len(args) != len(value):
             raise ValueError(f"expected {len(args)} entries, got {len(value)}")
-        return tuple(_decode(a, v) for a, v in zip(args, value))
+        return tuple(_decode(a, v, name) for a, v in zip(args, value))
     if isinstance(hint, type):
         if issubclass(hint, Record):
             return hint.from_dict(value)
         if issubclass(hint, Enum):
             return hint(value)
         if hint is int:
-            return as_int(value)
+            return _read(as_int, "an integer", name, value)
         if hint is float:
             # the one place a string reads as a number: the three that _encode writes
-            return float(value) if value in ("Infinity", "-Infinity", "NaN") else as_float(value)
+            return float(value) if value in ("Infinity", "-Infinity", "NaN") else _read(as_float, "a number", name, value)
     return _plain(value)
 
 
@@ -143,12 +146,17 @@ def as_int(value) -> int:
     return int(value)
 
 
+def _read(read, kind: str, name: str, value, error=ValueError):
+    """``read(value)``; what it refuses raises ``error``: "<name> must be <kind>, got <value>"."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must be {kind}, got {value!r}") from exc
+
+
 def int_arg(name: str, value, least: typing.Optional[int] = None) -> int:
     """:func:`as_int` for a library argument, at least ``least`` if given; a refusal raises DomainError naming ``name``."""
-    try:
-        value = as_int(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+    value = _read(as_int, "an integer", name, value, DomainError)
     if least is not None and value < least:
         raise DomainError(f"{name} must be at least {least}, got {value}")
     return value
@@ -156,7 +164,4 @@ def int_arg(name: str, value, least: typing.Optional[int] = None) -> int:
 
 def real_arg(name: str, value) -> float:
     """:func:`as_float` for a library argument: what it refuses raises DomainError naming ``name``."""
-    try:
-        return as_float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a number, got {value!r}") from exc
+    return _read(as_float, "a number", name, value, DomainError)

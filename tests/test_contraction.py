@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 from unittest.mock import patch
@@ -39,7 +40,7 @@ from cofix.errors import (
     Infeasible,
     NonInvertibleMapping,
 )
-from cofix.oracle import InstanceRecipe, MappingMode, MetricMode, generate_instance
+from cofix.oracle import InstanceRecipe, MappingMode, MetricMode, generate_instance, metric_closure_repair
 from cofix.problem import Problem, problem_to_dict
 
 # labels 0, 1, 3, 7 with the absolute-difference metric; the step map
@@ -165,6 +166,25 @@ class TestTableMapping:
             TableMapping([0, 1, 2, 9]).validate(halving_space)
         with pytest.raises(DomainError):
             halving_map.validate(MetricSpace.euclidean(2))
+
+    @pytest.mark.parametrize("table", [[0, -1, 2, 3], [0, 1, 2, 4], [-3, 4, 4, 4]], ids=["negative", "past_n", "both"])
+    def test_validate_refuses_entries_outside_the_universe(self, halving_space, table):
+        with pytest.raises(DomainError, match="^mapping table references indices outside the universe$"):
+            TableMapping(table).validate(halving_space)
+        with pytest.raises(DomainError, match="^mapping table has 4 entries for a universe of 3 points$"):
+            TableMapping(table).validate(MetricSpace.finite(np.ones((3, 3)) - np.eye(3)))
+
+    def test_recorded_range_is_not_a_field(self, halving_space):
+        a, b = TableMapping([2, 0, 1, 3]), TableMapping([2, 0, 1, 3])
+        # ==, hash and the fields go by the table alone
+        object.__setattr__(b, "_range", (-5, 99))
+        assert a == b and hash(a) == hash(b)
+        assert [f.name for f in dataclasses.fields(a)] == ["table"]
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a) and copy.validate(halving_space) is copy
+        assert dataclasses.replace(a, table=[0, 0, 0, 9]) != a
+        with pytest.raises(DomainError, match="outside the universe"):
+            dataclasses.replace(a, table=[0, 0, 0, 9]).validate(halving_space)
 
     def test_apply_many_keeps_the_index_shape(self, halving_map):
         xs = np.array([[3], [2], [0]])
@@ -1020,8 +1040,8 @@ class TestBoundFirst:
         space = MetricSpace.finite(table)
         tally = self._tail_pairs(monkeypatch)
         rep = check_condition(space, maps, c)
-        # the first block is evaluated in full, then about 0.1% of the pairs
-        assert tally[0] <= 0.05 * self._grid_pairs(space, maps)
+        # the seed's 2500 diagonal pairs, then about 0.06% of the keyed pairs
+        assert tally[0] <= 0.005 * self._grid_pairs(space, maps)
         assert (rep.worst_pair, rep.worst_margin, rep.pairs_checked) == ((0, 0), 0.0, 2500**2)
         # the same report with the bound off
         object.__setattr__(space, "nonnegative", False)
@@ -1121,11 +1141,14 @@ class TestOneTriangle:
     """A mirrored exhaustive grid is evaluated on and above its diagonal only, with the full grid's report."""
 
     @settings(max_examples=400, deadline=None)
-    @given(case=mirrored_cases(), block=st.sampled_from([None, 1, 3, 7]))
-    def test_reports_equal_the_reference(self, case, block):
+    @given(case=mirrored_cases(), block=st.sampled_from([None, 1, 3, 7]), seeded=st.booleans())
+    def test_reports_equal_the_reference(self, case, block, seeded):
+        # seeded: every grid takes the diagonal seed (see TestSeededBound)
         space, maps, c, variant = case
         assert contraction._mirrored(space, maps, c.as_tuple(), EXHAUSTIVE) == (variant == "mirrored")
-        with patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS):
+        with patch.object(contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS), patch.object(
+            contraction, "SEED_MIN_PAIRS", 0 if seeded else contraction.SEED_MIN_PAIRS
+        ):
             rep = check_condition(space, maps, c)
             ref = reference_condition_report(space, maps, c)
         assert _report_json(rep) == _report_json(ref)
@@ -1168,6 +1191,142 @@ class TestOneTriangle:
         object.__setattr__(space, "symmetric", False)
         assert _report_json(check_condition(space, maps, c)) == _report_json(rep)
         assert tally[0] == n * n
+
+
+@st.composite
+def seeded_cases(draw):
+    """(space, maps, coefficients) of a bounded check: a table without negative entries, delta or L > 0.
+
+    "random": a generated instance with random maps, whose condition mostly
+    fails, so the seed lies below the worst.  "identity": S = T = the
+    identity on a repaired uniform table: every diagonal margin is 0 and
+    every other one positive.  "keyed": maps of few values on a table of
+    few values, arities 2-4, whose margins tie often.
+    """
+    kind = draw(st.sampled_from(["random", "identity", "keyed"]))
+    if kind == "random":
+        recipe = InstanceRecipe(
+            seed=draw(st.integers(0, 10**6)),
+            n=draw(st.integers(2, 24)),
+            arity=draw(st.integers(2, 4)),
+            metric_mode=draw(st.sampled_from(MetricMode)),
+            mapping_mode=MappingMode.RANDOM,
+        )
+        inst = generate_instance(recipe)
+        space, maps = inst.space, inst.maps
+    elif kind == "identity":
+        n = draw(st.integers(1, 12))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        space = MetricSpace.finite(metric_closure_repair(rng.uniform(0.1, 8.0, size=(n, n))))
+        maps = MappingSet(identity_mapping(n), identity_mapping(n))
+    else:
+        space, maps = draw(tied_table_cases())
+    return space, maps, _coefficients(draw(st.sampled_from([p for p in ZERO_PATTERNS if p[3] or p[4]])))
+
+
+class TestSeededBound:
+    """An exhaustive bounded check seeds its bar with the largest diagonal margin, with the full grid's report."""
+
+    @staticmethod
+    def _calls(monkeypatch):
+        """Record (xs shape, ys shape, wanted) of every evaluator call."""
+        evaluate, calls = contraction._term_arrays, []
+
+        def spy(space, maps, xs, ys, wanted=contraction.ALL_TERMS):
+            calls.append((xs.shape, ys.shape, tuple(wanted)))
+            return evaluate(space, maps, xs, ys, wanted)
+
+        monkeypatch.setattr(contraction, "_term_arrays", spy)
+        return calls
+
+    @staticmethod
+    def _assert_reference(space, maps, c, src=EXHAUSTIVE, block=None):
+        """The check, seeded on any grid, against the all-pairs reference, with ``block`` pairs per block."""
+        with warnings.catch_warnings(), patch.object(contraction, "SEED_MIN_PAIRS", 0), patch.object(
+            contraction, "BLOCK_PAIRS", block or contraction.BLOCK_PAIRS
+        ):
+            warnings.simplefilter("error")
+            rep = check_condition(space, maps, c, src)
+            assert _report_json(rep) == _report_json(reference_condition_report(space, maps, c, src))
+        return rep
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=seeded_cases(), sampled=st.booleans(), seed=st.integers(0, 1000), block=st.sampled_from([None, 1, 3, 7]))
+    def test_reports_equal_the_reference(self, case, sampled, seed, block):
+        space, maps, c = case
+        self._assert_reference(space, maps, c, SampledPairs(2 * space.n**2, seed) if sampled else EXHAUSTIVE, block)
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keyed_grid_worst_off_the_diagonal(self, arity, seed):
+        # S and T send the keys (S(x), f(x)) apart: d(S(x), T(y)) peaks at a pair of distinct keys
+        rng = np.random.default_rng(seed)
+        n = 12
+        raw = rng.integers(1, 6, size=(n, n)).astype(float)
+        space = MetricSpace.finite(metric_closure_repair(raw))
+        f = rng.integers(0, n // 2, size=n)
+        maps = MappingSet(*map(TableMapping, (rng.integers(0, n, size=n), rng.integers(0, n, size=n), f, f[::-1].copy())[:arity]), arity=arity)
+        c = Coefficients(0.05, 0.05, 0.1, 0.1, 0.3)
+        for block in (None, 1, 5):
+            rep = self._assert_reference(space, maps, c, block=block)
+            x, y = rep.worst_pair
+            assert (maps.S(x), maps.f(x)) != (maps.T(y), (maps.g or maps.f)(y))
+
+    def test_identity_seed_lies_below_every_other_margin(self, monkeypatch):
+        # off the diagonal the margin is d - 0.3 d - 0.1 * 2d - 0.2 * 0 = 0.5 and its bound P = 0.7, on it both are 0
+        n = 40
+        space = MetricSpace.finite(np.ones((n, n)) - np.eye(n))
+        maps, c = MappingSet(identity_mapping(n), identity_mapping(n)), Coefficients(0, 0, 0.3, 0.1, 0.2)
+        calls = self._calls(monkeypatch)
+        rep = self._assert_reference(space, maps, c, block=7 * n)
+        assert (rep.worst_pair, rep.worst_margin) == ((0, 1), 0.5)
+        # the seed 0, then the worst 0.5, leaves most pairs of each block near: each takes the bound, then its whole
+        seed, *blocks = calls
+        assert seed == ((n,), (n,), (False, False, True, True, True))
+        heads, wholes = blocks[::2], blocks[1::2]
+        assert len(heads) == len(wholes) > 1
+        for head, whole in zip(heads, wholes):
+            assert head[:2] == whole[:2] and len(head[0]) == 2
+            assert (head[2], whole[2]) == ((False, False, True, False, False), (False, False, True, True, True))
+
+    def test_overflowing_diagonal_seeds_minus_infinity(self, monkeypatch):
+        # every diagonal pair reads u1 + u2 = 1e308 + 1e308 = inf, so its margin is -inf, and so is the seed;
+        # a pair with y = S(x) reads u1 = 0 and a finite margin.  No margin of a bounded check is NaN:
+        # the lhs is a finite entry and each product lies in [0, inf]
+        big, n = 1e308, 3
+        space = MetricSpace.finite(np.full((n, n), big) - np.diag(np.full(n, big)))
+        S, T = TableMapping((np.arange(n) + 1) % n), TableMapping((np.arange(n) + 2) % n)
+        c = Coefficients(0, 0, 0.2, 0.1, 0.5)
+        with np.errstate(over="ignore"):
+            diagonal = contraction._block_margin(space, MappingSet(S, T), np.arange(n), np.arange(n), c.as_tuple(), 1.0, (False, False, True, True, True))[0]
+        assert (diagonal == -np.inf).all()
+        for block in (None, 1, 2):
+            rep = self._assert_reference(space, MappingSet(S, T), c, block=block)
+            assert math.isfinite(rep.worst_margin)
+
+    def test_sampled_sources_take_no_seed(self, monkeypatch):
+        n = 30
+        space = MetricSpace.finite(metric_closure_repair(np.random.default_rng(2).uniform(0.1, 8.0, size=(n, n))))
+        maps, c, src = MappingSet(identity_mapping(n), identity_mapping(n)), Coefficients(0, 0, 0.3, 0.1, 0.2), SampledPairs(50, 4)
+        calls = self._calls(monkeypatch)
+        self._assert_reference(space, maps, c, src, block=20)
+        # today's rule: the first block whole, then the bound on the running worst
+        assert calls[0] == ((20,), (20,), (False, False, True, True, True))
+        assert calls[1][2] == (False, False, True, False, False)
+
+    def test_anchor_gathers_the_tail_at_few_keyed_pairs(self, monkeypatch):
+        # the n=300 arity-4 anchor is one block: without the seed it took the delta and L terms at all its keyed pairs
+        table, maps, c = _anchor_four(300)
+        space = MetricSpace.finite(table)
+        xs, ys = contraction._pair_batch(space, EXHAUSTIVE, maps)
+        assert xs.size * ys.size >= contraction.SEED_MIN_PAIRS
+        calls = self._calls(monkeypatch)
+        rep = check_condition(space, maps, c)
+        assert (rep.worst_pair, rep.worst_margin) == ((0, 0), 0.0)
+        seed, head, gather = calls
+        assert seed == ((300,), (300,), (False, False, True, False, True))
+        assert head == ((xs.size, 1), (1, ys.size), (False, False, True, False, False))
+        assert gather[2] == seed[2] and len(gather[0]) == 1 and gather[0][0] <= 0.01 * xs.size * ys.size
 
 
 # entries a sum of columns may meet: signed zeros, subnormals, infinities and NaN
@@ -1226,7 +1385,58 @@ class TestCheckValidatesMappings:
             check_condition(halving_space, MappingSet(good, good, f, g, arity=4), Coefficients(0, 0, 0.5, 0))
 
 
+@st.composite
+def inclusion_cases(draw):
+    """Table mapping sets of arity 2-4 on n = 1..10 points: constant maps, permutations and maps of few values.
+
+    S and T may be drawn inside their companion's image, and g may be f
+    relabelled, so that f(X) = g(X); otherwise the images fall as they may.
+    """
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table():
+        kind = draw(st.sampled_from(["constant", "permutation", "few"]))
+        if kind == "constant":
+            return np.full(n, rng.integers(0, n))
+        return rng.permutation(n) if kind == "permutation" else rng.integers(0, draw(st.integers(1, n)), size=n)
+
+    arity = draw(st.integers(2, 4))
+    S, T, f, g = (table() for _ in range(4))
+    if arity == 4 and draw(st.booleans()):
+        g = f[rng.permutation(n)]
+    if arity > 2 and draw(st.booleans()):
+        S = f[rng.integers(0, n, size=n)]
+        T = (g if arity == 4 else f)[rng.integers(0, n, size=n)]
+    space = MetricSpace.finite(np.ones((n, n)) - np.eye(n))
+    return space, MappingSet(*map(TableMapping, (S, T, f, g)[:arity]), arity=arity)
+
+
+def reference_inclusions(maps):
+    """(description, holds, witness) of each finite inclusion check, by ``np.isin`` and ``np.setxor1d``."""
+
+    def check(description, outside):
+        return description, not outside.size, int(outside[0]) if outside.size else None
+
+    checks = [
+        check(f"{label}(X) within {tag}(X)", np.flatnonzero(~np.isin(m.table, comp.table)))
+        for label, m, tag, comp in maps.sides
+        if comp is not None
+    ]
+    if maps.arity == Arity.FOUR:
+        checks.append(check("f(X) equals g(X)", np.setxor1d(maps.f.table, maps.g.table)))
+    return checks
+
+
 class TestRangeInclusions:
+    @settings(max_examples=300, deadline=None)
+    @given(case=inclusion_cases())
+    def test_finite_checks_equal_the_set_reference(self, case):
+        space, maps = case
+        rep = check_range_inclusions(space, maps)
+        assert [(c.description, c.holds, c.witness) for c in rep.checks] == reference_inclusions(maps)
+        assert all(type(c.witness) in (int, type(None)) for c in rep.checks)
+
     def test_two_mappings_have_nothing_to_check(self, halving_space, halving_map):
         rep = check_range_inclusions(halving_space, MappingSet(S=halving_map, T=halving_map, arity=Arity.TWO))
         assert rep.holds

@@ -87,18 +87,18 @@ def line_doc(S=HALF_LINE, pair_source=None, dimension=1):
 # JSON strings where numbers belong: each of these documents loaded, a string read as the number it spells
 STRING_NUMBERS = {
     "table": (finite_doc(space={"flavor": "finite_explicit", "table": [["0", "1"], ["1", "0"]]}), "space table holds a string"),
-    "arity": (finite_doc(mappings={**finite_doc()["mappings"], "arity": "2"}), "'2' is not an integer"),
-    "gamma": (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": "0.5", "delta": 0, "L": 0}), "'0.5' is not a number"),
+    "arity": (finite_doc(mappings={**finite_doc()["mappings"], "arity": "2"}), "arity must be an integer, got '2'"),
+    "gamma": (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": "0.5", "delta": 0, "L": 0}), "gamma must be a number, got '0.5'"),
     "x0": (finite_doc(solver={"x0": "1"}), "solver x0 holds a string"),
     "x0_list": (euclid_doc(solver={"x0": ["1", 0.0]}), "solver x0 holds a string"),
     "tol": (finite_doc(solver={"tol": "1e-9"}), "tolerance must be a number, got '1e-9'"),
     "max_iters": (finite_doc(solver={"max_iters": "5"}), "max_iters must be an integer, got '5'"),
-    "dimension": (line_doc(dimension="1"), "'1' is not an integer"),
+    "dimension": (line_doc(dimension="1"), "dimension must be an integer, got '1'"),
     "matrix": (line_doc({"type": "affine", "matrix": [["0.5"]], "offset": [0.0]}), "mapping S matrix holds a string"),
     "offset": (line_doc({"type": "affine", "matrix": [[0.5]], "offset": ["0"]}), "mapping S offset holds a string"),
-    "samples": (line_doc(pair_source={"samples": "5", "seed": 1, "box": [-1, 1]}), "'5' is not an integer"),
-    "seed": (line_doc(pair_source={"samples": 5, "seed": "1", "box": [-1, 1]}), "'1' is not an integer"),
-    "box": (line_doc(pair_source={"samples": 5, "seed": 1, "box": ["-1", "1"]}), "'-1' is not a number"),
+    "samples": (line_doc(pair_source={"samples": "5", "seed": 1, "box": [-1, 1]}), "samples must be an integer, got '5'"),
+    "seed": (line_doc(pair_source={"samples": 5, "seed": "1", "box": [-1, 1]}), "seed must be an integer, got '1'"),
+    "box": (line_doc(pair_source={"samples": 5, "seed": 1, "box": ["-1", "1"]}), "box must be a number, got '-1'"),
 }
 
 
@@ -295,10 +295,10 @@ class TestSchemaRejections:
             # JSON booleans: each loaded as 1 or 0, and a solve followed
             (finite_doc(space={"flavor": "finite_explicit", "table": [[0, True, 3, 7], [True, 0, 2, 6], [3, 2, 0, 4], [7, 6, 4, 0]]}), "space table holds a boolean"),
             (finite_doc(mappings={**finite_doc()["mappings"], "S": {"type": "table", "table": [True, False, 1, 2]}}), "mapping S table holds a boolean"),
-            (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": 0.5, "delta": 0, "L": True}), "True is not a number"),
-            (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": False, "delta": 0, "L": 0}), "False is not a number"),
+            (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": 0.5, "delta": 0, "L": True}), "L must be a number, got True"),
+            (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": False, "delta": 0, "L": 0}), "gamma must be a number, got False"),
             (finite_doc(solver={"tol": True}), "tolerance must be a number, got True"),
-            (euclid_doc(pair_source={"samples": 64, "seed": 3, "box": [False, True]}), "False is not a number"),
+            (euclid_doc(pair_source={"samples": 64, "seed": 3, "box": [False, True]}), "box must be a number, got False"),
             (euclid_doc(mappings={**euclid_doc()["mappings"], "S": {"type": "affine", "matrix": [[True, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]}}), "mapping S matrix holds a boolean"),
             (euclid_doc(mappings={**euclid_doc()["mappings"], "T": {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [False, 0.0]}}), "mapping T offset holds a boolean"),
             (euclid_doc(solver={"x0": [True, 0.0]}), "solver x0 holds a boolean"),

@@ -120,7 +120,7 @@ def test_missing_required_key_raises_key_error_and_defaults_fill_in():
     with pytest.raises(KeyError, match="gamma"):
         Coefficients.from_dict({"alpha": 0, "beta": 0, "delta": 0})
     assert SampledPairs.from_dict({"samples": 5, "seed": 1.0}) == SampledPairs(samples=5, seed=1)
-    with pytest.raises(ValueError, match="'5' is not an integer"):
+    with pytest.raises(ValueError, match="^samples must be an integer, got '5'$"):
         SampledPairs.from_dict({"samples": "5", "seed": 1})
     with pytest.raises(ValueError, match="expected 2 entries"):
         SampledPairs.from_dict({"samples": 5, "seed": 1, "box": [1.0]})
@@ -152,7 +152,7 @@ def test_a_boolean_is_never_a_number():
         with pytest.raises(ValueError, match="is not an integer"):
             as_int(text)
     assert AxiomCheck.from_dict({"name": "t", "passed": False, "witness": None, "magnitude": "-Infinity"}).magnitude == -math.inf
-    with pytest.raises(ValueError, match="'2.5' is not a number"):
+    with pytest.raises(ValueError, match="^magnitude must be a number, got '2.5'$"):
         AxiomCheck.from_dict({"name": "t", "passed": False, "witness": None, "magnitude": "2.5"})
 
 
