@@ -23,7 +23,6 @@ from .errors import (
     NonUniqueCoincidence,
     PreconditionError,
     RangeInclusionFailure,
-    RepairFailure,
     SchemaError,
 )
 from .metric_core import (

@@ -518,26 +518,35 @@ def _term_arrays(space: MetricSpace, maps: MappingSet, xs: np.ndarray, ys: np.nd
     distances are norms.  Terms that depend on one side only keep that
     side's shape and broadcast against the rest; a term may be a read-only
     view of the table.  Of t1..t5 only those ``wanted`` are computed, the
-    others are None; so are f(x) and g(y).
+    others are None; so are f(x) and g(y).  An index column ``xs`` against an
+    index row ``ys`` must ascend strictly, as an exhaustive grid's blocks do.
     """
     if space.is_finite:
         D = space.table
 
-        def dist(u, v):
+        def run(a):
+            # a grid block's own index column and row ascend strictly (see _pair_batch), so their
+            # ends tell a run; a mapped index set, such as S(x), takes the full test
+            if (a is xs or a is ys) and a.size:
+                return slice(int(a.flat[0]), int(a.flat[-1]) + 1) if a.flat[-1] - a.flat[0] == a.size - 1 else None
+            return _run(a.reshape(-1))
+
+        def grid(r, c, rs, cs):
             # an exhaustive block is an index column against an index row: an
             # ascending run of consecutive indices reads the table through a
             # slice, with no gather, and through a view alone where both are;
             # else gathering the smaller index set's whole rows (or columns),
             # then the other axis, beats scattered lookups and copies at most n
             # entries per index of the smaller set
+            if rs is not None or cs is not None:
+                return D[r if rs is None else rs, c if cs is None else cs]
+            return D[r][:, c] if len(r) <= len(c) else D[:, c][r]
+
+        def dist(u, v):
             if u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1:
-                r, c = u[:, 0], v[0]
-                rs, cs = _run(r), _run(c)
-                if rs is not None or cs is not None:
-                    return D[r if rs is None else rs, c if cs is None else cs]
-                return D[r][:, c] if len(r) <= len(c) else D[:, c][r]
+                return grid(u[:, 0], v[0], run(u), run(v))
             if u.ndim == v.ndim == 2 and u.shape[0] == 1 and v.shape[1] == 1:
-                return dist(u.T, v.T).T
+                return grid(u[0], v[:, 0], run(u), run(v)).T
             return D[u, v]
 
     else:
@@ -576,6 +585,11 @@ def _pair_at(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, shape: tuple, f
     return point(xs), point(ys)
 
 
+def _batch_shape(space: MetricSpace, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The shape of a pair batch's pairs: Euclidean points' last axis holds their coordinates."""
+    return np.broadcast_shapes(xs.shape, ys.shape)[: None if space.is_finite else -1]
+
+
 def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, upper: bool = False):
     """Slices of a pair batch along its first axis, about ``BLOCK_PAIRS`` pairs each.
 
@@ -588,7 +602,7 @@ def _row_blocks(space: MetricSpace, xs: np.ndarray, ys: np.ndarray, upper: bool 
     the columns [r0, n): the blocks then cover the pairs on and above the
     diagonal, in the grid's flat order.
     """
-    shape = np.broadcast_shapes(xs.shape, ys.shape)[: None if space.is_finite else -1]
+    shape = _batch_shape(space, xs, ys)
     rows = shape[0]
     block = BLOCK_PAIRS if space.is_finite else EUCLIDEAN_BLOCK_PAIRS
     step = max(1, block * rows // math.prod(shape))
@@ -617,11 +631,10 @@ def _margin(need: np.ndarray, coefs, terms) -> np.ndarray:
     return need.copy() if out is None else np.subtract(need, out, out=out)
 
 
-def _block_margin(space: MetricSpace, maps: MappingSet, xs, ys, coefs, scale: float, wanted):
-    """(margin, need, terms) of one block of pairs: ``need`` is ``scale * lhs``, ``terms`` t1..t5 as ``wanted``."""
+def _block_margin(space: MetricSpace, maps: MappingSet, xs, ys, coefs, scale: float, wanted) -> np.ndarray:
+    """The margin of one block of pairs, ``scale * lhs`` minus the terms t1..t5 as ``wanted``."""
     lhs, *terms = _term_arrays(space, maps, xs, ys, wanted)
-    need = lhs if scale == 1.0 else scale * lhs
-    return _margin(need, coefs, terms), need, terms
+    return _margin(lhs if scale == 1.0 else scale * lhs, coefs, terms)
 
 
 def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.0, wanted=ALL_TERMS, upper=False, grid=False):
@@ -657,21 +670,21 @@ def _worst(space: MetricSpace, maps: MappingSet, batch, coefs, scale: float = 1.
     with np.errstate(over="ignore", invalid="ignore"):
         if bounded and grid and batch[0].size * batch[1].size >= SEED_MIN_PAIRS:
             diagonal = np.arange(space.n)
-            seed = float(np.max(_block_margin(space, maps, diagonal, diagonal, coefs, scale, wanted)[0]))
+            seed = float(np.max(_block_margin(space, maps, diagonal, diagonal, coefs, scale, wanted)))
         for xs, ys in _row_blocks(space, *batch, upper):
             # the bar is the larger; a NaN (a scaled lhs past the float range) is sound either way: as the
             # bar it leaves every pair near, as the worst it keeps its place whatever follows
             bars = [v for v in (seed, worst) if v is not None] if bounded else []
             if bars:
-                margin = _block_margin(space, maps, xs, ys, coefs, scale, head)[0]
+                margin = _block_margin(space, maps, xs, ys, coefs, scale, head)
                 near = np.flatnonzero(~(margin < max(bars)))
             if not bars or 4 * near.size > margin.size:
-                margin = _block_margin(space, maps, xs, ys, coefs, scale, wanted)[0]
+                margin = _block_margin(space, maps, xs, ys, coefs, scale, wanted)
             elif near.size:
                 # the pairs that may reach the bar, as index arrays: the same evaluator on them alone
                 at_near = np.unravel_index(near, margin.shape)
                 points = (np.broadcast_to(p, margin.shape)[at_near] for p in (xs, ys))
-                margin[at_near] = _block_margin(space, maps, *points, coefs, scale, wanted)[0]
+                margin[at_near] = _block_margin(space, maps, *points, coefs, scale, wanted)
             # argmax finds a block's first NaN, if it holds one
             flat = int(np.argmax(margin))
             # a NaN worst stays; NaN or more replaces a number, strictly: on a tie the earlier block keeps the worst pair
@@ -885,7 +898,10 @@ def synthesize_coefficients(
     violated rows until no pair's shortfall exceeds the solve's optimum by
     more than ``space.slack()``.  The working-set optimum is then feasible for
     the LP over all pairs, hence optimal for it, and no dense
-    (pairs x 5) matrix is ever built.
+    (pairs x 5) matrix is ever built.  The terms and the lhs do not depend
+    on the coefficients: a batch of at most ``BLOCK_PAIRS`` pairs keeps
+    every block's from the first pass, and later passes compute only the
+    margins; a larger one computes them again, block by block, each pass.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -898,10 +914,16 @@ def synthesize_coefficients(
     ties = max(tolerance, 1e-9)
     batch = _pair_batch(space, pair_source)
 
+    def blocks():
+        """(xs, ys, need, terms) per row block of the batch: ``need`` is ``scale * lhs``, ``terms`` t1..t5."""
+        for xs, ys in _row_blocks(space, *batch):
+            lhs, *terms = _term_arrays(space, maps, xs, ys)
+            yield xs, ys, lhs if scale == 1.0 else scale * lhs, terms
+
     def cuts(coefs, above):
         """Each block's ``CUT_ROWS`` largest-margin rows [t1, .., t5, need] with margin above ``above``."""
-        for xs, ys in _row_blocks(space, *batch):
-            margin, need, terms = _block_margin(space, maps, xs, ys, coefs, scale, ALL_TERMS)
+        for xs, ys, need, terms in blocks():
+            margin = _margin(need, coefs, terms)
             m = margin.reshape(-1)
             top = np.argpartition(m, -CUT_ROWS)[-CUT_ROWS:] if m.size > CUT_ROWS else np.arange(m.size)
             idx = np.unravel_index(top[m[top] > above], margin.shape)
@@ -910,8 +932,8 @@ def synthesize_coefficients(
     def infeasible(coefs, reason: str) -> Infeasible:
         """``reason`` ({count}: the pair count) as Infeasible, naming the first pair within ``ties`` of the worst or NaN."""
         worst, _, count = _worst(space, maps, batch, coefs, scale, grid=not sampled)
-        for xs, ys in _row_blocks(space, *batch):
-            margin = _block_margin(space, maps, xs, ys, coefs, scale, ALL_TERMS)[0]
+        for xs, ys, need, terms in blocks():
+            margin = _margin(need, coefs, terms)
             hits = np.flatnonzero(np.isnan(margin) | (margin >= worst - ties))
             if hits.size:
                 pair = _pair_at(space, xs, ys, margin.shape, int(hits[0]))
@@ -947,6 +969,10 @@ def synthesize_coefficients(
 
     # an overflowing term makes an inf or NaN row or margin, which the solves and reports handle
     with np.errstate(over="ignore", invalid="ignore"):
+        if math.prod(_batch_shape(space, *batch)) <= BLOCK_PAIRS:
+            # no term depends on the coefficients: a batch within one block's budget keeps every block's
+            # terms, and each pass recomputes only the margins; a larger one streams its blocks each pass
+            blocks = partial(iter, list(blocks()))
         largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
         res, rows = cutting_plane(largest_lhs, elastic=True)
         if not res.success:

@@ -78,9 +78,5 @@ class LiftDisagreement(CofixError):
     """The two lifted points of a four-mapping run differ."""
 
 
-class RepairFailure(CofixError):
-    """Random-table repair could not reach a strictly positive metric."""
-
-
 class PreconditionError(CofixError):
     """A documented operation precondition does not hold for the arguments."""

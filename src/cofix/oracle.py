@@ -28,7 +28,7 @@ from .contraction import (
     check_condition,
     check_range_inclusions,
 )
-from .errors import CofixError, DomainError, ExhaustiveOnInfinite, RepairFailure
+from .errors import CofixError, DomainError, ExhaustiveOnInfinite
 from .metric_core import MetricSpace, _least_off_diagonal, verify_metric_axioms
 from .records import Record, ValueEnum, int_arg
 from .reduction import coincidence_points, is_weakly_compatible
@@ -54,20 +54,25 @@ MIN_SEPARATION = 1e-6
 
 
 def metric_closure_repair(table: np.ndarray) -> np.ndarray:
-    """Turn a nonnegative square array into an exact finite metric table.
+    """Turn a square array into an exact finite metric table, closed with zero tolerance.
 
-    Entries are clipped to [0, 1024] and snapped to integers of 2**-20
-    units in uint32: at most 2**30, so no sum of two wraps.  On these
-    integers the matrix is symmetrized by the entrywise minimum, and
-    Floyd–Warshall (Floyd 1962, CACM "Algorithm 97") replaces every entry
-    by its shortest path length in place, one intermediate point at a
-    time, with a single n x n scratch array; dividing back is exact.  The
-    table satisfies the triangle inequality with zero tolerance.  When its
-    least off-diagonal entry is below ``MIN_SEPARATION``, every
-    off-diagonal entry is lifted by one grid-aligned shift, which keeps the
-    table closed.  A final axiom verification guards the construction and
-    raises :class:`RepairFailure` if anything slipped through; with the
-    grid in place that indicates a bug rather than a hard input.
+    NaN reads as 0, +inf as ``MAX_DISTANCE`` and a negative entry as its
+    magnitude.  Entries are clipped to [0, 1024] and snapped to integers of
+    2**-20 units in uint32, symmetrized by the entrywise minimum with a zero
+    diagonal, and closed by Floyd–Warshall (Floyd 1962, CACM "Algorithm 97")
+    in place, one point k at a time, with one n x n scratch array.  No check
+    runs after it, for these reasons:
+
+    * the integers are at most 2**30, so no sum of two wraps: every step is
+      exact, and G[i, j] <= G[i, k] + G[k, j] for all i, j and k;
+    * ``via`` = G[:, k] + G[k, :] is built whole before the minimum and is
+      symmetric when G is, so G stays symmetric; via[i, i] >= 0 keeps the
+      diagonal 0;
+    * every entry, sum or difference of entries is a multiple of 2**-20
+      below 2**11, so dividing back and the float triangle test are exact;
+    * below ``MIN_SEPARATION``, every off-diagonal entry is lifted by b, the
+      least grid multiple at or above it; d(x, z) + b <= (d(x, y) + b) +
+      (d(y, z) + b) keeps the table closed, and no off-diagonal entry is 0.
     """
     D = np.asarray(table, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1] or not D.size:
@@ -88,11 +93,6 @@ def metric_closure_repair(table: np.ndarray) -> np.ndarray:
     if _least_off_diagonal(D)[0] < MIN_SEPARATION:
         D += np.ceil(MIN_SEPARATION * scale) / scale
         np.fill_diagonal(D, 0.0)
-
-    report = verify_metric_axioms(MetricSpace.finite(D), tolerance=0.0)
-    if not report.passed:
-        bad = next(c for c in report.checks if not c.passed)
-        raise RepairFailure(f"repair left the table invalid: {bad.name} fails at {bad.witness}")
     return D
 
 

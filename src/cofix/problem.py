@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
+
+import numpy as np
 
 from .contraction import (
     EXHAUSTIVE,
@@ -108,6 +111,14 @@ def _numbers(value, name: str):
     return value
 
 
+def _converted(make, value, name: str):
+    """``make(value)`` for the number array ``name``, held to :func:`_numbers`; SchemaError naming it if an integer overflows."""
+    try:
+        return make(_numbers(value, name))
+    except OverflowError as exc:
+        raise SchemaError(f"{name} holds an integer out of range: {exc}") from None
+
+
 def _space_from_dict(doc: dict) -> MetricSpace:
     flavor = _require(doc, "flavor", "space")
     try:
@@ -115,7 +126,7 @@ def _space_from_dict(doc: dict) -> MetricSpace:
     except ValueError:
         raise SchemaError(f"unknown space flavor {flavor!r}") from None
     if flavor == Flavor.FINITE_EXPLICIT:
-        return MetricSpace.finite(_numbers(_require(doc, "table", "space"), "space table"))
+        return _converted(MetricSpace.finite, _require(doc, "table", "space"), "space table")
     return MetricSpace.euclidean(int_arg("dimension", _require(doc, "dimension", "space")))
 
 
@@ -129,12 +140,10 @@ def _mapping_from_dict(doc: dict, label: str):
     where = f"mapping {label}"
     kind = _require(doc, "type", where)
     if kind == "table":
-        return TableMapping(_numbers(_require(doc, "table", where), f"{where} table"))
+        return _converted(TableMapping, _require(doc, "table", where), f"{where} table")
     if kind == "affine":
-        return AffineMapping(
-            _numbers(_require(doc, "matrix", where), f"{where} matrix"),
-            _numbers(_require(doc, "offset", where), f"{where} offset"),
-        )
+        floats = partial(np.array, dtype=float)
+        return AffineMapping(*(_converted(floats, _require(doc, key, where), f"{where} {key}") for key in ("matrix", "offset")))
     raise SchemaError(f"{where} has unknown type {kind!r}")
 
 
@@ -203,7 +212,7 @@ def load_problem(source: Union[str, Path, dict]) -> Problem:
         )
     except SchemaError:
         raise
-    except (CofixError, ValueError, TypeError, KeyError) as exc:
+    except (CofixError, ValueError, TypeError, KeyError, OverflowError) as exc:
         raise SchemaError(f"invalid problem document: {exc}") from exc
     return problem
 

@@ -150,7 +150,7 @@ def _read(read, kind: str, name: str, value, error=ValueError):
     """``read(value)``; what it refuses raises ``error``: "<name> must be <kind>, got <value>"."""
     try:
         return read(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} must be {kind}, got {value!r}") from exc
 
 

@@ -73,10 +73,16 @@ class TableSection:
 
     ``domain`` lists one representative per image value, each the smallest
     preimage index; ``pull_back`` sends an image value to its representative.
+    Both stay tuples, by which ``==`` and ``hash`` go; built, the section also
+    holds them as index arrays (not fields), which :meth:`induced` reads.
     """
 
     domain: tuple[int, ...]
     image: tuple[int, ...]
+
+    def __post_init__(self):
+        for name in ("domain", "image"):
+            object.__setattr__(self, f"_{name}", np.array(getattr(self, name), dtype=np.int64))
 
     def pull_back(self, y: int) -> int:
         try:
@@ -87,7 +93,7 @@ class TableSection:
     def induced(self, m: TableMapping) -> TableMapping:
         """m through the section on the image; points off the image stay fixed."""
         table = np.arange(m.n)
-        table[list(self.image)] = m.table[list(self.domain)]
+        table[self._image] = m.table[self._domain]
         return TableMapping(table)
 
 

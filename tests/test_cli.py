@@ -270,6 +270,21 @@ class TestCheck:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "schema error: space table holds a boolean, which is not a number\n")
 
+    @pytest.mark.parametrize(
+        "space_entry, map_entry, message",
+        [
+            (10**400, 0, "space table holds an integer out of range: int too large to convert to float"),
+            (1, 2**70, "mapping S table holds an integer out of range: Python int too large to convert to C long"),
+        ],
+        ids=["space_table", "mapping_table"],
+    )
+    def test_integer_past_the_conversion_exits_schema(self, tmp_path, capsys, space_entry, map_entry, message):
+        # each was an OverflowError traceback (exit 1) from converting the table to a float or int64 array
+        doc = {"space": {"flavor": "finite_explicit", "table": [[0, space_entry], [1, 0]]}, "mappings": table_maps(2, S=[0, map_entry], T=[0, 1]), "coefficients": GAMMA_HALF}
+        assert cli.main(["check", write_doc(tmp_path, "huge.json", doc), "--format", "structured"]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"schema error: {message}\n")
+
     def test_negative_sampler_seed_exits_schema(self, tmp_path, capsys):
         # the document loaded and check died in numpy's seeding: a traceback, exit 1
         half = {"type": "affine", "matrix": [[0.5]], "offset": [0.0]}

@@ -1083,6 +1083,19 @@ class TestBoundFirst:
         lhs = contraction._term_arrays(space, MappingSet(ident, rows), idx[2:5, None], idx[None, :3], gamma_only)[0]
         assert np.array_equal(lhs, space.table[2:5][:, [4, 0, 5]])
 
+    def test_grid_index_sets_take_no_run_test(self, monkeypatch):
+        # the grid's own index sets are runs found from their ends; only the mapped ones, here never runs, are tested
+        n = 300
+        rng = np.random.default_rng(4)
+        space = MetricSpace.finite(metric_closure_repair(rng.uniform(0.1, 8.0, size=(n, n))))
+        maps = MappingSet(TableMapping(rng.integers(0, n, size=n)), TableMapping(rng.integers(0, n, size=n)))
+        run, found = contraction._run, []
+        monkeypatch.setattr(contraction, "_run", lambda idx: found.append(run(idx)) or found[-1])
+        c = Coefficients(0.1, 0.1, 0.2, 0.1, 0.2)
+        rep = check_condition(space, maps, c)
+        assert found and all(r is None for r in found)
+        assert _report_json(rep) == _report_json(reference_condition_report(space, maps, c))
+
     @pytest.mark.parametrize(
         "idx, run",
         [([3], slice(3, 4)), ([0, 1, 2], slice(0, 3)), ([2, 1, 0], None), ([0, 2, 1, 3], None), ([0, 0], None), ([], None)],
@@ -1298,7 +1311,7 @@ class TestSeededBound:
         S, T = TableMapping((np.arange(n) + 1) % n), TableMapping((np.arange(n) + 2) % n)
         c = Coefficients(0, 0, 0.2, 0.1, 0.5)
         with np.errstate(over="ignore"):
-            diagonal = contraction._block_margin(space, MappingSet(S, T), np.arange(n), np.arange(n), c.as_tuple(), 1.0, (False, False, True, True, True))[0]
+            diagonal = contraction._block_margin(space, MappingSet(S, T), np.arange(n), np.arange(n), c.as_tuple(), 1.0, (False, False, True, True, True))
         assert (diagonal == -np.inf).all()
         for block in (None, 1, 2):
             rep = self._assert_reference(space, MappingSet(S, T), c, block=block)
@@ -1568,6 +1581,26 @@ class TestSynthesis:
         asked.clear()
         assert synthesize_coefficients(space, maps, src) == c
         assert evaluate(space, maps, c, src, space.slack()).satisfied
+
+    def test_one_block_synthesis_builds_its_terms_once(self, monkeypatch):
+        # the n=180 arity-3 anchor's keyless grid is one block: its passes recompute only the margins
+        inst = generate_instance(InstanceRecipe(seed=3, n=180, arity=3))
+        evaluate, verify, margin = contraction._term_arrays, contraction._evaluate_condition, contraction._margin
+        calls = []
+
+        def spy(space, maps, xs, ys, wanted=contraction.ALL_TERMS):
+            calls.append(np.broadcast_shapes(xs.shape, ys.shape))
+            return evaluate(space, maps, xs, ys, wanted)
+
+        monkeypatch.setattr(contraction, "_term_arrays", spy)
+        monkeypatch.setattr(contraction, "_evaluate_condition", lambda *args: calls.append("verify") or verify(*args))
+        monkeypatch.setattr(contraction, "_margin", lambda *args: calls.append("margin") or margin(*args))
+        c = synthesize_coefficients(inst.space, inst.maps)
+        # one evaluation of the grid, then a margin per pass: the largest-lhs seed and each cutting-plane pass
+        synthesis = calls[: calls.index("verify")]
+        assert synthesis[0] == (180, 180) and synthesis[1:] == ["margin"] * (len(synthesis) - 1) and len(synthesis) > 3
+        monkeypatch.undo()
+        assert check_condition(inst.space, inst.maps, c).satisfied
 
     def test_a_failed_reverification_retries_a_bumped_tuple(self, monkeypatch, halving_space, halving_map):
         check, asked = self._failing_checks(1)

@@ -102,6 +102,19 @@ STRING_NUMBERS = {
 }
 
 
+# JSON integers past what a field converts: each of these documents ended in an OverflowError traceback
+HUGE_INTEGERS = {
+    "table": (finite_doc(space={"flavor": "finite_explicit", "table": [[0, 10**400, 3, 7], [1, 0, 2, 6], [3, 2, 0, 4], [7, 6, 4, 0]]}), "space table holds an integer out of range"),
+    "mapping_table": (finite_doc(mappings={**finite_doc()["mappings"], "S": {"type": "table", "table": [0, 2**70, 1, 2]}}), "mapping S table holds an integer out of range"),
+    "matrix": (line_doc({"type": "affine", "matrix": [[10**400]], "offset": [0.0]}), "mapping S matrix holds an integer out of range"),
+    "offset": (line_doc({"type": "affine", "matrix": [[0.5]], "offset": [-(10**400)]}), "mapping S offset holds an integer out of range"),
+    "L": (finite_doc(coefficients={"alpha": 0, "beta": 0, "gamma": 0.5, "delta": 0, "L": 10**400}), "L must be a number, got 1000"),
+    "tol": (finite_doc(solver={"tol": 10**400}), "tolerance must be a number, got 1000"),
+    "box": (line_doc(pair_source={"samples": 5, "seed": 1, "box": [-(10**400), 1]}), "box must be a number, got -1000"),
+    "x0": (line_doc() | {"solver": {"x0": [10**400]}}, "invalid problem document: int too large to convert to float"),
+}
+
+
 class TestLoadProblem:
     def test_loads_finite_document_from_dict(self):
         problem = load_problem(finite_doc())
@@ -312,6 +325,12 @@ class TestSchemaRejections:
     @pytest.mark.parametrize("field", STRING_NUMBERS)
     def test_a_string_is_never_a_number(self, field):
         doc, message = STRING_NUMBERS[field]
+        with pytest.raises(SchemaError, match=message):
+            load_problem(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", HUGE_INTEGERS)
+    def test_integers_past_the_conversion_are_schema_errors(self, field):
+        doc, message = HUGE_INTEGERS[field]
         with pytest.raises(SchemaError, match=message):
             load_problem(json.dumps(doc))
 

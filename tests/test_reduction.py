@@ -27,6 +27,7 @@ from cofix import (
     SolveReport,
     SolveStatus,
     TableMapping,
+    TableSection,
     WeakCompatibility,
     check_range_inclusions,
     coincidence_points,
@@ -103,6 +104,27 @@ class TestInjectiveRestriction:
             restricted = [f(x) for x in sect.domain]
             assert len(set(restricted)) == len(sect.domain)
             assert set(restricted) == set(int(v) for v in f.image())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_section_arrays_match_the_tuples(self, seed, n):
+        # induced reads index arrays held once; the reference reads the public tuples, as it once did
+        rng = np.random.default_rng(seed)
+        space = MetricSpace.finite(np.ones((n, n)) - np.eye(n))
+        f, m = TableMapping(rng.integers(0, n, size=n)), TableMapping(rng.integers(0, n, size=n))
+        sect = injective_restriction(space, f)
+        reference = np.arange(n)
+        reference[list(sect.image)] = m.table[list(sect.domain)]
+        assert sect.induced(m) == TableMapping(reference)
+        for x in range(n):
+            if x in sect.image:
+                assert sect.pull_back(x) == sect.domain[sect.image.index(x)]
+            else:
+                with pytest.raises(DomainError):
+                    sect.pull_back(x)
+        # equality and hashing go by the tuples alone
+        twin = TableSection(domain=sect.domain, image=sect.image)
+        assert twin == sect and hash(twin) == hash(sect)
 
 
 class TestInducedPairs:
