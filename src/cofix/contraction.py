@@ -25,7 +25,9 @@ rows or columns of the smaller index set, then the other axis.  Checks feed
 the batch to the evaluator in row blocks of about ``BLOCK_PAIRS`` pairs, so
 their scratch memory stays bounded at any table size.  ``check_condition`` picks the named
 check that matches a mapping set's arity.  ``synthesize_coefficients`` solves
-its one LP twice by cutting planes, with a pass over the same blocks as the separation step.
+its one LP by cutting planes, with a pass over the same blocks as the
+separation step: the min-sum solve alone on a feasible problem, and the
+elastic solve first only when that one fails.
 
 A check takes the lhs and only the terms with a nonzero coefficient, in
 the order alpha, beta, gamma, delta, L, and so do the scalar ``rhs_*``: as
@@ -880,19 +882,23 @@ def synthesize_coefficients(
 
     Solves one linear program in (alpha, beta, gamma, delta, L), each at least
     0: a covering row need <= alpha*t1 + beta*t2 + gamma*t3 + delta*t4 + L*t5
-    per pair and the budget alpha + beta + gamma + 2*delta <= 1 - ``MARGIN``.
-    Its two solves differ only in an elastic column and the objective.  The
-    first adds an excess s >= -1 to every covering row and minimizes it: an
-    optimum above the ties allowance means no tuple covers every pair, and the
-    most binding pair is reported.  The second drops s and minimizes the
-    coefficient sum.  Sampled sources get a relative cushion, need = 1.02 *
-    lhs, that makes their certificates robust off-sample; exhaustive ones get
-    none.  The returned tuple is re-verified with the matching check at
-    ``space.slack()`` before being handed back; failure to re-verify raises
-    :class:`Infeasible` like any other infeasibility, with the most binding
-    pair attached.
+    per pair and the budget alpha + beta + gamma + 2*delta <= 1 - ``MARGIN``,
+    minimizing the coefficient sum.  Sampled sources get a relative cushion,
+    need = 1.02 * lhs, that makes their certificates robust off-sample;
+    exhaustive ones get none.  A solved tuple is handed back once the
+    matching check at ``space.slack()`` passes it or one of two slightly
+    bumped tuples.
 
-    Both solves are cutting-plane loops (Kelley's method): the LP is solved
+    The min-sum solve runs first.  If it fails, with a working set that no
+    tuple covers or a tuple that no check passes, the two-phase flow runs
+    from the start: an elastic solve adds an excess s >= -1 to every
+    covering row and minimizes s, and an optimum above the ties allowance
+    raises :class:`Infeasible` with the most binding pair attached; else the
+    min-sum solve runs again from the elastic rows, and its tuple passes a
+    check or raises :class:`Infeasible`.  So every ``Infeasible`` is the
+    two-phase flow's, and a feasible problem never pays for the elastic solve.
+
+    Every solve is a cutting-plane loop (Kelley's method): the LP is solved
     on a small working set of pair rows, seeded with the rows of largest
     lhs, and a pass over every pair adds each block's ``CUT_ROWS`` most
     violated rows until no pair's shortfall exceeds the solve's optimum by
@@ -900,8 +906,9 @@ def synthesize_coefficients(
     the LP over all pairs, hence optimal for it, and no dense
     (pairs x 5) matrix is ever built.  The terms and the lhs do not depend
     on the coefficients: a batch of at most ``BLOCK_PAIRS`` pairs keeps
-    every block's from the first pass, and later passes compute only the
-    margins; a larger one computes them again, block by block, each pass.
+    every block's from the first pass, and later passes, the ``Infeasible``
+    report's included, compute only the margins; a larger one computes them
+    again, block by block, each pass.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -931,7 +938,9 @@ def synthesize_coefficients(
 
     def infeasible(coefs, reason: str) -> Infeasible:
         """``reason`` ({count}: the pair count) as Infeasible, naming the first pair within ``ties`` of the worst or NaN."""
-        worst, _, count = _worst(space, maps, batch, coefs, scale, grid=not sampled)
+        # the margins the scan below reads; np.max carries a NaN through: as in _worst, it outranks every number
+        tops, sizes = zip(*((np.max(_margin(need, coefs, terms)), need.size) for *_, need, terms in blocks()))
+        worst, count = float(np.max(tops)), sum(sizes)
         for xs, ys, need, terms in blocks():
             margin = _margin(need, coefs, terms)
             hits = np.flatnonzero(np.isnan(margin) | (margin >= worst - ties))
@@ -967,21 +976,8 @@ def synthesize_coefficients(
                 return res, rows
             rows = grown
 
-    # an overflowing term makes an inf or NaN row or margin, which the solves and reports handle
-    with np.errstate(over="ignore", invalid="ignore"):
-        if math.prod(_batch_shape(space, *batch)) <= BLOCK_PAIRS:
-            # no term depends on the coefficients: a batch within one block's budget keeps every block's
-            # terms, and each pass recomputes only the margins; a larger one streams its blocks each pass
-            blocks = partial(iter, list(blocks()))
-        largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
-        res, rows = cutting_plane(largest_lhs, elastic=True)
-        if not res.success:
-            raise Infeasible("feasibility solve failed")
-        if res.x[-1] > ties:
-            raise infeasible(res.x[:5], "no coefficient tuple covers all {count} pairs")
-
-        res2, _ = cutting_plane(rows, elastic=False)
-        attempt = np.maximum(np.asarray(res2.x if res2.success else res.x[:5], dtype=float), 0.0)
+    def verified(attempt) -> Optional[Coefficients]:
+        """The solved tuple or a slightly bumped one, whichever first passes the matching check; None if none does."""
         for bump in (0.0, tolerance, 16.0 * tolerance):
             # the attempt meets the 1 - MARGIN budget row up to HiGHS's tolerance and bump <= 16 * slack
             # <= 1.6e-8, so the weight sum stays below 0.9502, well inside the bounds Coefficients checks
@@ -991,4 +987,29 @@ def synthesize_coefficients(
             report = _evaluate_condition(space, maps, candidate, pair_source, tolerance, batch if sampled else None)
             if report.satisfied:
                 return candidate
-        raise infeasible(attempt, "solved tuple failed re-verification")
+        return None
+
+    # an overflowing term makes an inf or NaN row or margin, which the solves and reports handle
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.prod(_batch_shape(space, *batch)) <= BLOCK_PAIRS:
+            # no term depends on the coefficients: a batch within one block's budget keeps every block's
+            # terms, and each pass recomputes only the margins; a larger one streams its blocks each pass
+            blocks = partial(iter, list(blocks()))
+        largest_lhs = np.unique(np.vstack(list(cuts(np.zeros(5), -np.inf))), axis=0)
+        # a feasible LP needs no elastic solve: the min-sum loop runs first, and a re-verified tuple returns
+        res, _ = cutting_plane(largest_lhs, elastic=False)
+        if res.success and (candidate := verified(np.maximum(res.x, 0.0))) is not None:
+            return candidate
+
+        # anything else, an infeasible working set or a tuple that fails re-verification, goes the two-phase way
+        res, rows = cutting_plane(largest_lhs, elastic=True)
+        if not res.success:
+            raise Infeasible("feasibility solve failed")
+        if res.x[-1] > ties:
+            raise infeasible(res.x[:5], "no coefficient tuple covers all {count} pairs")
+
+        res2, _ = cutting_plane(rows, elastic=False)
+        attempt = np.maximum(res2.x if res2.success else res.x[:5], 0.0)
+        if (candidate := verified(attempt)) is None:
+            raise infeasible(attempt, "solved tuple failed re-verification")
+        return candidate

@@ -1563,6 +1563,13 @@ class TestSynthesis:
 
         return check, asked
 
+    @staticmethod
+    def _milp_widths(monkeypatch):
+        """The column count of every ``milp`` solve from here on: 6 for the elastic one, 5 for the min-sum one."""
+        milp, widths = scipy.optimize.milp, []
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **kw: widths.append(len(kw["c"])) or milp(*a, **kw))
+        return widths
+
     @pytest.mark.parametrize("failures", [0, 2])
     def test_sampled_synthesis_draws_its_sample_once(self, monkeypatch, failures):
         rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
@@ -1602,6 +1609,15 @@ class TestSynthesis:
         monkeypatch.undo()
         assert check_condition(inst.space, inst.maps, c).satisfied
 
+    def test_a_feasible_one_block_synthesis_runs_no_elastic_solve(self, monkeypatch):
+        # the anchor of test_one_block_synthesis_builds_its_terms_once: the elastic solve is the 6-column one
+        inst = generate_instance(InstanceRecipe(seed=3, n=180, arity=3))
+        widths = self._milp_widths(monkeypatch)
+        c = synthesize_coefficients(inst.space, inst.maps)
+        monkeypatch.undo()
+        assert widths and set(widths) == {5}
+        assert check_condition(inst.space, inst.maps, c).satisfied
+
     def test_a_failed_reverification_retries_a_bumped_tuple(self, monkeypatch, halving_space, halving_map):
         check, asked = self._failing_checks(1)
         monkeypatch.setattr(contraction, "_evaluate_condition", check)
@@ -1612,12 +1628,22 @@ class TestSynthesis:
         assert first.delta == pytest.approx(1.0 / 3.0)
         assert check_condition(halving_space, MappingSet(halving_map, halving_map), c).satisfied
 
-    def test_tuple_failing_every_reverification_is_infeasible(self, monkeypatch, halving_space, halving_map):
+    def test_a_min_sum_tuple_failing_reverification_falls_back_to_the_two_phase_flow(self, monkeypatch, halving_space, halving_map):
         check, asked = self._failing_checks(3)
+        monkeypatch.setattr(contraction, "_evaluate_condition", check)
+        widths = self._milp_widths(monkeypatch)
+        c = synthesize_coefficients(halving_space, MappingSet(halving_map, halving_map))
+        # the min-sum tuple and its two bumps fail; the elastic solve runs, and the two-phase tuple passes
+        assert len(asked) == 4 and 6 in widths and set(widths[: widths.index(6)]) == {5}
+        assert c == asked[3] and c.delta == pytest.approx(1.0 / 3.0)
+
+    def test_tuple_failing_every_reverification_is_infeasible(self, monkeypatch, halving_space, halving_map):
+        # three checks of the min-sum tuple, then three of the two-phase flow's
+        check, asked = self._failing_checks(6)
         monkeypatch.setattr(contraction, "_evaluate_condition", check)
         with pytest.raises(Infeasible, match="solved tuple failed re-verification") as exc_info:
             synthesize_coefficients(halving_space, MappingSet(halving_map, halving_map))
-        assert len(asked) == 3
+        assert len(asked) == 6
         # every margin of the halving instance is at most 0 at delta = 1/3; the first tie is the first pair
         assert exc_info.value.binding_pair == (0, 0)
 
@@ -1728,13 +1754,16 @@ class TestCuttingPlaneLP:
         except Infeasible as exc:
             named = exc.binding_pair
         monkeypatch.undo()
-        phase1 = solves[6][-1]
-        assert abs(phase1.fun - excess) <= 1e-9
+        phase1 = solves[6][-1] if solves[6] else None
+        if phase1 is not None:
+            # the elastic solve runs only after the min-sum loop failed
+            assert abs(phase1.fun - excess) <= 1e-9
         if pair is None:
             assert named is None
             assert solves[5][-1].success == (objective is not None)
             if objective is not None:
-                assert abs(solves[5][-1].fun - objective) <= 1e-9
+                # a feasible LP: the min-sum loop alone reaches the dense optimum
+                assert phase1 is None and abs(solves[5][-1].fun - objective) <= 1e-9
         elif np.allclose(phase1.x[:5], coefs, rtol=0.0, atol=1e-9):
             assert named == pair
         else:
